@@ -21,6 +21,12 @@ import (
 // opens a fresh transport session against the same fabric state.
 type persistentProver struct {
 	dev *prover.Device
+	// vrf and served are the current session's verifier endpoint and a
+	// channel closed once its Serve returns. A device serves one session
+	// at a time, so connect ends the previous session before it starts
+	// the next.
+	vrf    channel.Endpoint
+	served chan struct{}
 }
 
 func newPersistentProver(t testing.TB, geo *device.Geometry) *persistentProver {
@@ -41,8 +47,17 @@ func newPersistentProver(t testing.TB, geo *device.Geometry) *persistentProver {
 
 func (p *persistentProver) connect(t testing.TB) channel.Endpoint {
 	t.Helper()
+	if p.vrf != nil {
+		p.vrf.Close()
+		<-p.served
+	}
 	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go p.dev.Serve(prvEP)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		p.dev.Serve(prvEP)
+	}()
+	p.vrf, p.served = vrfEP, served
 	t.Cleanup(func() { vrfEP.Close() })
 	return vrfEP
 }

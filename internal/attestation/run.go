@@ -3,6 +3,7 @@ package attestation
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"sacha/internal/cmac"
 	"sacha/internal/compress"
 	"sacha/internal/device"
-	"sacha/internal/fabric"
 	"sacha/internal/obs/span"
 	"sacha/internal/protocol"
 	"sacha/internal/signature"
@@ -211,10 +211,10 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		return nil, err
 	}
 	transcript := signature.NewTranscript()
-	// One scratch buffer serves every frame serialisation of the Run:
-	// cmac.Update and Transcript.Absorb both copy, so reusing the bytes
-	// avoids 28k+ allocations on the large geometries.
-	scratch := make([]byte, 0, device.FrameWords*4)
+	// One scratch serves every read-back frame of the Run: cmac.Update
+	// and Transcript.Absorb both copy, and the comparison keeps nothing,
+	// so reusing it avoids 28k+ allocations on the large geometries.
+	var scratch frameScratch
 
 	// noteConfig records the per-packet effects of one delivered
 	// configuration step; absorbFrame does the same for one read-back
@@ -232,46 +232,25 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		rep.FramesConfigured += cs.count
 	}
 	absorbFrame := func(idx int, resp *protocol.Message) error {
+		words, err := scratch.frameWords(idx, resp)
+		if err != nil {
+			return err
+		}
 		if resp.Type == protocol.MsgFrameDataC {
-			// Compressed sendback: the decoder bound is one frame, exact —
-			// a hostile stream cannot claim more buffer than the frame it
-			// answers for.
-			words, err := compress.DecodeBounded(resp.Comp, device.FrameWords)
-			if err != nil {
-				return fmt.Errorf("verifier: compressed readback of frame %d: %w", idx, err)
-			}
-			if len(words) != device.FrameWords {
-				return fmt.Errorf("verifier: compressed readback of frame %d carries %d words, want %d", idx, len(words), device.FrameWords)
-			}
 			rawB += device.FrameWords * 4
 			wireB += len(resp.Comp)
-			resp = &protocol.Message{Type: protocol.MsgFrameData, FrameIndex: resp.FrameIndex, Words: words}
 		}
-		if resp.Type != protocol.MsgFrameData {
-			return fmt.Errorf("verifier: readback of frame %d answered with %v (%s)", idx, resp.Type, resp.Err)
-		}
-		if resp.FrameIndex != uint32(idx) {
-			return fmt.Errorf("verifier: asked for frame %d, got %d", idx, resp.FrameIndex)
-		}
-		scratch = appendFrameBytes(scratch[:0], resp.Words)
-		mac.Update(scratch)
-		transcript.Absorb(scratch)
+		scratch.bytes = appendFrameBytes(scratch.bytes[:0], words)
+		mac.Update(scratch.bytes)
+		transcript.Absorb(scratch.bytes)
 		rep.FramesRead++
 		if opts.Events != nil {
 			opts.Events.Add(trace.KindReadback, idx,
 				p.model.ActionTime(timing.A3)+p.model.ActionTime(timing.A4)+p.model.ActionTime(timing.A6), "")
 			opts.Events.Add(trace.KindFrameData, idx, p.model.ActionTime(timing.A8), "frame sendback")
 		}
-		got := resp.Words
-		if p.mask != nil {
-			got = fabric.ApplyMask(resp.Words, p.mask.Frame(idx))
-		}
-		want := p.expected[idx]
-		for w := range got {
-			if got[w] != want[w] {
-				rep.Mismatches = append(rep.Mismatches, idx)
-				break
-			}
+		if !p.frameMatches(idx, words) {
+			rep.Mismatches = append(rep.Mismatches, idx)
 		}
 		return nil
 	}
@@ -382,7 +361,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		case len(p.nonceSet) > limit:
 			rep.Delta.Fallback = "threshold"
 		default:
-			if err := p.deltaScan(sess, opts, rep, windowed, &rawB, &wireB); err != nil {
+			if err := p.deltaScan(sess, opts, rep, windowed, &scratch, &rawB, &wireB); err != nil {
 				return nil, err
 			}
 			trc("command: Scan(frame_%d..frame_%d)  [%d frames probed, %d drifted]",
@@ -566,7 +545,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 // post-configuration readback. Frames outside the nonce set that differ
 // land in rep.Delta.Unexpected — the caller falls back to the full
 // overwrite when that list is non-empty.
-func (p *Plan) deltaScan(sess *session, opts RunOpts, rep *Report, windowed bool, rawB, wireB *int) error {
+func (p *Plan) deltaScan(sess *session, opts RunOpts, rep *Report, windowed bool, scratch *frameScratch, rawB, wireB *int) error {
 	handle := func(k int, resp *protocol.Message) error {
 		ss := p.scanSteps[k]
 		if resp.Type != protocol.MsgScanData {
@@ -576,10 +555,11 @@ func (p *Plan) deltaScan(sess *session, opts RunOpts, rep *Report, windowed bool
 			return fmt.Errorf("verifier: scan answered for %d frames, asked %d", len(resp.Frames), len(ss.frames))
 		}
 		want := len(ss.frames) * device.FrameWords
-		words, err := compress.DecodeBounded(resp.Comp, want)
+		words, err := compress.AppendDecode(scratch.words[:0], resp.Comp, want)
 		if err != nil {
 			return fmt.Errorf("verifier: scan data: %w", err)
 		}
+		scratch.words = words
 		if len(words) != want {
 			return fmt.Errorf("verifier: scan data carries %d words, want %d", len(words), want)
 		}
@@ -646,6 +626,57 @@ func recordRun(rep *Report) {
 			mDeltaFallbacks.With(rep.Delta.Fallback).Inc()
 		}
 	}
+}
+
+// frameScratch is the per-Run working set of the read-back path: the
+// frame's big-endian bytes that the MAC and the transcript absorb, and
+// the decoded words of a compressed sendback or scan packet.
+type frameScratch struct {
+	bytes []byte
+	words []uint32
+}
+
+// frameWords checks one ICAP_readback answer for frame idx and returns
+// its FrameWords words. A compressed sendback is decoded into s.words
+// with a decoder bound of exactly one frame, so a hostile stream cannot
+// claim more buffer than the frame it answers for.
+func (s *frameScratch) frameWords(idx int, resp *protocol.Message) ([]uint32, error) {
+	words := resp.Words
+	switch resp.Type {
+	case protocol.MsgFrameDataC:
+		var err error
+		if s.words, err = compress.AppendDecode(s.words[:0], resp.Comp, device.FrameWords); err != nil {
+			return nil, fmt.Errorf("verifier: compressed readback of frame %d: %w", idx, err)
+		}
+		words = s.words
+	case protocol.MsgFrameData:
+	default:
+		return nil, fmt.Errorf("verifier: readback of frame %d answered with %v (%s)", idx, resp.Type, resp.Err)
+	}
+	if len(words) != device.FrameWords {
+		return nil, fmt.Errorf("verifier: readback of frame %d carries %d words, want %d", idx, len(words), device.FrameWords)
+	}
+	if resp.FrameIndex != uint32(idx) {
+		return nil, fmt.Errorf("verifier: asked for frame %d, got %d", idx, resp.FrameIndex)
+	}
+	return words, nil
+}
+
+// frameMatches reports whether read-back frame idx equals the plan's
+// expectation, after masking the capture bits with Msk when the plan
+// has a mask.
+func (p *Plan) frameMatches(idx int, words []uint32) bool {
+	want := p.expected[idx]
+	if p.mask == nil {
+		return slices.Equal(words, want)
+	}
+	mask := p.mask.Frame(idx)
+	for w, v := range words {
+		if v&mask[w] != want[w] {
+			return false
+		}
+	}
+	return true
 }
 
 // appendFrameBytes serialises frame words into dst (big-endian, matching

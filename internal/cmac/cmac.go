@@ -1,17 +1,24 @@
-// Package cmac implements AES-CMAC (RFC 4493) on top of the aescore
-// hardware model.
+// Package cmac implements AES-CMAC (RFC 4493).
 //
 // The SACHa prover computes the MAC incrementally: Init once, one Update
 // per configuration frame read back through the ICAP (28,488 updates on
 // the XC6VLX240T), then Finalize (paper Fig. 9). The streaming interface
 // mirrors that structure and additionally tracks the AES block count so
 // the timing model can charge MAC cycles.
+//
+// The MAC bytes are computed with crypto/aes (constant-time, and
+// hardware-accelerated where the CPU has AES instructions). The modelled
+// hardware cost is separate: the timing model charges
+// aescore.CyclesPerBlock cycles for each of the Blocks() AES invocations
+// of the core that package aescore models, and tests hold this package
+// bit-identical to a CMAC over that reference model.
 package cmac
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/subtle"
 	"fmt"
-
-	"sacha/internal/aescore"
 )
 
 // Size is the MAC length in bytes (full-width AES-CMAC tag).
@@ -19,7 +26,7 @@ const Size = 16
 
 // MAC is a streaming AES-CMAC computation.
 type MAC struct {
-	core   *aescore.Core
+	block  cipher.Block
 	k1, k2 [16]byte
 	x      [16]byte // running CBC state
 	buf    [16]byte // pending partial block
@@ -30,19 +37,29 @@ type MAC struct {
 
 // New returns a MAC keyed with the 16-byte key.
 func New(key []byte) (*MAC, error) {
-	core, err := aescore.New(key)
+	if len(key) != 16 {
+		return nil, fmt.Errorf("cmac: key must be 16 bytes, got %d", len(key))
+	}
+	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("cmac: %w", err)
 	}
-	m := &MAC{core: core}
+	return newWithBlock(block), nil
+}
+
+// newWithBlock returns a MAC over an already keyed AES-128 block cipher;
+// tests use it to run the MAC on the aescore reference model.
+func newWithBlock(block cipher.Block) *MAC {
+	m := &MAC{block: block}
 	// Subkey generation (RFC 4493 §2.3): L = AES-128(K, 0^128),
 	// K1 = L<<1 (xor Rb on carry), K2 = K1<<1 (xor Rb on carry).
-	var l [16]byte
-	core.Encrypt(l[:], l[:])
+	// X is still zero, so it serves as the scratch for L.
+	block.Encrypt(m.x[:], m.x[:])
 	m.blocks++
-	shiftLeft(&m.k1, &l)
+	shiftLeft(&m.k1, &m.x)
 	shiftLeft(&m.k2, &m.k1)
-	return m, nil
+	m.x = [16]byte{}
+	return m
 }
 
 const rb = 0x87
@@ -78,8 +95,13 @@ func (m *MAC) Update(data []byte) {
 		// Keep at least one byte pending so the final block can be
 		// treated specially in Sum.
 		if m.bufLen == 16 {
-			m.cipherBlock(m.buf[:], nil)
+			m.cipherBlock(m.buf[:])
 			m.bufLen = 0
+		}
+		// Whole blocks go straight from data to the cipher.
+		for m.bufLen == 0 && len(data) > 16 {
+			m.cipherBlock(data[:16])
+			data = data[16:]
 		}
 		n := copy(m.buf[m.bufLen:], data)
 		m.bufLen += n
@@ -87,16 +109,10 @@ func (m *MAC) Update(data []byte) {
 	}
 }
 
-// cipherBlock runs X = AES(K, X xor block xor finalKey), where finalKey is
-// nil for intermediate blocks.
-func (m *MAC) cipherBlock(block, finalKey []byte) {
-	for i := 0; i < 16; i++ {
-		m.x[i] ^= block[i]
-		if finalKey != nil {
-			m.x[i] ^= finalKey[i]
-		}
-	}
-	m.core.Encrypt(m.x[:], m.x[:])
+// cipherBlock runs X = AES(K, X xor block).
+func (m *MAC) cipherBlock(block []byte) {
+	subtle.XORBytes(m.x[:], m.x[:], block)
+	m.block.Encrypt(m.x[:], m.x[:])
 	m.blocks++
 }
 
@@ -107,16 +123,16 @@ func (m *MAC) Sum() [Size]byte {
 		panic("cmac: Sum called twice; call Reset first")
 	}
 	m.done = true
-	var last [16]byte
-	if m.bufLen == 16 {
-		copy(last[:], m.buf[:])
-		m.cipherBlock(last[:], m.k1[:])
-	} else {
-		// Pad 10* and use K2.
-		copy(last[:], m.buf[:m.bufLen])
-		last[m.bufLen] = 0x80
-		m.cipherBlock(last[:], m.k2[:])
+	// The last block is XORed with K1 when complete, else padded 10*
+	// and XORed with K2.
+	key := &m.k1
+	if m.bufLen < 16 {
+		clear(m.buf[m.bufLen:])
+		m.buf[m.bufLen] = 0x80
+		key = &m.k2
 	}
+	subtle.XORBytes(m.buf[:], m.buf[:], key[:])
+	m.cipherBlock(m.buf[:])
 	return m.x
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func unhex(t *testing.T, s string) []byte {
+func unhex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
 	if err != nil {
@@ -19,7 +19,7 @@ func unhex(t *testing.T, s string) []byte {
 
 var rfcKey = "2b7e151628aed2a6abf7158809cf4f3c"
 
-// RFC 4493 §4 test vectors.
+// RFC 4493 §4 test vectors, on crypto/aes and on the aescore model.
 func TestRFC4493Vectors(t *testing.T) {
 	msg := unhex(t, "6bc1bee22e409f96e93d7e117393172a"+
 		"ae2d8a571e03ac9c9eb76fac45af8e51"+
@@ -42,6 +42,11 @@ func TestRFC4493Vectors(t *testing.T) {
 		}
 		if !bytes.Equal(got[:], unhex(t, c.want)) {
 			t.Errorf("len %d: got %x, want %s", c.n, got, c.want)
+		}
+		model := newModel(t, key)
+		model.Update(msg[:c.n])
+		if got := model.Sum(); !bytes.Equal(got[:], unhex(t, c.want)) {
+			t.Errorf("model, len %d: got %x, want %s", c.n, got, c.want)
 		}
 	}
 }

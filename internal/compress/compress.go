@@ -86,14 +86,22 @@ func Decode(data []byte) ([]uint32, error) {
 // the hostile-input guarantee the prover relies on: a forged count can
 // never make the decoder reserve more than the caller's stated bound.
 func DecodeBounded(data []byte, maxWords int) ([]uint32, error) {
+	return AppendDecode(nil, data, maxWords)
+}
+
+// AppendDecode is DecodeBounded appending to dst, for callers that
+// decode into one reused buffer: it allocates only when dst lacks room
+// for the validated total, and never before the bound check.
+func AppendDecode(dst []uint32, data []byte, maxWords int) ([]uint32, error) {
 	total, err := scanTokens(data, maxWords)
 	if err != nil {
 		return nil, err
 	}
-	if total == 0 {
-		return nil, nil
+	out := dst
+	if cap(out)-len(out) < total {
+		out = make([]uint32, len(dst), len(dst)+total)
+		copy(out, dst)
 	}
-	out := make([]uint32, 0, total)
 	for len(data) > 0 {
 		token := data[0]
 		count, n := binary.Uvarint(data[1:])

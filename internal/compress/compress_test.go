@@ -195,6 +195,41 @@ func TestDecodeExactAllocation(t *testing.T) {
 	}
 }
 
+// TestAppendDecodeReusesBuffer: decoding into a buffer with room keeps
+// the prefix, reuses the backing array and allocates nothing, and the
+// output bound still holds.
+func TestAppendDecodeReusesBuffer(t *testing.T) {
+	words := make([]uint32, device.FrameWords)
+	for i := range words {
+		words[i] = uint32(i / 5)
+	}
+	enc := Encode(words)
+	buf := make([]uint32, 1, 1+len(words))
+	buf[0] = 0xCAFE
+	out, err := AppendDecode(buf, enc, len(words))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &buf[0] || out[0] != 0xCAFE || len(out) != 1+len(words) {
+		t.Fatalf("AppendDecode did not append in place: len %d", len(out))
+	}
+	for i, w := range words {
+		if out[1+i] != w {
+			t.Fatalf("word %d: %#x != %#x", i, out[1+i], w)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := AppendDecode(buf[:0], enc, len(words)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendDecode into a large enough buffer allocates %.0f times", allocs)
+	}
+	if _, err := AppendDecode(buf[:0], enc, len(words)-1); err == nil {
+		t.Fatal("AppendDecode ignored the bound")
+	}
+}
+
 // FuzzCompressRoundTrip checks two properties on arbitrary input:
 // treating the bytes as a word stream, Encode∘Decode is the identity;
 // and treating the bytes as a hostile compressed stream, DecodeBounded

@@ -366,6 +366,15 @@ func TestFleetdCrashRecoverySIGKILL(t *testing.T) {
 			}
 		}
 	}
+	// The sweep snapshot carries no sweep identity, so remember when the
+	// rotate sweep began: until the tracker shows a different start, a
+	// snapshot still describes the finished rotate sweep.
+	type sweepSnap struct {
+		StartedAt time.Time `json:"started_at"`
+		Completed int       `json:"completed"`
+	}
+	var rotated sweepSnap
+	getJSON(t, p1.base+"/debug/sweep", &rotated)
 	p1.postSweep(t, map[string]any{"freshness": "per-device", "nonce_seed": 67890})
 	// Kill as soon as at least one device of the slow sweep has
 	// completed — its derived nonce is then journaled while later
@@ -373,11 +382,9 @@ func TestFleetdCrashRecoverySIGKILL(t *testing.T) {
 	// poller the test still holds: every nonce is then a journaled one.
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		var snap struct {
-			Completed int `json:"completed"`
-		}
+		var snap sweepSnap
 		getJSON(t, p1.base+"/debug/sweep", &snap)
-		if snap.Completed >= 1 {
+		if !snap.StartedAt.Equal(rotated.StartedAt) && snap.Completed >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {

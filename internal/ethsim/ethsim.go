@@ -4,15 +4,16 @@
 // The SACHa proof of concept transports one protocol command per network
 // packet over a Gigabit link (paper §6.1); the ETH core moves one byte per
 // 125 MHz cycle, i.e. 8 ns/byte. This package provides the Ethernet II
-// frame codec with a bit-serial CRC-32 (the FCS generator is modelled as
-// the LFSR a hardware MAC uses, and is cross-checked against the standard
-// table-driven implementation in tests) and the line-time model used by
-// the Table 3 reproduction.
+// frame codec with a CRC-32 frame check sequence (computed by hash/crc32;
+// the bit-serial LFSR a hardware MAC uses is kept as CRC32Serial, and
+// tests cross-check the two) and the line-time model used by the Table 3
+// reproduction.
 package ethsim
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"time"
 )
 
@@ -39,28 +40,10 @@ type Frame struct {
 	Payload   []byte
 }
 
-// crcTable is built at init by running the bit-serial LFSR once per byte
-// value — the hardware's shift register unrolled into a lookup table.
-var crcTable [256]uint32
-
-func init() {
-	for b := 0; b < 256; b++ {
-		crc := uint32(b)
-		for bit := 0; bit < 8; bit++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
-		crcTable[b] = crc
-	}
-}
-
 // CRC32Serial computes the IEEE 802.3 frame check sequence with the
 // bit-serial reflected LFSR (polynomial 0xEDB88320), exactly as a
-// hardware MAC's shift register does. CRC32 is the table-accelerated
-// equivalent; tests assert they agree.
+// hardware MAC's shift register does. It is the reference model that
+// tests hold CRC32 to.
 func CRC32Serial(data []byte) uint32 {
 	crc := uint32(0xFFFFFFFF)
 	for _, b := range data {
@@ -76,14 +59,10 @@ func CRC32Serial(data []byte) uint32 {
 	return crc ^ 0xFFFFFFFF
 }
 
-// CRC32 computes the IEEE 802.3 frame check sequence.
-func CRC32(data []byte) uint32 {
-	crc := uint32(0xFFFFFFFF)
-	for _, b := range data {
-		crc = crc>>8 ^ crcTable[byte(crc)^b]
-	}
-	return crc ^ 0xFFFFFFFF
-}
+// CRC32 computes the IEEE 802.3 frame check sequence with the standard
+// library's table-driven (and, where the CPU has it, carry-less
+// multiply) implementation of the same polynomial.
+func CRC32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Marshal serialises the frame with its FCS. Payloads beyond MaxPayload
 // are rejected; short frames are *not* padded (the model keeps payload

@@ -26,7 +26,16 @@ func TestCRC32AgainstStdlib(t *testing.T) {
 			t.Fatalf("CRC32(%d bytes) = %#08x, want %#08x", len(c), got, want)
 		}
 		if got, want := CRC32Serial(c), CRC32(c); got != want {
-			t.Fatalf("bit-serial LFSR disagrees with table: %#08x vs %#08x", got, want)
+			t.Fatalf("bit-serial LFSR disagrees with CRC32: %#08x vs %#08x", got, want)
+		}
+	}
+	// Seeded property: at every length from empty to past the MTU, the
+	// FCS equals the bit-serial LFSR reference on random data.
+	buf := make([]byte, 1600)
+	rng.Read(buf)
+	for n := 0; n <= len(buf); n++ {
+		if got, want := CRC32(buf[:n]), CRC32Serial(buf[:n]); got != want {
+			t.Fatalf("CRC32(%d random bytes) = %#08x, LFSR reference %#08x", n, got, want)
 		}
 	}
 }

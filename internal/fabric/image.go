@@ -248,8 +248,10 @@ func NumPins(geo *device.Geometry) int { return geo.Rows * IOBPinsPerRow }
 // keeps the MAC over StatMem meaningful: any tampering with static frames
 // changes the checksum.
 func FillStatic(im *Image, frames []int, buildID uint64) {
-	var key [16]byte
-	copy(key[:], "SACHa-static-img")
+	mac, err := cmac.New([]byte("SACHa-static-img"))
+	if err != nil {
+		panic(err)
+	}
 	var msg [16]byte
 	for _, fi := range frames {
 		f := im.Frame(fi)
@@ -257,10 +259,9 @@ func FillStatic(im *Image, frames []int, buildID uint64) {
 			binary.BigEndian.PutUint64(msg[0:8], buildID)
 			binary.BigEndian.PutUint32(msg[8:12], uint32(fi))
 			binary.BigEndian.PutUint32(msg[12:16], uint32(w))
-			tag, err := cmac.Compute(key[:], msg[:])
-			if err != nil {
-				panic(err)
-			}
+			mac.Reset()
+			mac.Update(msg[:])
+			tag := mac.Sum()
 			for k := 0; k < 4 && w+k < device.FrameWords; k++ {
 				f[w+k] = binary.BigEndian.Uint32(tag[4*k : 4*k+4])
 			}

@@ -10,7 +10,18 @@
 // synchronised (hence possibly stale, always conservative) remote pointer.
 package fifo
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// errFull and errEmpty are the Push and Pop failures, built once so
+// that a polling clock-domain crossing, which fails a Pop on every
+// synchroniser stall, allocates nothing.
+var (
+	errFull  = errors.New("fifo: full")
+	errEmpty = errors.New("fifo: empty")
+)
 
 // DualClock is a dual-clock FIFO of 32-bit words with a power-of-two
 // capacity.
@@ -67,7 +78,7 @@ func (f *DualClock) Empty() bool {
 // is full from the writer's view.
 func (f *DualClock) Push(v uint32) error {
 	if f.Full() {
-		return fmt.Errorf("fifo: full")
+		return errFull
 	}
 	f.mem[f.wptr&f.mask] = v
 	f.wptr++
@@ -78,7 +89,7 @@ func (f *DualClock) Push(v uint32) error {
 // empty from the reader's view.
 func (f *DualClock) Pop() (uint32, error) {
 	if f.Empty() {
-		return 0, fmt.Errorf("fifo: empty")
+		return 0, errEmpty
 	}
 	v := f.mem[f.rptr&f.mask]
 	f.rptr++

@@ -14,6 +14,7 @@ package icap
 
 import (
 	"fmt"
+	"slices"
 
 	"sacha/internal/device"
 	"sacha/internal/fabric"
@@ -262,38 +263,58 @@ func (p *Port) advanceFAR(current int) {
 // startReadback queues count words of FDRO data: one pad frame first,
 // then configuration frames starting at the FAR (with capture bits
 // carrying live flip-flop state).
-func (p *Port) startReadback(count int) error {
+func (p *Port) startReadback(count int) (err error) {
 	if p.cmd != CmdRCFG {
 		return fmt.Errorf("icap: FDRO read without RCFG command")
 	}
-	queued := make([]uint32, device.FrameWords, count+device.FrameWords)
-	for len(queued) < count {
+	// Frames are read back whole, straight into the queue's tail, which
+	// is then cut to count words. A failed readback queues nothing, so a
+	// later read cannot return its partial frames.
+	start, end := len(p.rdQueue), len(p.rdQueue)+count
+	defer func() {
+		if err != nil {
+			p.rdQueue = p.rdQueue[:start]
+		}
+	}()
+	p.rdQueue = append(p.rdQueue, make([]uint32, device.FrameWords)...) // pad frame
+	for len(p.rdQueue) < end {
 		idx, err := p.frameIndex()
 		if err != nil {
 			return err
 		}
-		frame, err := p.fab.ReadbackFrame(idx)
-		if err != nil {
+		n := len(p.rdQueue)
+		p.rdQueue = slices.Grow(p.rdQueue, device.FrameWords)[:n+device.FrameWords]
+		if err := p.fab.ReadbackFrameInto(idx, p.rdQueue[n:]); err != nil {
 			return err
 		}
-		queued = append(queued, frame...)
 		p.framesRead++
 		p.advanceFAR(idx)
 	}
-	p.rdQueue = append(p.rdQueue, queued[:count]...)
+	p.rdQueue = p.rdQueue[:end]
 	return nil
 }
 
-// Read drains n words from the readback queue, one per ICAP cycle.
+// Read drains n words from the readback queue, one per ICAP cycle, into
+// a new slice owned by the caller.
 func (p *Port) Read(n int) ([]uint32, error) {
-	if n > len(p.rdQueue) {
-		return nil, fmt.Errorf("icap: read of %d words but only %d queued", n, len(p.rdQueue))
-	}
 	out := make([]uint32, n)
-	copy(out, p.rdQueue[:n])
+	if err := p.ReadInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto drains len(dst) words from the readback queue into dst, one
+// per ICAP cycle.
+func (p *Port) ReadInto(dst []uint32) error {
+	n := len(dst)
+	if n > len(p.rdQueue) {
+		return fmt.Errorf("icap: read of %d words but only %d queued", n, len(p.rdQueue))
+	}
+	copy(dst, p.rdQueue[:n])
 	p.rdQueue = append(p.rdQueue[:0], p.rdQueue[n:]...)
 	p.clock.Tick(int64(n))
-	return out, nil
+	return nil
 }
 
 // crcStep mixes one (register, word) pair into the running CRC, a simple
@@ -315,6 +336,16 @@ func crcStep(crc, word uint32, reg int) uint32 {
 // ConfigFrameStream builds the packet stream that writes one frame at the
 // given linear frame index: sync, WCFG, FAR, FDRI with frame + pad frame.
 func ConfigFrameStream(geo *device.Geometry, frameIdx int, frame []uint32) ([]uint32, error) {
+	return AppendConfigFrameStream(make([]uint32, 0, configStreamWords), geo, frameIdx, frame)
+}
+
+// configStreamWords is the length of one frame's configuration stream:
+// nine words of preamble, the frame, the pad frame and the desync.
+const configStreamWords = 9 + 2*device.FrameWords + 2
+
+// AppendConfigFrameStream appends ConfigFrameStream's words to dst, so a
+// caller writing one frame at a time can reuse one buffer.
+func AppendConfigFrameStream(dst []uint32, geo *device.Geometry, frameIdx int, frame []uint32) ([]uint32, error) {
 	if len(frame) != device.FrameWords {
 		return nil, fmt.Errorf("icap: frame has %d words", len(frame))
 	}
@@ -322,13 +353,13 @@ func ConfigFrameStream(geo *device.Geometry, frameIdx int, frame []uint32) ([]ui
 	if err != nil {
 		return nil, err
 	}
-	stream := []uint32{
+	stream := append(dst,
 		DummyWord, SyncWord,
 		Type1(opWrite, RegCMD, 1), CmdRCRC,
 		Type1(opWrite, RegCMD, 1), CmdWCFG,
 		Type1(opWrite, RegFAR, 1), far.Encode(),
 		Type2(opWrite, 2*device.FrameWords),
-	}
+	)
 	stream = append(stream, frame...)
 	stream = append(stream, make([]uint32, device.FrameWords)...) // pad frame
 	stream = append(stream, Type1(opWrite, RegCMD, 1), CmdDesync)
@@ -338,16 +369,22 @@ func ConfigFrameStream(geo *device.Geometry, frameIdx int, frame []uint32) ([]ui
 // ReadbackCmdStream builds the packet stream that requests readback of one
 // frame at the given linear index (pad frame + frame = 162 words of FDRO).
 func ReadbackCmdStream(geo *device.Geometry, frameIdx int) ([]uint32, error) {
+	return AppendReadbackCmdStream(nil, geo, frameIdx)
+}
+
+// AppendReadbackCmdStream appends ReadbackCmdStream's words to dst, so a
+// caller issuing one readback per frame can reuse one buffer.
+func AppendReadbackCmdStream(dst []uint32, geo *device.Geometry, frameIdx int) ([]uint32, error) {
 	far, err := geo.FARForFrame(frameIdx)
 	if err != nil {
 		return nil, err
 	}
-	return []uint32{
+	return append(dst,
 		DummyWord, SyncWord,
 		Type1(opWrite, RegCMD, 1), CmdRCFG,
 		Type1(opWrite, RegFAR, 1), far.Encode(),
 		Type1(opRead, RegFDRO, ReadbackWords),
-	}, nil
+	), nil
 }
 
 // ReadbackWords is the FDRO word count for a single-frame readback.

@@ -170,6 +170,16 @@ func TestErrors(t *testing.T) {
 	if _, err := p.Read(1); err == nil {
 		t.Error("overdrawn read accepted")
 	}
+	// Readback from a FAR outside the device fails and queues nothing:
+	// not even the pad frame is left for a later read to return.
+	badFAR := device.FAR{Row: geo.Rows}.Encode()
+	if err := p.Write([]uint32{SyncWord, Type1(opWrite, RegCMD, 1), CmdRCFG,
+		Type1(opWrite, RegFAR, 1), badFAR, Type1(opRead, RegFDRO, ReadbackWords)}); err == nil {
+		t.Error("readback from a FAR outside the device accepted")
+	}
+	if _, err := p.Read(1); err == nil {
+		t.Error("a failed readback left words queued")
+	}
 	// Bad FAR.
 	if _, err := ConfigFrameStream(geo, -1, make([]uint32, device.FrameWords)); err == nil {
 		t.Error("bad frame index accepted")

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"sacha/internal/bitstream"
 	"sacha/internal/channel"
@@ -119,6 +120,20 @@ type Device struct {
 	// frame of a session.
 	frameScratch []byte
 
+	// rbCmd, rbRaw and rbFrame are readFrameRaw's reused buffers: the
+	// readback command stream, the FDRO words (pad frame + frame) and
+	// the frame after the FIFO crossing.
+	rbCmd   []uint32
+	rbRaw   []uint32
+	rbFrame []uint32
+
+	// cfgStream and cfgWords are the configuration path's reused
+	// buffers: one frame's ICAP write stream, and the decoded words of a
+	// compressed batch (at most FrameBufferFrames frames, the static
+	// partition's packet buffer).
+	cfgStream []uint32
+	cfgWords  []uint32
+
 	// caps holds the capability bits negotiated for the current session
 	// via Hello. Like the MAC and sequence state it never survives a
 	// session or a power cycle: a verifier that does not negotiate gets
@@ -153,6 +168,8 @@ func New(cfg Config) (*Device, error) {
 		transcript: signature.NewTranscript(),
 		dynRegion:  dyn,
 		restrict:   cfg.RestrictConfigToDyn,
+		rbRaw:      make([]uint32, icap.ReadbackWords),
+		rbFrame:    make([]uint32, device.FrameWords),
 	}
 	if d.restrict {
 		d.dynSet = make(map[int]bool)
@@ -168,13 +185,13 @@ func New(cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// crossDomains streams words through the readback FIFO, alternating
-// ICAP-domain pushes with TX-domain pops as the two clocks tick — the
-// clock-domain crossing between the ICAP program and the TX FSM.
-func (d *Device) crossDomains(words []uint32) []uint32 {
-	out := make([]uint32, 0, len(words))
-	i := 0
-	for len(out) < len(words) {
+// crossDomains streams words through the readback FIFO into dst,
+// alternating ICAP-domain pushes with TX-domain pops as the two clocks
+// tick — the clock-domain crossing between the ICAP program and the TX
+// FSM. dst must be as long as words.
+func (d *Device) crossDomains(dst, words []uint32) {
+	i, o := 0, 0
+	for o < len(words) {
 		if i < len(words) {
 			if err := d.rbFIFO.Push(words[i]); err == nil {
 				i++
@@ -184,11 +201,11 @@ func (d *Device) crossDomains(words []uint32) []uint32 {
 		d.rbFIFO.SyncWriteDomain()
 		d.rbFIFO.SyncReadDomain()
 		if v, err := d.rbFIFO.Pop(); err == nil {
-			out = append(out, v)
+			dst[o] = v
+			o++
 			d.TXClock.Tick(1)
 		}
 	}
-	return out
 }
 
 // SetKeySource swaps the device's key source — the device-side effect of
@@ -273,18 +290,25 @@ func (d *Device) handleHello(m *protocol.Message) (*protocol.Message, error) {
 }
 
 func (d *Device) handleConfig(m *protocol.Message) error {
-	if d.restrict && !d.dynSet[int(m.FrameIndex)] {
-		return fmt.Errorf("prover: frame %d outside the dynamic partition (restricted controller)", m.FrameIndex)
-	}
-	stream, err := icap.ConfigFrameStream(d.Geo, int(m.FrameIndex), m.Words)
-	if err != nil {
-		return err
-	}
-	if err := d.Port.Write(stream); err != nil {
+	if err := d.writeFrame(m.FrameIndex, m.Words); err != nil {
 		return err
 	}
 	d.Timeline.Add("icap-config", d.model.ActionTime(timing.A2))
 	return nil
+}
+
+// writeFrame runs one frame's configuration stream through the ICAP,
+// built in the device's reused stream buffer.
+func (d *Device) writeFrame(idx uint32, words []uint32) error {
+	if d.restrict && !d.dynSet[int(idx)] {
+		return fmt.Errorf("prover: frame %d outside the dynamic partition (restricted controller)", idx)
+	}
+	stream, err := icap.AppendConfigFrameStream(d.cfgStream[:0], d.Geo, int(idx), words)
+	if err != nil {
+		return err
+	}
+	d.cfgStream = stream
+	return d.Port.Write(stream)
 }
 
 // FrameBufferFrames is the static partition's packet-buffer capacity in
@@ -298,14 +322,7 @@ func (d *Device) handleConfigBatch(m *protocol.Message) error {
 		return fmt.Errorf("prover: batch of %d frames exceeds the %d-frame buffer", len(m.Batch), FrameBufferFrames)
 	}
 	for _, fr := range m.Batch {
-		if d.restrict && !d.dynSet[int(fr.Index)] {
-			return fmt.Errorf("prover: frame %d outside the dynamic partition (restricted controller)", fr.Index)
-		}
-		stream, err := icap.ConfigFrameStream(d.Geo, int(fr.Index), fr.Words)
-		if err != nil {
-			return err
-		}
-		if err := d.Port.Write(stream); err != nil {
+		if err := d.writeFrame(fr.Index, fr.Words); err != nil {
 			return err
 		}
 	}
@@ -329,22 +346,16 @@ func (d *Device) handleConfigBatchC(m *protocol.Message) error {
 		return fmt.Errorf("prover: compressed batch of %d frames exceeds the %d-frame buffer", len(m.Frames), FrameBufferFrames)
 	}
 	want := len(m.Frames) * device.FrameWords
-	words, err := compress.DecodeBounded(m.Comp, want)
+	words, err := compress.AppendDecode(d.cfgWords[:0], m.Comp, want)
 	if err != nil {
 		return fmt.Errorf("prover: compressed batch: %w", err)
 	}
+	d.cfgWords = words
 	if len(words) != want {
 		return fmt.Errorf("prover: compressed batch carries %d words, want %d", len(words), want)
 	}
 	for i, idx := range m.Frames {
-		if d.restrict && !d.dynSet[int(idx)] {
-			return fmt.Errorf("prover: frame %d outside the dynamic partition (restricted controller)", idx)
-		}
-		stream, err := icap.ConfigFrameStream(d.Geo, int(idx), words[i*device.FrameWords:(i+1)*device.FrameWords])
-		if err != nil {
-			return err
-		}
-		if err := d.Port.Write(stream); err != nil {
+		if err := d.writeFrame(idx, words[i*device.FrameWords:(i+1)*device.FrameWords]); err != nil {
 			return err
 		}
 	}
@@ -387,28 +398,29 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 	return &protocol.Message{
 		Type:       protocol.MsgFrameData,
 		FrameIndex: m.FrameIndex,
-		Words:      frame,
+		Words:      slices.Clone(frame),
 	}, nil
 }
 
 // readFrameRaw runs one ICAP readback — command stream in, pad frame
 // dropped, words crossed into the TX clock domain — without touching
-// the attestation MAC or transcript.
+// the attestation MAC or transcript. The returned frame is the device's
+// own buffer, valid until the next readFrameRaw.
 func (d *Device) readFrameRaw(frameIndex int) ([]uint32, error) {
-	cmd, err := icap.ReadbackCmdStream(d.Geo, frameIndex)
+	cmd, err := icap.AppendReadbackCmdStream(d.rbCmd[:0], d.Geo, frameIndex)
 	if err != nil {
 		return nil, err
 	}
+	d.rbCmd = cmd
 	if err := d.Port.Write(cmd); err != nil {
 		return nil, err
 	}
-	data, err := d.Port.Read(icap.ReadbackWords)
-	if err != nil {
+	if err := d.Port.ReadInto(d.rbRaw); err != nil {
 		return nil, err
 	}
-	frame := d.crossDomains(data[device.FrameWords:]) // drop the pad frame, cross into the TX domain
+	d.crossDomains(d.rbFrame, d.rbRaw[device.FrameWords:]) // drop the pad frame, cross into the TX domain
 	d.Timeline.Add("icap-readback", d.model.ActionTime(timing.A4))
-	return frame, nil
+	return d.rbFrame, nil
 }
 
 // handleScan answers the delta-mode probe: a MAC-free batched readback.

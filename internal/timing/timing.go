@@ -137,6 +137,10 @@ type Model struct {
 	LabLatency time.Duration
 
 	dynFrames int
+	// configWords and readbackWords are the ICAP stream lengths of one
+	// frame write and one frame readback, measured once from the real
+	// streams so ActionTime allocates nothing per frame.
+	configWords, readbackWords int
 }
 
 // NewModel returns a timing model with the paper's lab latency.
@@ -145,6 +149,9 @@ func NewModel(geo *device.Geometry) *Model {
 		Geo:        geo,
 		LabLatency: LabCommandLatency,
 		dynFrames:  len(fabric.DynRegion(geo).Frames()),
+
+		configWords:   configStreamWords(geo),
+		readbackWords: readbackStreamWords(geo),
 	}
 }
 
@@ -174,11 +181,11 @@ func (m *Model) ActionTime(a Action) time.Duration {
 	case A1:
 		return ethsim.WireTime(protocol.SizeICAPConfig) + ns(calVrfConfig)
 	case A2:
-		return ns(configStreamWords(m.Geo)*icapNsPerCycle + calPrvConfig)
+		return ns(m.configWords*icapNsPerCycle + calPrvConfig)
 	case A3:
 		return ethsim.WireTime(protocol.SizeICAPReadback) + ns(calVrfReadback)
 	case A4:
-		return ns(readbackStreamWords(m.Geo)*icapNsPerCycle + calPrvReadback)
+		return ns(m.readbackWords*icapNsPerCycle + calPrvReadback)
 	case A5:
 		// AES subkey generation (one block) plus state init, in the ICAP
 		// domain: 12 cycles × 10 ns = 120 ns.
