@@ -28,10 +28,10 @@ type noncePatchState struct {
 // Patch-step targets: which pre-encoded packet slice of the plan a
 // recorded step re-encodes into.
 const (
-	tgtConfig = iota // Plan.configs (full overwrite, plain)
-	tgtConfigC       // Plan.configsC (full overwrite, compressed)
-	tgtDelta         // Plan.deltaSteps (nonce-frame rewrite, plain)
-	tgtDeltaC        // Plan.deltaStepsC (nonce-frame rewrite, compressed)
+	tgtConfig  = iota // Plan.configs (full overwrite, plain)
+	tgtConfigC        // Plan.configsC (full overwrite, compressed)
+	tgtDelta          // Plan.deltaSteps (nonce-frame rewrite, plain)
+	tgtDeltaC         // Plan.deltaStepsC (nonce-frame rewrite, compressed)
 )
 
 // patchStep names one pre-encoded configuration packet that carries at

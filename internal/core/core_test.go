@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"sacha/internal/channel"
 	"sacha/internal/device"
 	"sacha/internal/fabric"
 	"sacha/internal/netlist"
+	"sacha/internal/protocol"
 	"sacha/internal/prover"
 	"sacha/internal/timing"
 	"sacha/internal/trace"
@@ -497,5 +500,77 @@ func TestROMEmbeddedAndAttested(t *testing.T) {
 func TestBadConfig(t *testing.T) {
 	if _, err := NewSystem(Config{Geo: device.SmallLX(), KeyMode: KeyMode(99), LabLatency: -1}); err == nil {
 		t.Fatal("unknown key mode accepted")
+	}
+}
+
+// TestTamperWindowKeepsConfiguredFFState: the adversary's window opens
+// after the last configuration command, and by then the flip-flops of
+// every column that command wrote must hold what the post-configuration
+// reset loaded from the configured init bits. A hook that flips the init
+// bit of a used nonce-register FF, in the column the last configuration
+// batch wrote, changes the configuration (the verdict catches that), but
+// the FF's capture bit must still read back the pre-tamper init value.
+func TestTamperWindowKeepsConfiguredFFState(t *testing.T) {
+	sys, err := NewSystem(Config{Geo: device.TinyLX(), LabLatency: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := fabric.NonceTemplate(sys.Geo, NonceBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonceFrames, err := fabric.NonceColumnFrames(sys.Geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := uint64(0x0123456789ABCDEF)
+	const bit = 5
+	ref := refs[bit]
+	var lastConfig []uint32 // frames of the last configuration command
+	var captured []uint32   // the read-back words of ref.CapFrame
+	rep, err := sys.Attest(AttestOptions{
+		Nonce: &nonce,
+		Opts:  verifier.Options{ConfigBatch: 16},
+		TamperDevice: func(d *prover.Device) {
+			d.Fabric.Mem.Frame(ref.InitFrame)[ref.InitWord] ^= ref.InitMask
+		},
+		WrapVerifierChannel: func(ep channel.Endpoint) channel.Endpoint {
+			return &channel.Tap{
+				Inner: ep,
+				OnSend: func(b []byte) []byte {
+					m, err := protocol.Decode(b)
+					if err == nil && m.Type == protocol.MsgICAPConfigBatch {
+						lastConfig = lastConfig[:0]
+						for _, fr := range m.Batch {
+							lastConfig = append(lastConfig, fr.Index)
+						}
+					}
+					return b
+				},
+				OnRecv: func(b []byte) []byte {
+					m, err := protocol.Decode(b)
+					if err == nil && m.Type == protocol.MsgFrameData && int(m.FrameIndex) == ref.CapFrame {
+						captured = slices.Clone(m.Words)
+					}
+					return b
+				},
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted {
+		t.Fatal("an init-bit tamper was accepted")
+	}
+	if !slices.ContainsFunc(lastConfig, func(idx uint32) bool { return slices.Contains(nonceFrames, int(idx)) }) {
+		t.Fatalf("the last configuration batch %v does not write the nonce column %v", lastConfig, nonceFrames)
+	}
+	if captured == nil {
+		t.Fatalf("frame %d was never read back", ref.CapFrame)
+	}
+	got := captured[ref.CapWord]&ref.CapMask != 0
+	if want := nonce>>bit&1 == 1; got != want {
+		t.Fatalf("capture bit of nonce FF %d reads %v, want the configured init value %v", bit, got, want)
 	}
 }

@@ -83,13 +83,20 @@ type Geometry struct {
 	ICAPs int
 	DCMs  int
 
-	// colOnce/colRefs lazily cache the per-row column expansion.
-	// Frame-address lookups sit on the readback and scrub hot paths, and
-	// rebuilding the row layout per lookup costs an allocation per frame
-	// — the cache makes ColumnOfFrame allocation-free. Geometries are
-	// shared by pointer, so the expansion is built once per device model.
+	// colOnce guards the lazily built address tables below. Frame-address
+	// lookups sit on the configuration, readback and scrub hot paths, so
+	// the layout is expanded once into tables that make FARForFrame,
+	// FrameForFAR and ColumnOfFrame O(1) and allocation-free. The tables
+	// assume Columns does not change after first use; geometries are
+	// shared by pointer, so they are built once per device model.
 	colOnce sync.Once
 	colRefs []columnRef
+	perRow  int
+	clbs    int
+	// frameCol maps a frame within a row to its colRefs index.
+	frameCol []int32
+	// farCol maps [FAR block type][FAR column] to a colRefs index.
+	farCol [2][]int32
 }
 
 // FAR is a decoded frame address.
@@ -119,22 +126,14 @@ func DecodeFAR(v uint32) FAR {
 
 // NumFrames returns the total number of configuration frames.
 func (g *Geometry) NumFrames() int {
-	per := 0
-	for _, c := range g.Columns {
-		per += c.Count * c.Frames
-	}
-	return per * g.Rows
+	g.rowColumns()
+	return g.perRow * g.Rows
 }
 
 // CLBs returns the total CLB count.
 func (g *Geometry) CLBs() int {
-	n := 0
-	for _, c := range g.Columns {
-		if c.Kind == ColCLB {
-			n += c.Count * c.Sites
-		}
-	}
-	return n * g.Rows
+	g.rowColumns()
+	return g.clbs
 }
 
 // BRAM18s returns the total 18-kbit BRAM count (2 per BRAM36 site).
@@ -157,24 +156,30 @@ type columnRef struct {
 	firstFrm int // first frame (within the row) of this column
 }
 
-// rowColumns expands the per-row column layout once and caches it.
+// rowColumns expands the per-row column layout and the address tables
+// once and caches them.
 func (g *Geometry) rowColumns() []columnRef {
 	g.colOnce.Do(func() {
-		frm := 0
-		kindCount := map[int]int{} // per FAR block type
 		kindOrd := map[ColumnKind]int{}
 		for _, spec := range g.Columns {
 			bt := farBlockType(spec.Kind)
+			if spec.Kind == ColCLB {
+				g.clbs += spec.Count * spec.Sites * g.Rows
+			}
 			for i := 0; i < spec.Count; i++ {
+				ref := int32(len(g.colRefs))
 				g.colRefs = append(g.colRefs, columnRef{
 					spec:     spec,
-					kindIdx:  kindCount[bt],
+					kindIdx:  len(g.farCol[bt]),
 					kindOrd:  kindOrd[spec.Kind],
-					firstFrm: frm,
+					firstFrm: g.perRow,
 				})
-				kindCount[bt]++
+				g.farCol[bt] = append(g.farCol[bt], ref)
 				kindOrd[spec.Kind]++
-				frm += spec.Frames
+				for m := 0; m < spec.Frames; m++ {
+					g.frameCol = append(g.frameCol, ref)
+				}
+				g.perRow += spec.Frames
 			}
 		}
 	})
@@ -190,67 +195,61 @@ func farBlockType(k ColumnKind) int {
 
 // framesPerRow returns the frame count of one row.
 func (g *Geometry) framesPerRow() int {
-	per := 0
-	for _, c := range g.Columns {
-		per += c.Count * c.Frames
+	g.rowColumns()
+	return g.perRow
+}
+
+// columnOfFrame resolves a linear frame index to its row, its column and
+// its offset within the row.
+func (g *Geometry) columnOfFrame(idx int) (ref *columnRef, row, rem int, err error) {
+	refs := g.rowColumns()
+	if idx < 0 || idx >= g.perRow*g.Rows {
+		return nil, 0, 0, fmt.Errorf("device: frame %d out of range [0,%d)", idx, g.perRow*g.Rows)
 	}
-	return per
+	row, rem = idx/g.perRow, idx%g.perRow
+	return &refs[g.frameCol[rem]], row, rem, nil
 }
 
 // FARForFrame converts a linear frame index into a FAR.
 func (g *Geometry) FARForFrame(idx int) (FAR, error) {
-	if idx < 0 || idx >= g.NumFrames() {
-		return FAR{}, fmt.Errorf("device: frame %d out of range [0,%d)", idx, g.NumFrames())
+	ref, row, rem, err := g.columnOfFrame(idx)
+	if err != nil {
+		return FAR{}, err
 	}
-	perRow := g.framesPerRow()
-	row := idx / perRow
-	rem := idx % perRow
-	for _, ref := range g.rowColumns() {
-		if rem >= ref.firstFrm && rem < ref.firstFrm+ref.spec.Frames {
-			return FAR{
-				BlockType: farBlockType(ref.spec.Kind),
-				Row:       row,
-				Column:    ref.kindIdx,
-				Minor:     rem - ref.firstFrm,
-			}, nil
-		}
-	}
-	return FAR{}, fmt.Errorf("device: frame %d not mapped", idx)
+	return FAR{
+		BlockType: farBlockType(ref.spec.Kind),
+		Row:       row,
+		Column:    ref.kindIdx,
+		Minor:     rem - ref.firstFrm,
+	}, nil
 }
 
-// FrameForFAR converts a FAR into a linear frame index.
+// FrameForFAR converts a FAR into a linear frame index. Every field is
+// range-checked: FAR values arrive from the wire through the ICAP.
 func (g *Geometry) FrameForFAR(f FAR) (int, error) {
+	refs := g.rowColumns()
 	if f.Row < 0 || f.Row >= g.Rows {
 		return 0, fmt.Errorf("device: FAR row %d out of range", f.Row)
 	}
-	for _, ref := range g.rowColumns() {
-		if farBlockType(ref.spec.Kind) != f.BlockType || ref.kindIdx != f.Column {
-			continue
-		}
-		if f.Minor < 0 || f.Minor >= ref.spec.Frames {
-			return 0, fmt.Errorf("device: FAR minor %d out of range for column", f.Minor)
-		}
-		return f.Row*g.framesPerRow() + ref.firstFrm + f.Minor, nil
+	if f.BlockType < 0 || f.BlockType >= len(g.farCol) || f.Column < 0 || f.Column >= len(g.farCol[f.BlockType]) {
+		return 0, fmt.Errorf("device: FAR block %d column %d not found", f.BlockType, f.Column)
 	}
-	return 0, fmt.Errorf("device: FAR block %d column %d not found", f.BlockType, f.Column)
+	ref := &refs[g.farCol[f.BlockType][f.Column]]
+	if f.Minor < 0 || f.Minor >= ref.spec.Frames {
+		return 0, fmt.Errorf("device: FAR minor %d out of range for column", f.Minor)
+	}
+	return f.Row*g.perRow + ref.firstFrm + f.Minor, nil
 }
 
 // ColumnOfFrame returns, for a linear frame index, the column kind, the
 // row, the column ordinal *among columns of the same kind* within the row,
 // and the minor (frame-within-column) index.
 func (g *Geometry) ColumnOfFrame(idx int) (kind ColumnKind, row, kindOrdinal, minor int, err error) {
-	if idx < 0 || idx >= g.NumFrames() {
-		return 0, 0, 0, 0, fmt.Errorf("device: frame %d out of range", idx)
+	ref, row, rem, err := g.columnOfFrame(idx)
+	if err != nil {
+		return 0, 0, 0, 0, err
 	}
-	perRow := g.framesPerRow()
-	row = idx / perRow
-	rem := idx % perRow
-	for _, ref := range g.rowColumns() {
-		if rem >= ref.firstFrm && rem < ref.firstFrm+ref.spec.Frames {
-			return ref.spec.Kind, row, ref.kindOrd, rem - ref.firstFrm, nil
-		}
-	}
-	return 0, 0, 0, 0, fmt.Errorf("device: frame %d not mapped", idx)
+	return ref.spec.Kind, row, ref.kindOrd, rem - ref.firstFrm, nil
 }
 
 // ColumnBase returns the linear index of the first frame of the ordinal-th

@@ -43,7 +43,7 @@ func TestFAREncodeDecode(t *testing.T) {
 }
 
 func TestFARLinearRoundTripAll(t *testing.T) {
-	for _, g := range []*Geometry{XC6VLX240T(), SmallLX(), BigLX()} {
+	for _, g := range []*Geometry{XC6VLX240T(), SmallLX(), BigLX(), TinyLX()} {
 		n := g.NumFrames()
 		seen := make(map[uint32]bool, n)
 		for i := 0; i < n; i++ {
@@ -84,6 +84,36 @@ func TestFARForFrameErrors(t *testing.T) {
 	if _, err := g.FrameForFAR(FAR{BlockType: BlockTypeCLB, Column: 0, Minor: 10000}); err == nil {
 		t.Error("bad FAR minor accepted")
 	}
+	// FARs arrive from the wire through the ICAP: every decodable value
+	// outside the layout must be an error, never a panic.
+	for _, g := range []*Geometry{XC6VLX240T(), SmallLX(), BigLX(), TinyLX()} {
+		bad := []FAR{{Row: g.Rows}, {Row: -1}, {Column: -1}, {Minor: -1}}
+		for bt := 2; bt < 8; bt++ {
+			bad = append(bad, FAR{BlockType: bt})
+		}
+		// One past the last column of each block type.
+		last := map[int]int{}
+		for i := 0; i < g.NumFrames(); i++ {
+			far, err := g.FARForFrame(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if far.Column+1 > last[far.BlockType] {
+				last[far.BlockType] = far.Column + 1
+			}
+		}
+		for bt, n := range last {
+			bad = append(bad, FAR{BlockType: bt, Column: n})
+		}
+		for _, far := range bad {
+			if idx, err := g.FrameForFAR(far); err == nil {
+				t.Errorf("%s: FrameForFAR(%+v) = %d, want an error", g.Name, far, idx)
+			}
+			if idx, err := g.FrameForFAR(DecodeFAR(far.Encode())); err == nil && far.Row >= 0 && far.Column >= 0 && far.Minor >= 0 {
+				t.Errorf("%s: FrameForFAR(decode(%+v)) = %d, want an error", g.Name, far, idx)
+			}
+		}
+	}
 }
 
 func TestColumnOfFrame(t *testing.T) {
@@ -106,6 +136,24 @@ func TestColumnOfFrame(t *testing.T) {
 	}
 	if _, _, _, _, err := g.ColumnOfFrame(-5); err == nil {
 		t.Error("ColumnOfFrame accepted negative index")
+	}
+	// Every frame of every geometry lies in the column ColumnBase
+	// reports for its (row, kind, ordinal).
+	for _, g := range []*Geometry{XC6VLX240T(), SmallLX(), BigLX(), TinyLX()} {
+		for idx := 0; idx < g.NumFrames(); idx++ {
+			kind, row, ord, minor, err := g.ColumnOfFrame(idx)
+			if err != nil {
+				t.Fatalf("%s: ColumnOfFrame(%d): %v", g.Name, idx, err)
+			}
+			base, frames, err := g.ColumnBase(row, kind, ord)
+			if err != nil || base+minor != idx || minor < 0 || minor >= frames {
+				t.Fatalf("%s: frame %d -> %v row %d col %d minor %d, but ColumnBase = %d,%d,%v",
+					g.Name, idx, kind, row, ord, minor, base, frames, err)
+			}
+		}
+		if _, _, _, _, err := g.ColumnOfFrame(g.NumFrames()); err == nil {
+			t.Errorf("%s: ColumnOfFrame accepted the frame past the end", g.Name)
+		}
 	}
 }
 

@@ -9,14 +9,56 @@ import (
 // Fabric is the live configurable fabric of one FPGA: the configuration
 // memory plus the dynamic state the configuration does not capture — the
 // flip-flop values and the input pad values.
+//
+// A partial reconfiguration is followed by a global set/reset of the
+// rewritten CLB columns' flip-flops. The model defers that reset: a CLB
+// frame write only marks its column, and the reset runs once per marked
+// column at the first observation of flip-flop state (readback of a CLB
+// frame, a Live decode, Step, Pin, SetPin, FFState) or at Settle. The
+// result equals a reset after every frame write as long as nothing
+// writes Mem directly between the last WriteFrame and that observation;
+// whoever does (an adversary hook, an SEU injector) calls Settle first.
 type Fabric struct {
 	Geo *device.Geometry
 	Mem *Image
 
-	ffState  map[int]uint8 // FF net ID -> current state
-	pinState map[int]uint8 // input pad pin number -> driven value
-	epoch    int64         // bumped on every configuration write
+	ff    []uint8 // FF ordinal (site*FFSlotsPerCLB + slot) -> current state
+	pins  []uint8 // input pad pin number -> driven value
+	epoch int64   // bumped on every configuration write
+
+	// gsrDue flags the CLB columns (row*clbCols + ordinal) whose reset
+	// is pending; gsrList lists them in marking order.
+	gsrDue  []bool
+	gsrList []int32
+
+	clbCols int     // CLB columns per row
+	colFFs  int     // flip-flops per CLB column
+	colBase []int32 // CLB column -> its first frame
+	// slots locates the configuration bits of each flip-flop of a CLB
+	// column, by FF ordinal within the column; capture lists, per CLB
+	// frame minor, the ordinals whose capture bit lies in that frame.
+	slots   []ffSlot
+	capture [][]uint16
 }
+
+// ffSlot holds where one flip-flop's used, init and capture bits sit,
+// relative to its column's first frame (they can straddle frames).
+type ffSlot struct {
+	used, init, capt bitLoc
+}
+
+// bitLoc addresses one bit of a column: frame offset, word, shift.
+type bitLoc struct {
+	frame       uint16
+	word, shift uint8
+}
+
+func locate(bit int) bitLoc {
+	return bitLoc{uint16(bit / device.FrameBits), uint8(bit % device.FrameBits / 32), uint8(bit % 32)}
+}
+
+// in reads the bit from a column's frames.
+func (l bitLoc) in(frames [][]uint32) uint32 { return frames[l.frame][l.word] >> l.shift & 1 }
 
 // Epoch returns a counter that increases on every configuration write;
 // callers caching decoded Live views use it for invalidation.
@@ -24,18 +66,44 @@ func (f *Fabric) Epoch() int64 { return f.epoch }
 
 // New returns a fabric with an all-zero configuration memory.
 func New(geo *device.Geometry) *Fabric {
-	return &Fabric{
-		Geo:      geo,
-		Mem:      NewImage(geo),
-		ffState:  make(map[int]uint8),
-		pinState: make(map[int]uint8),
+	clbCols := geo.ColumnsOf(device.ColCLB)
+	frames := geo.FramesPerColumn(device.ColCLB)
+	f := &Fabric{
+		Geo:     geo,
+		Mem:     NewImage(geo),
+		ff:      make([]uint8, geo.CLBs()*FFSlotsPerCLB),
+		pins:    make([]uint8, NumPins(geo)),
+		gsrDue:  make([]bool, geo.Rows*clbCols),
+		clbCols: clbCols,
+		colFFs:  geo.SitesPerColumn(device.ColCLB) * FFSlotsPerCLB,
+		colBase: make([]int32, geo.Rows*clbCols),
+		capture: make([][]uint16, frames),
 	}
+	for col := range f.colBase {
+		base, _, err := geo.ColumnBase(col/clbCols, device.ColCLB, col%clbCols)
+		if err != nil {
+			panic(err)
+		}
+		f.colBase[col] = int32(base)
+	}
+	// A flip-flop whose bits do not fit the column (no modelled device
+	// has one) keeps state 0 and never shows in readback.
+	for i := 0; i < f.colFFs; i++ {
+		base := i/FFSlotsPerCLB*CLBBits + ffBase + i%FFSlotsPerCLB*ffSlotBits
+		if base+ffCaptureOff >= frames*device.FrameBits {
+			break
+		}
+		s := ffSlot{used: locate(base + ffUsedOff), init: locate(base + ffInitOff), capt: locate(base + ffCaptureOff)}
+		f.slots = append(f.slots, s)
+		f.capture[s.capt.frame] = append(f.capture[s.capt.frame], uint16(i))
+	}
+	return f
 }
 
 // WriteFrame stores one configuration frame, as the ICAP does during
 // (re)configuration. If the frame belongs to a CLB column, the column's
-// flip-flops are re-initialised from their init bits, modelling the global
-// set/reset that follows a partial reconfiguration.
+// flip-flops are due for re-initialisation from their init bits, the
+// global set/reset that follows a partial reconfiguration.
 func (f *Fabric) WriteFrame(idx int, words []uint32) error {
 	if idx < 0 || idx >= f.Mem.NumFrames() {
 		return fmt.Errorf("fabric: frame %d out of range", idx)
@@ -49,32 +117,32 @@ func (f *Fabric) WriteFrame(idx int, words []uint32) error {
 	if err != nil {
 		return err
 	}
-	if kind == device.ColCLB {
-		f.resetColumnFFs(row, ord)
+	if col := row*f.clbCols + ord; kind == device.ColCLB && !f.gsrDue[col] {
+		f.gsrDue[col] = true
+		f.gsrList = append(f.gsrList, int32(col))
 	}
 	return nil
 }
 
-// resetColumnFFs applies the post-reconfiguration global set/reset to all
-// flip-flops of one CLB column: used FFs load their init bit, unused FFs
-// lose their state.
-func (f *Fabric) resetColumnFFs(row, clbCol int) {
-	cv, err := f.Mem.columnView(row, device.ColCLB, clbCol)
-	if err != nil {
-		panic(err) // column came from ColumnOfFrame, cannot be invalid
+// Settle applies every pending post-reconfiguration global set/reset.
+// Observations of flip-flop state settle on their own; a caller that is
+// about to write Mem directly settles first, so the reset still sees the
+// configured init bits.
+func (f *Fabric) Settle() {
+	for _, col := range f.gsrList {
+		f.resetColumnFFs(int(col))
+		f.gsrDue[col] = false
 	}
-	sites := f.Geo.SitesPerColumn(device.ColCLB)
-	for clb := 0; clb < sites; clb++ {
-		site := SiteIndex(f.Geo, row, clbCol, clb)
-		for slot := 0; slot < FFSlotsPerCLB; slot++ {
-			base := clb*CLBBits + ffBase + slot*ffSlotBits
-			net := FFNet(f.Geo, site, slot)
-			if cv.bit(base+ffUsedOff) == 1 {
-				f.ffState[net] = uint8(cv.bit(base + ffInitOff))
-			} else {
-				delete(f.ffState, net)
-			}
-		}
+	f.gsrList = f.gsrList[:0]
+}
+
+// resetColumnFFs applies the global set/reset to all flip-flops of one
+// CLB column: used FFs load their init bit, unused FFs lose their state.
+func (f *Fabric) resetColumnFFs(col int) {
+	frames := f.Mem.frames[f.colBase[col]:]
+	ffs := f.ff[col*f.colFFs : (col+1)*f.colFFs]
+	for i, s := range f.slots {
+		ffs[i] = uint8(s.used.in(frames) & s.init.in(frames))
 	}
 }
 
@@ -108,44 +176,29 @@ func (f *Fabric) ReadbackFrameInto(idx int, out []uint32) error {
 	if kind != device.ColCLB {
 		return nil
 	}
-	cv, err := f.Mem.columnView(row, device.ColCLB, ord)
-	if err != nil {
-		return err
-	}
-	lo := minor * device.FrameBits
-	hi := lo + device.FrameBits
-	sites := f.Geo.SitesPerColumn(device.ColCLB)
-	for clb := 0; clb < sites; clb++ {
-		for slot := 0; slot < FFSlotsPerCLB; slot++ {
-			base := clb*CLBBits + ffBase + slot*ffSlotBits
-			cap := base + ffCaptureOff
-			if cap < lo || cap >= hi {
-				continue
-			}
-			if cv.bit(base+ffUsedOff) != 1 {
-				continue
-			}
-			net := FFNet(f.Geo, SiteIndex(f.Geo, row, ord, clb), slot)
-			off := cap - lo
-			w, s := off/32, uint(off)%32
-			out[w] = out[w]&^(1<<s) | uint32(f.ffState[net])&1<<s
+	f.Settle()
+	col := row*f.clbCols + ord
+	ffs := f.ff[col*f.colFFs : (col+1)*f.colFFs]
+	frames := f.Mem.frames[idx-minor:]
+	for _, i := range f.capture[minor] {
+		s := &f.slots[i]
+		if s.used.in(frames) == 0 {
+			continue
 		}
+		w, sh := s.capt.word, s.capt.shift
+		out[w] = out[w]&^(1<<sh) | uint32(ffs[i]&1)<<sh
 	}
 	return nil
 }
 
 // SetPin drives an IOB input pad.
 func (f *Fabric) SetPin(pin int, v uint8) error {
-	if pin < 0 || pin >= NumPins(f.Geo) {
+	if pin < 0 || pin >= len(f.pins) {
 		return fmt.Errorf("fabric: pin %d out of range", pin)
 	}
-	f.pinState[pin] = v & 1
+	f.pins[pin] = v & 1
 	return nil
 }
-
-// FFStateSize returns the number of flip-flops currently holding state
-// (i.e. configured as used).
-func (f *Fabric) FFStateSize() int { return len(f.ffState) }
 
 // GenerateMask builds the Msk image for a geometry: every configuration
 // bit is 1 (compare) except the flip-flop capture positions of all CLB

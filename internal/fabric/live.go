@@ -16,7 +16,7 @@ type liveLUT struct {
 
 // liveFF is a decoded, active flip-flop.
 type liveFF struct {
-	net int
+	ord int // FF ordinal: site*FFSlotsPerCLB + slot
 	sel uint64
 }
 
@@ -32,18 +32,21 @@ type liveIOB struct {
 // state with the fabric, so stepping a Live design changes what the ICAP
 // readback captures.
 type Live struct {
-	fab    *Fabric
-	luts   []liveLUT
-	ffs    []liveFF
-	iobs   []liveIOB
-	values map[int]uint8 // LUT net -> settled value
+	fab              *Fabric
+	lutNets, pinBase int
+	luts             []liveLUT
+	ffs              []liveFF
+	iobs             []liveIOB
+	values           map[int]uint8 // LUT net -> settled value
 }
 
 // Live decodes the region's configuration bits into an executable design
 // and settles its combinational logic. It returns an error if the decoded
 // logic does not converge (combinational loop).
 func (f *Fabric) Live(region *Region) (*Live, error) {
-	l := &Live{fab: f, values: make(map[int]uint8)}
+	f.Settle()
+	_, lutNets, pinBase := netCounts(f.Geo)
+	l := &Live{fab: f, lutNets: lutNets, pinBase: pinBase, values: make(map[int]uint8)}
 	sites := f.Geo.SitesPerColumn(device.ColCLB)
 	for _, rc := range region.CLBCols {
 		cv, err := f.Mem.columnView(rc[0], device.ColCLB, rc[1])
@@ -73,7 +76,7 @@ func (f *Fabric) Live(region *Region) (*Live, error) {
 					continue
 				}
 				l.ffs = append(l.ffs, liveFF{
-					net: FFNet(f.Geo, site, slot),
+					ord: site*FFSlotsPerCLB + slot,
 					sel: cv.uint(base+ffSelOff, selWidth),
 				})
 			}
@@ -115,16 +118,15 @@ func (l *Live) resolve(sel uint64) uint8 {
 		return 1
 	}
 	net := int(sel) - selNetBase
-	_, lutNets, pinBase := netCounts(l.fab.Geo)
 	switch {
-	case net < lutNets:
+	case net < l.lutNets:
 		return l.values[net]
-	case net < pinBase:
-		return l.fab.ffState[net]
-	default:
-		pin := net - pinBase
-		return l.fab.pinState[pin]
+	case net < l.pinBase:
+		return l.fab.ff[net-l.lutNets]
+	case net-l.pinBase < len(l.fab.pins):
+		return l.fab.pins[net-l.pinBase]
 	}
+	return 0 // a selector past the last pad reads as unconnected
 }
 
 // settle iterates combinational evaluation to a fixpoint.
@@ -155,12 +157,13 @@ func (l *Live) settle() error {
 // Step applies one clock edge to the region: all flip-flops latch
 // simultaneously, then logic settles.
 func (l *Live) Step() error {
+	l.fab.Settle()
 	next := make([]uint8, len(l.ffs))
 	for i, ff := range l.ffs {
 		next[i] = l.resolve(ff.sel)
 	}
 	for i, ff := range l.ffs {
-		l.fab.ffState[ff.net] = next[i]
+		l.fab.ff[ff.ord] = next[i]
 	}
 	return l.settle()
 }
@@ -170,12 +173,14 @@ func (l *Live) SetPin(pin int, v uint8) error {
 	if err := l.fab.SetPin(pin, v); err != nil {
 		return err
 	}
+	l.fab.Settle()
 	return l.settle()
 }
 
 // Pin returns the value observable on an IOB pad: for output pads the
 // driven value, for input pads the externally applied value.
 func (l *Live) Pin(pin int) (uint8, error) {
+	l.fab.Settle()
 	for _, iob := range l.iobs {
 		if iob.pin != pin {
 			continue
@@ -183,7 +188,7 @@ func (l *Live) Pin(pin int) (uint8, error) {
 		if iob.output {
 			return l.resolve(iob.sel), nil
 		}
-		return l.fab.pinState[pin], nil
+		return l.fab.pins[pin], nil
 	}
 	return 0, fmt.Errorf("fabric: pin %d not configured in this region", pin)
 }
@@ -197,9 +202,10 @@ func (l *Live) NumFFs() int { return len(l.ffs) }
 // FFState returns the current state of the region's flip-flops in decode
 // order (column order, then CLB, then slot).
 func (l *Live) FFState() []uint8 {
+	l.fab.Settle()
 	out := make([]uint8, len(l.ffs))
 	for i, ff := range l.ffs {
-		out[i] = l.fab.ffState[ff.net]
+		out[i] = l.fab.ff[ff.ord]
 	}
 	return out
 }

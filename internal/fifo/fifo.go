@@ -96,6 +96,44 @@ func (f *DualClock) Pop() (uint32, error) {
 	return v, nil
 }
 
+// ungray decodes a Gray code back to binary.
+func ungray(g uint32) uint32 {
+	g ^= g >> 16
+	g ^= g >> 8
+	g ^= g >> 4
+	g ^= g >> 2
+	g ^= g >> 1
+	return g
+}
+
+// PushN writes the longest prefix of src the write side sees room for
+// and returns its length: exactly the words a Push loop would accept
+// before reporting full, moved in at most two copies.
+func (f *DualClock) PushN(src []uint32) int {
+	depth := uint32(len(f.mem))
+	used := (f.wptr - ungray(f.rptrGraySync)) & (2*depth - 1)
+	n := min(len(src), int(depth-used))
+	at := int(f.wptr & f.mask)
+	k := copy(f.mem[at:], src[:n])
+	copy(f.mem, src[k:n])
+	f.wptr += uint32(n)
+	return n
+}
+
+// PopN reads as many words into dst as the read side sees available
+// and returns the count: exactly the words a Pop loop would return
+// before reporting empty, moved in at most two copies.
+func (f *DualClock) PopN(dst []uint32) int {
+	depth := uint32(len(f.mem))
+	avail := (ungray(f.wptrGraySync) - f.rptr) & (2*depth - 1)
+	n := min(len(dst), int(avail))
+	at := int(f.rptr & f.mask)
+	k := copy(dst[:n], f.mem[at:])
+	copy(dst[k:n], f.mem)
+	f.rptr += uint32(n)
+	return n
+}
+
 // SyncWriteDomain ticks the write clock's pointer synchroniser: the read
 // pointer's Gray code advances one stage toward the write side.
 func (f *DualClock) SyncWriteDomain() {

@@ -2,6 +2,7 @@ package fifo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -196,6 +197,135 @@ func TestQuickEventualDelivery(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// crossWords streams words through f into a new slice the way a
+// word-by-word clock-domain crossing does: per round one push attempt,
+// both synchroniser ticks, one pop attempt. It returns the output and
+// the cycles spent in the write and read domains (one per moved word).
+func crossWords(f *DualClock, words []uint32) (out []uint32, wcyc, rcyc int) {
+	out = make([]uint32, 0, len(words))
+	i := 0
+	for len(out) < len(words) {
+		if i < len(words) && f.Push(words[i]) == nil {
+			i++
+			wcyc++
+		}
+		f.SyncWriteDomain()
+		f.SyncReadDomain()
+		if v, err := f.Pop(); err == nil {
+			out = append(out, v)
+			rcyc++
+		}
+	}
+	return out, wcyc, rcyc
+}
+
+// crossBurst is crossWords with PushN/PopN: per round one burst in,
+// both synchroniser ticks, one burst out.
+func crossBurst(f *DualClock, words []uint32) (out []uint32, wcyc, rcyc int) {
+	out = make([]uint32, len(words))
+	i, o := 0, 0
+	for o < len(words) {
+		n := f.PushN(words[i:])
+		i += n
+		wcyc += n
+		f.SyncWriteDomain()
+		f.SyncReadDomain()
+		n = f.PopN(out[o:])
+		o += n
+		rcyc += n
+	}
+	return out, wcyc, rcyc
+}
+
+// TestBurstCrossingMatchesWordLoop: over every capacity and every
+// length up to 700 words, on one reused FIFO each, the burst crossing
+// delivers the same words for the same cycle counts and leaves the same
+// occupancy as the word-by-word crossing.
+func TestBurstCrossingMatchesWordLoop(t *testing.T) {
+	for capacity := 2; capacity <= 256; capacity *= 2 {
+		ref, _ := New(capacity)
+		burst, _ := New(capacity)
+		for n := 0; n <= 700; n++ {
+			words := make([]uint32, n)
+			for i := range words {
+				words[i] = uint32(n)<<16 ^ uint32(i)*2654435761
+			}
+			want, wantW, wantR := crossWords(ref, words)
+			got, gotW, gotR := crossBurst(burst, words)
+			if !slices.Equal(got, want) || !slices.Equal(got, words) {
+				t.Fatalf("cap %d, %d words: burst crossing delivered different words", capacity, n)
+			}
+			if gotW != wantW || gotR != wantR {
+				t.Fatalf("cap %d, %d words: burst cycles %d/%d, word loop %d/%d", capacity, n, gotW, gotR, wantW, wantR)
+			}
+			if burst.Len() != ref.Len() {
+				t.Fatalf("cap %d, %d words: occupancy %d, word loop %d", capacity, n, burst.Len(), ref.Len())
+			}
+		}
+	}
+}
+
+// Property: from any reachable state, PushN and PopN move exactly the
+// words a Push or Pop loop moves before it fails, and leave the FIFO in
+// the identical state.
+func TestQuickBurstEqualsWordOps(t *testing.T) {
+	clone := func(f *DualClock) *DualClock {
+		c := *f
+		c.mem = slices.Clone(f.mem)
+		return &c
+	}
+	same := func(a, b *DualClock) bool {
+		return a.wptr == b.wptr && a.rptr == b.rptr &&
+			a.wptrGraySync == b.wptrGraySync && a.rptrGraySync == b.rptrGraySync &&
+			a.wptrGrayPipe == b.wptrGrayPipe && a.rptrGrayPipe == b.rptrGrayPipe &&
+			slices.Equal(a.mem, b.mem)
+	}
+	fn := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		f, _ := New(1 << (1 + rng.Intn(5)))
+		next := uint32(0)
+		for step := 0; step < 2000; step++ {
+			switch rng.Intn(4) {
+			case 0:
+				src := make([]uint32, rng.Intn(2*f.Cap()))
+				for i := range src {
+					src[i] = next + uint32(i)
+				}
+				ref, k := clone(f), 0
+				for k < len(src) && ref.Push(src[k]) == nil {
+					k++
+				}
+				if f.PushN(src) != k || !same(f, ref) {
+					return false
+				}
+				next += uint32(k)
+			case 1:
+				dst, want := make([]uint32, rng.Intn(2*f.Cap())), []uint32(nil)
+				ref := clone(f)
+				for len(want) < len(dst) {
+					v, err := ref.Pop()
+					if err != nil {
+						break
+					}
+					want = append(want, v)
+				}
+				n := f.PopN(dst)
+				if n != len(want) || !slices.Equal(dst[:n], want) || !same(f, ref) {
+					return false
+				}
+			case 2:
+				f.SyncWriteDomain()
+			case 3:
+				f.SyncReadDomain()
+			}
+		}
+		return true
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

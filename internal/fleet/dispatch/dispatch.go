@@ -117,20 +117,20 @@ type planEntry struct {
 
 // sweepState is the per-sweep immutable context the workers share.
 type sweepState struct {
-	cfg       fleet.SweepConfig
-	reg       registry.Registry
-	order     []uint64
-	systems   []*core.System
-	classes   []string // aligned with order
+	cfg        fleet.SweepConfig
+	reg        registry.Registry
+	order      []uint64
+	systems    []*core.System
+	classes    []string // aligned with order
 	plans      map[string]planEntry
 	sweepNonce uint64
 	nonceBase  uint64
-	trace     span.TraceID
-	root      *span.Span
-	queues    []*queue
-	results   []fleet.DeviceResult
-	stats     []fleet.ShardStats
-	statsMu   sync.Mutex
+	trace      span.TraceID
+	root       *span.Span
+	queues     []*queue
+	results    []fleet.DeviceResult
+	stats      []fleet.ShardStats
+	statsMu    sync.Mutex
 }
 
 // queue is one shard's device backlog: indices into order. The home

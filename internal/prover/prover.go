@@ -87,8 +87,10 @@ type Device struct {
 	signer  *signature.Signer
 	model   *timing.Model
 
-	mac        *cmac.MAC
-	macActive  bool
+	mac       *cmac.MAC
+	macActive bool
+	// transcript feeds the signature-mode extension; it exists only on
+	// devices provisioned with a signer.
 	transcript *signature.Transcript
 	rbFIFO     *fifo.DualClock // readback FIFO crossing ICAP → TX (Fig. 10)
 
@@ -134,6 +136,11 @@ type Device struct {
 	cfgStream []uint32
 	cfgWords  []uint32
 
+	// scanWords stages a scan's read-back frames (at most MaxScanFrames)
+	// before compression; the response's Comp is freshly encoded, so
+	// reusing the staging buffer leaks nothing into the message.
+	scanWords []uint32
+
 	// caps holds the capability bits negotiated for the current session
 	// via Hello. Like the MAC and sequence state it never survives a
 	// session or a power cycle: a verifier that does not negotiate gets
@@ -154,22 +161,24 @@ func New(cfg Config) (*Device, error) {
 	fab := fabric.New(cfg.Geo)
 	icapClk := sim.NewClock("icap", sim.ICAPClockHz)
 	d := &Device{
-		Geo:        cfg.Geo,
-		Fabric:     fab,
-		Port:       icap.New(fab, icapClk),
-		RXClock:    sim.NewClock("rx", sim.RXClockHz),
-		ICAPClock:  icapClk,
-		TXClock:    sim.NewClock("tx", sim.TXClockHz),
-		Timeline:   sim.NewTimeline(),
-		bootMem:    cfg.BootMem,
-		keySrc:     cfg.Key,
-		signer:     cfg.Signer,
-		model:      timing.NewModel(cfg.Geo),
-		transcript: signature.NewTranscript(),
-		dynRegion:  dyn,
-		restrict:   cfg.RestrictConfigToDyn,
-		rbRaw:      make([]uint32, icap.ReadbackWords),
-		rbFrame:    make([]uint32, device.FrameWords),
+		Geo:       cfg.Geo,
+		Fabric:    fab,
+		Port:      icap.New(fab, icapClk),
+		RXClock:   sim.NewClock("rx", sim.RXClockHz),
+		ICAPClock: icapClk,
+		TXClock:   sim.NewClock("tx", sim.TXClockHz),
+		Timeline:  sim.NewTimeline(),
+		bootMem:   cfg.BootMem,
+		keySrc:    cfg.Key,
+		signer:    cfg.Signer,
+		model:     timing.NewModel(cfg.Geo),
+		dynRegion: dyn,
+		restrict:  cfg.RestrictConfigToDyn,
+		rbRaw:     make([]uint32, icap.ReadbackWords),
+		rbFrame:   make([]uint32, device.FrameWords),
+	}
+	if d.signer != nil {
+		d.transcript = signature.NewTranscript()
 	}
 	if d.restrict {
 		d.dynSet = make(map[int]bool)
@@ -185,26 +194,23 @@ func New(cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// crossDomains streams words through the readback FIFO into dst,
-// alternating ICAP-domain pushes with TX-domain pops as the two clocks
-// tick — the clock-domain crossing between the ICAP program and the TX
-// FSM. dst must be as long as words.
+// crossDomains streams words through the readback FIFO into dst — the
+// clock-domain crossing between the ICAP program and the TX FSM. Each
+// round pushes the burst the ICAP side sees room for, ticks both
+// pointer synchronisers and pops the burst the TX side sees; every
+// word costs one cycle in each domain, as in a word-by-word crossing.
+// dst must be as long as words.
 func (d *Device) crossDomains(dst, words []uint32) {
 	i, o := 0, 0
 	for o < len(words) {
-		if i < len(words) {
-			if err := d.rbFIFO.Push(words[i]); err == nil {
-				i++
-				d.ICAPClock.Tick(1)
-			}
-		}
+		n := d.rbFIFO.PushN(words[i:])
+		i += n
+		d.ICAPClock.Tick(int64(n))
 		d.rbFIFO.SyncWriteDomain()
 		d.rbFIFO.SyncReadDomain()
-		if v, err := d.rbFIFO.Pop(); err == nil {
-			dst[o] = v
-			o++
-			d.TXClock.Tick(1)
-		}
+		n = d.rbFIFO.PopN(dst[o:])
+		o += n
+		d.TXClock.Tick(int64(n))
 	}
 }
 
@@ -224,6 +230,7 @@ func (d *Device) PowerOn() error {
 			return fmt.Errorf("prover: boot: %w", err)
 		}
 	}
+	d.Fabric.Settle()
 	d.poweredOn = true
 	d.macActive = false
 	d.caps = 0
@@ -289,7 +296,13 @@ func (d *Device) handleHello(m *protocol.Message) (*protocol.Message, error) {
 	return &protocol.Message{Type: protocol.MsgHelloAck, Caps: d.caps}, nil
 }
 
+// handleConfig writes one frame. Like every configuration handler it
+// settles the fabric before it returns, so the deferred flip-flop reset
+// of the frames it wrote never spans a message boundary: whatever runs
+// between two commands (an adversary writing Mem directly) finds the
+// reset already applied to the configured init bits.
 func (d *Device) handleConfig(m *protocol.Message) error {
+	defer d.Fabric.Settle()
 	if err := d.writeFrame(m.FrameIndex, m.Words); err != nil {
 		return err
 	}
@@ -318,6 +331,7 @@ func (d *Device) writeFrame(idx uint32, words []uint32) error {
 const FrameBufferFrames = 16
 
 func (d *Device) handleConfigBatch(m *protocol.Message) error {
+	defer d.Fabric.Settle()
 	if len(m.Batch) > FrameBufferFrames {
 		return fmt.Errorf("prover: batch of %d frames exceeds the %d-frame buffer", len(m.Batch), FrameBufferFrames)
 	}
@@ -339,6 +353,7 @@ func (d *Device) handleConfigBatch(m *protocol.Message) error {
 // allocate past the static partition's packet buffer however large its
 // embedded run counts claim to be.
 func (d *Device) handleConfigBatchC(m *protocol.Message) error {
+	defer d.Fabric.Settle()
 	if d.caps&protocol.CapCompress == 0 {
 		return fmt.Errorf("prover: compressed batch without negotiated capability")
 	}
@@ -375,7 +390,9 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 		}
 		d.mac = mac
 		d.macActive = true
-		d.transcript.Reset()
+		if d.transcript != nil {
+			d.transcript.Reset()
+		}
 		d.Timeline.Add("mac-init", d.model.ActionTime(timing.A5))
 	}
 	frame, err := d.readFrameRaw(int(m.FrameIndex))
@@ -385,7 +402,9 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 
 	d.frameScratch = appendFrameBytes(d.frameScratch[:0], frame)
 	d.mac.Update(d.frameScratch)
-	d.transcript.Absorb(d.frameScratch)
+	if d.transcript != nil {
+		d.transcript.Absorb(d.frameScratch)
+	}
 	d.Timeline.Add("mac-update", d.model.ActionTime(timing.A6))
 
 	if d.caps&protocol.CapCompress != 0 {
@@ -436,7 +455,7 @@ func (d *Device) handleScan(m *protocol.Message) (*protocol.Message, error) {
 	if len(m.Frames) == 0 || len(m.Frames) > protocol.MaxScanFrames {
 		return nil, fmt.Errorf("prover: scan of %d frames exceeds the %d-frame limit", len(m.Frames), protocol.MaxScanFrames)
 	}
-	words := make([]uint32, 0, len(m.Frames)*device.FrameWords)
+	words := d.scanWords[:0]
 	for _, idx := range m.Frames {
 		frame, err := d.readFrameRaw(int(idx))
 		if err != nil {
@@ -444,6 +463,7 @@ func (d *Device) handleScan(m *protocol.Message) (*protocol.Message, error) {
 		}
 		words = append(words, frame...)
 	}
+	d.scanWords = words
 	return &protocol.Message{
 		Type:   protocol.MsgScanData,
 		Frames: m.Frames,

@@ -115,6 +115,7 @@ func (s *Scrubber) ScrubOnce() ([]Flip, error) {
 // single event upsets. It returns the injected positions (which may
 // include masked capture-bit positions — a real particle does not care).
 func InjectSEUs(fab *fabric.Fabric, rng *rand.Rand, n int) []Flip {
+	fab.Settle() // the upsets strike a fabric that finished its reset
 	flips := make([]Flip, 0, n)
 	for i := 0; i < n; i++ {
 		f := Flip{
