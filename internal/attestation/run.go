@@ -280,7 +280,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 				return nil, err
 			}
 		}
-		resp, err := sess.exchange(helloWire, "Hello", true)
+		resp, err := sess.exchange(helloWire, op("Hello"), true)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +300,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// of the session (sess.seq still zero, i.e. no Hello went out) must go
 	// lockstep: the prover pins its sequence base on the first envelope,
 	// so that one must not race a reordered burst.
-	sendConfigs := func(steps []configStep, op string, compressed bool) error {
+	sendConfigs := func(steps []configStep, format string, compressed bool) error {
 		note := func(cs configStep) {
 			noteConfig(cs)
 			if compressed {
@@ -316,7 +316,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			}
 		}
 		for _, cs := range steps[:k0] {
-			if err := sess.sendConfig(cs.wire, fmt.Sprintf("%s(%d)", op, cs.first)); err != nil {
+			if err := sess.sendConfig(cs.wire, opLabel{format, cs.first}); err != nil {
 				return err
 			}
 			note(cs)
@@ -327,7 +327,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		}
 		cmds := make([]windowCmd, len(rest))
 		for k, cs := range rest {
-			cmds[k] = windowCmd{enc: cs.wire, op: fmt.Sprintf("%s(%d)", op, cs.first)}
+			cmds[k] = windowCmd{enc: cs.wire, op: opLabel{format, cs.first}}
 		}
 		return sess.runWindow(cmds, opts.Retry.windowSize(), func(k int, resp *protocol.Message) error {
 			if resp.Type != protocol.MsgAck {
@@ -381,11 +381,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	}
 	if useDelta {
 		rep.Delta.Applied = true
-		steps, op := p.deltaSteps, "ICAP_config_delta"
+		steps, format := p.deltaSteps, "ICAP_config_delta(%d)"
 		if useCompress {
-			steps, op = p.deltaStepsC, "ICAP_config_delta_c"
+			steps, format = p.deltaStepsC, "ICAP_config_delta_c(%d)"
 		}
-		if err := sendConfigs(steps, op, useCompress); err != nil {
+		if err := sendConfigs(steps, format, useCompress); err != nil {
 			return nil, err
 		}
 		rep.Delta.FramesRewritten = rep.FramesConfigured
@@ -404,11 +404,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 				opts.Span.Event("delta-fallback", -1, 0, rep.Delta.Fallback)
 			}
 		}
-		configs, op := p.configs, "ICAP_config"
+		configs, format := p.configs, "ICAP_config(%d)"
 		if useCompress {
-			configs, op = p.configsC, "ICAP_config_batch_c"
+			configs, format = p.configsC, "ICAP_config_batch_c(%d)"
 		}
-		if err := sendConfigs(configs, op, useCompress); err != nil {
+		if err := sendConfigs(configs, format, useCompress); err != nil {
 			return nil, err
 		}
 		trc("command: ICAP_config(frame_%d..frame_%d)  [%d frames, DynMem overwritten]",
@@ -420,7 +420,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// before reading back. The matching prediction was computed at plan
 	// build and sits in p.expected.
 	if p.appStepWire != nil {
-		resp, err := sess.exchange(p.appStepWire, "App_step", true)
+		resp, err := sess.exchange(p.appStepWire, op("App_step"), true)
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +437,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	if windowed {
 		cmds := make([]windowCmd, len(p.order))
 		for k, idx := range p.order {
-			cmds[k] = windowCmd{enc: p.readbacks[k], op: fmt.Sprintf("ICAP_readback(%d)", idx)}
+			cmds[k] = windowCmd{enc: p.readbacks[k], op: opLabel{"ICAP_readback(%d)", idx}}
 		}
 		err := sess.runWindow(cmds, opts.Retry.windowSize(), func(k int, resp *protocol.Message) error {
 			if opts.Timeline != nil {
@@ -453,7 +453,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			if opts.Timeline != nil {
 				opts.Timeline.Add("vrf-sw", timing.VrfReadbackOverhead())
 			}
-			resp, err := sess.exchange(p.readbacks[k], fmt.Sprintf("ICAP_readback(%d)", idx), true)
+			resp, err := sess.exchange(p.readbacks[k], opLabel{"ICAP_readback(%d)", idx}, true)
 			if err != nil {
 				return nil, err
 			}
@@ -468,7 +468,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 
 	// Phase 3: checksum.
 	if p.signatureMode {
-		resp, err := sess.exchange(p.checksumWire, "Sig_checksum", true)
+		resp, err := sess.exchange(p.checksumWire, op("Sig_checksum"), true)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +478,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		rep.MACOK = opts.SigVerifier.Verify(transcript.Digest(), resp.Sig)
 		trc("command: Sig_checksum  ->  signature %d bytes, valid=%v", len(resp.Sig), rep.MACOK)
 	} else {
-		resp, err := sess.exchange(p.checksumWire, "MAC_checksum", true)
+		resp, err := sess.exchange(p.checksumWire, op("MAC_checksum"), true)
 		if err != nil {
 			return nil, err
 		}
@@ -588,12 +588,12 @@ func (p *Plan) deltaScan(sess *session, opts RunOpts, rep *Report, windowed bool
 	if windowed {
 		cmds := make([]windowCmd, len(p.scanSteps))
 		for k, ss := range p.scanSteps {
-			cmds[k] = windowCmd{enc: ss.wire, op: fmt.Sprintf("Scan(%d..)", ss.frames[0])}
+			cmds[k] = windowCmd{enc: ss.wire, op: opLabel{"Scan(%d..)", ss.frames[0]}}
 		}
 		return sess.runWindow(cmds, opts.Retry.windowSize(), handle)
 	}
 	for k, ss := range p.scanSteps {
-		resp, err := sess.exchange(ss.wire, fmt.Sprintf("Scan(%d..)", ss.frames[0]), true)
+		resp, err := sess.exchange(ss.wire, opLabel{"Scan(%d..)", ss.frames[0]}, true)
 		if err != nil {
 			return err
 		}

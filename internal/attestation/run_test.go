@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/netlist"
+	"sacha/internal/protocol"
 	"sacha/internal/prover"
 )
 
@@ -154,5 +156,54 @@ func TestRunSignatureModeRequiresVerifier(t *testing.T) {
 	ep := newProver(t, geo)
 	if _, err := plan.Run(ep, attestation.RunOpts{}); err == nil {
 		t.Fatal("signature-mode run without a public key accepted")
+	}
+}
+
+// TestTransportErrorNamesFailingStep pins the text of a transport
+// failure: the op label, formatted only when the error is built, must
+// name the step and frame exactly — in plain mode at the first
+// readback, in reliable mode at the first configuration envelope.
+func TestTransportErrorNamesFailingStep(t *testing.T) {
+	plan := buildPlan(t, 0)
+	var key [16]byte = runKey
+	for _, tc := range []struct {
+		name   string
+		retry  attestation.RetryPolicy
+		format string
+		stopAt protocol.MsgType
+	}{
+		{"plain", attestation.RetryPolicy{}, "ICAP_readback(%d)", protocol.MsgICAPReadback},
+		{"reliable", attestation.RetryPolicy{Timeout: time.Second}, "ICAP_config(%d)", protocol.MsgICAPConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
+			frame := make(chan uint32, 1)
+			go func() {
+				// Swallow commands until the first tc.stopAt, then hang up.
+				for {
+					raw, err := prvEP.Recv()
+					if err != nil {
+						return
+					}
+					m, err := protocol.Decode(raw)
+					if err == nil && m.Type == protocol.MsgSeqReq {
+						m, err = protocol.Decode(m.Inner)
+					}
+					if err == nil && m.Type == tc.stopAt {
+						frame <- m.FrameIndex
+						prvEP.Close()
+						return
+					}
+				}
+			}()
+			_, err := plan.Run(vrfEP, attestation.RunOpts{Key: key, Retry: tc.retry})
+			if !attestation.IsTransport(err) {
+				t.Fatalf("run against a peer that hangs up: %v, want a transport error", err)
+			}
+			want := fmt.Sprintf("verifier: transport failure at "+tc.format+" after 1 attempt(s): EOF", <-frame)
+			if err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -97,6 +98,24 @@ func IsTransport(err error) bool {
 	return errors.As(err, &te)
 }
 
+// opLabel names a protocol step for TransportError.Op and error texts.
+// It is formatted only when an error needs it: format carries at most
+// one %d verb, filled from arg, e.g. {"ICAP_readback(%d)", 17}.
+type opLabel struct {
+	format string
+	arg    int
+}
+
+// op labels a step without an argument.
+func op(name string) opLabel { return opLabel{format: name} }
+
+func (o opLabel) String() string {
+	if !strings.Contains(o.format, "%") {
+		return o.format
+	}
+	return fmt.Sprintf(o.format, o.arg)
+}
+
 type recvResult struct {
 	raw []byte
 	err error
@@ -111,6 +130,12 @@ type session struct {
 	ep  channel.Endpoint
 	pol RetryPolicy
 	rep *Report
+
+	// resp and env are the session's reused decode targets and wire its
+	// reused request envelope: a lockstep exchange returns &resp, valid
+	// until the next exchange.
+	resp, env protocol.Message
+	wire      []byte
 
 	seq       uint32
 	rng       *rand.Rand
@@ -174,33 +199,34 @@ func (s *session) close() {
 func (s *session) reliable() bool { return s.pol.Enabled() }
 
 // exchange ships one pre-encoded command and returns the prover's
-// response message. wantResp is only consulted in plain mode, where
-// ICAP_config has no response; in reliable mode every command is
-// acknowledged.
-func (s *session) exchange(enc []byte, op string, wantResp bool) (*protocol.Message, error) {
+// response message, which the session owns and reuses on the next
+// exchange. wantResp is only consulted in plain mode, where ICAP_config
+// has no response; in reliable mode every command is acknowledged.
+func (s *session) exchange(enc []byte, op opLabel, wantResp bool) (*protocol.Message, error) {
 	if !s.reliable() {
 		if err := s.ep.Send(enc); err != nil {
-			return nil, &TransportError{Op: op, Attempts: 1, Err: err}
+			return nil, &TransportError{Op: op.String(), Attempts: 1, Err: err}
 		}
 		if !wantResp {
 			return nil, nil
 		}
 		raw, err := s.ep.Recv()
 		if err != nil {
-			return nil, &TransportError{Op: op, Attempts: 1, Err: err}
+			return nil, &TransportError{Op: op.String(), Attempts: 1, Err: err}
 		}
-		resp, err := protocol.Decode(raw)
-		if err != nil {
-			return nil, &TransportError{Op: op, Attempts: 1, Err: err}
+		if err := protocol.DecodeInto(&s.resp, raw); err != nil {
+			return nil, &TransportError{Op: op.String(), Attempts: 1, Err: err}
 		}
-		return resp, nil
+		return &s.resp, nil
 	}
 
 	s.seq++
-	wire, err := protocol.WrapReq(s.seq, enc).Encode()
+	env := protocol.Message{Type: protocol.MsgSeqReq, Seq: s.seq, Inner: enc}
+	wire, err := env.AppendEncode(s.wire[:0])
 	if err != nil {
 		return nil, err
 	}
+	s.wire = wire
 	attempts := s.pol.MaxRetries + 1
 	var lastErr error = channel.ErrTimeout
 	for a := 0; a < attempts; a++ {
@@ -210,7 +236,7 @@ func (s *session) exchange(enc []byte, op string, wantResp bool) (*protocol.Mess
 		}
 		if s.recvErr != nil {
 			// The connection is gone; further sends cannot be answered.
-			return nil, &TransportError{Op: op, Attempts: a, Err: s.recvErr}
+			return nil, &TransportError{Op: op.String(), Attempts: a, Err: s.recvErr}
 		}
 		if err := s.ep.Send(wire); err != nil {
 			lastErr = err
@@ -222,10 +248,10 @@ func (s *session) exchange(enc []byte, op string, wantResp bool) (*protocol.Mess
 		}
 		lastErr = err
 		if s.recvErr != nil || errors.Is(err, io.EOF) || errors.Is(err, channel.ErrClosed) || errors.Is(err, channel.ErrReset) {
-			return nil, &TransportError{Op: op, Attempts: a + 1, Err: err}
+			return nil, &TransportError{Op: op.String(), Attempts: a + 1, Err: err}
 		}
 	}
-	return nil, &TransportError{Op: op, Attempts: attempts, Err: lastErr}
+	return nil, &TransportError{Op: op.String(), Attempts: attempts, Err: lastErr}
 }
 
 // await waits for the response matching the current sequence number,
@@ -242,17 +268,16 @@ func (s *session) await() (*protocol.Message, error) {
 				s.recvErr = r.err
 				return nil, r.err
 			}
-			env, err := protocol.Decode(r.raw)
-			if err != nil || env.Type != protocol.MsgSeqResp || env.Seq != s.seq {
+			env := &s.env
+			if err := protocol.DecodeInto(env, r.raw); err != nil || env.Type != protocol.MsgSeqResp || env.Seq != s.seq {
 				s.noteFault()
 				continue
 			}
-			resp, err := protocol.Decode(env.Inner)
-			if err != nil {
+			if err := protocol.DecodeInto(&s.resp, env.Inner); err != nil {
 				s.noteFault()
 				continue
 			}
-			return resp, nil
+			return &s.resp, nil
 		case <-timer.C:
 			mTimeouts.Inc()
 			return nil, channel.ErrTimeout
@@ -296,7 +321,7 @@ func (s *session) sleepBackoff(attempt int) {
 // prover acknowledges it, so a dropped frame is re-sent instead of
 // silently producing a mis-configured device and a false mismatch
 // verdict.
-func (s *session) sendConfig(enc []byte, op string) error {
+func (s *session) sendConfig(enc []byte, op opLabel) error {
 	resp, err := s.exchange(enc, op, false)
 	if err != nil {
 		return err

@@ -11,7 +11,7 @@ import (
 // windowCmd is one pre-encoded command queued for a pipelined phase.
 type windowCmd struct {
 	enc []byte
-	op  string
+	op  opLabel
 }
 
 // runWindow drives a sliding-window pipelined exchange of cmds over the
@@ -44,7 +44,7 @@ func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, re
 	type entry struct {
 		seq      uint32
 		wire     []byte
-		op       string
+		op       opLabel
 		attempts int
 		deadline time.Time
 		resp     *protocol.Message
@@ -65,7 +65,7 @@ func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, re
 			if err == nil {
 				err = channel.ErrTimeout
 			}
-			return &TransportError{Op: e.op, Attempts: e.attempts, Err: err}
+			return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: err}
 		}
 		e.attempts++
 		if resend {
@@ -74,7 +74,7 @@ func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, re
 		if err := s.ep.Send(e.wire); err != nil {
 			e.lastErr = err
 			if errors.Is(err, channel.ErrClosed) || errors.Is(err, channel.ErrReset) {
-				return &TransportError{Op: e.op, Attempts: e.attempts, Err: err}
+				return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: err}
 			}
 			e.deadline = time.Now().Add(s.pol.Backoff)
 			return nil
@@ -123,7 +123,7 @@ func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, re
 		}
 		if s.recvErr != nil {
 			e := &entries[done]
-			return &TransportError{Op: e.op, Attempts: e.attempts, Err: s.recvErr}
+			return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: s.recvErr}
 		}
 
 		// Arm the timer for the earliest per-sequence retry deadline.
@@ -148,10 +148,10 @@ func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, re
 			if r.err != nil {
 				s.recvErr = r.err
 				e := &entries[done]
-				return &TransportError{Op: e.op, Attempts: e.attempts, Err: r.err}
+				return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: r.err}
 			}
-			env, err := protocol.Decode(r.raw)
-			if err != nil || env.Type != protocol.MsgSeqResp {
+			env := &s.env
+			if err := protocol.DecodeInto(env, r.raw); err != nil || env.Type != protocol.MsgSeqResp {
 				s.noteFault()
 				continue
 			}

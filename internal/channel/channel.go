@@ -15,6 +15,12 @@ import (
 )
 
 // Endpoint is one end of a duplex message channel.
+//
+// Ownership: Send must not retain msg after it returns, so a caller may
+// reuse its encode buffer for the next message (SimEndpoint marshals
+// into a fresh frame, DelayEndpoint and FaultEndpoint copy what they
+// hold, TCP writes synchronously). Recv hands ownership of the returned
+// slice to the caller.
 type Endpoint interface {
 	// Send transmits one message to the peer.
 	Send(msg []byte) error
@@ -43,46 +49,64 @@ type SimConfig struct {
 	AddrA, AddrB ethsim.MAC
 }
 
-// queue is an unbounded FIFO usable across goroutines.
-type queue struct {
+// queue is an unbounded FIFO usable across goroutines. It pops by head
+// index and reuses its backing array, so a steady push/pop stream does
+// not reallocate.
+type queue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  [][]byte
+	items  []T
+	head   int // items[head:] are queued
 	closed bool
 }
 
-func newQueue() *queue {
-	q := &queue{}
+func newQueue[T any]() *queue[T] {
+	q := &queue[T]{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-func (q *queue) push(m []byte) error {
+// push appends v; it reports false once the queue is closed.
+func (q *queue[T]) push(v T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return fmt.Errorf("channel: send on closed channel: %w", ErrClosed)
+		return false
 	}
-	q.items = append(q.items, m)
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Full with a consumed prefix: slide the live items down
+		// instead of growing.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
 	q.cond.Signal()
-	return nil
+	return true
 }
 
-func (q *queue) pop() ([]byte, error) {
+// pop blocks until an item is queued and returns it; it reports false
+// once the queue is closed and drained.
+func (q *queue[T]) pop() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
-		return nil, io.EOF
+	var zero T
+	if q.head == len(q.items) {
+		return zero, false
 	}
-	m := q.items[0]
-	q.items = q.items[1:]
-	return m, nil
+	v := q.items[q.head]
+	q.items[q.head] = zero // drop the reference for the GC
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v, true
 }
 
-func (q *queue) close() {
+func (q *queue[T]) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
@@ -91,7 +115,7 @@ func (q *queue) close() {
 
 // SimEndpoint is one end of an in-process simulated link.
 type SimEndpoint struct {
-	out, in   *queue
+	out, in   *queue[[]byte]
 	cfg       SimConfig
 	mu        *sync.Mutex // guards cfg.Timeline, shared by the pair
 	src, dst  ethsim.MAC  // Ethernet-mode addressing
@@ -101,7 +125,7 @@ type SimEndpoint struct {
 // SimPair returns two connected endpoints. The first endpoint is the
 // command initiator and carries the per-command latency.
 func SimPair(cfg SimConfig) (a, b *SimEndpoint) {
-	q1, q2 := newQueue(), newQueue()
+	q1, q2 := newQueue[[]byte](), newQueue[[]byte]()
 	mu := &sync.Mutex{}
 	a = &SimEndpoint{out: q1, in: q2, cfg: cfg, mu: mu, src: cfg.AddrA, dst: cfg.AddrB, initiator: true}
 	b = &SimEndpoint{out: q2, in: q1, cfg: cfg, mu: mu, src: cfg.AddrB, dst: cfg.AddrA}
@@ -120,30 +144,36 @@ func (e *SimEndpoint) Send(msg []byte) error {
 		}
 		e.mu.Unlock()
 	}
+	var wire []byte
 	if e.cfg.Ethernet {
-		frame := &ethsim.Frame{Dst: e.dst, Src: e.src, EtherType: ethsim.EtherTypeSACHa, Payload: msg}
-		wire, err := frame.Marshal()
-		if err != nil {
+		frame := ethsim.Frame{Dst: e.dst, Src: e.src, EtherType: ethsim.EtherTypeSACHa, Payload: msg}
+		var err error
+		if wire, err = frame.Marshal(); err != nil {
 			return fmt.Errorf("channel: %w", err)
 		}
-		return e.out.push(wire)
+	} else {
+		wire = make([]byte, len(msg))
+		copy(wire, msg)
 	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	return e.out.push(cp)
+	if !e.out.push(wire) {
+		return fmt.Errorf("channel: send on closed channel: %w", ErrClosed)
+	}
+	return nil
 }
 
 // Recv returns the next message from the peer. In Ethernet mode the FCS
-// is verified and frames for other destinations or ethertypes rejected.
+// is verified and frames for other destinations or ethertypes rejected;
+// the returned payload is a view into the received frame, which the
+// sender's Marshal allocated and the queue handed over.
 func (e *SimEndpoint) Recv() ([]byte, error) {
-	raw, err := e.in.pop()
-	if err != nil {
-		return nil, err
+	raw, ok := e.in.pop()
+	if !ok {
+		return nil, io.EOF
 	}
 	if !e.cfg.Ethernet {
 		return raw, nil
 	}
-	frame, err := ethsim.Unmarshal(raw)
+	frame, err := ethsim.View(raw)
 	if err != nil {
 		return nil, fmt.Errorf("channel: %w", err)
 	}

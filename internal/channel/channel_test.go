@@ -2,6 +2,7 @@ package channel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -62,6 +63,54 @@ func TestSimPairNoAliasing(t *testing.T) {
 	got, _ := b.Recv()
 	if string(got) != "mutate-me" {
 		t.Fatal("Send aliases caller buffer")
+	}
+}
+
+// TestQueueCapacityBounded: the FIFO pops by head index and reuses its
+// backing array, so a long alternating push/pop stream — with or
+// without a standing backlog — never grows it.
+func TestQueueCapacityBounded(t *testing.T) {
+	for _, backlog := range []int{0, 3} {
+		q := newQueue[int]()
+		for i := 0; i < backlog; i++ {
+			q.push(i)
+		}
+		for i := 0; i < 10000; i++ {
+			if !q.push(backlog + i) {
+				t.Fatal("push on an open queue refused")
+			}
+			if v, ok := q.pop(); !ok || v != i {
+				t.Fatalf("pop %d = %d, %v; want FIFO order", i, v, ok)
+			}
+		}
+		if c := cap(q.items); c > 2*backlog+8 {
+			t.Fatalf("backlog %d: backing array grew to %d after 10000 push/pop pairs", backlog, c)
+		}
+	}
+}
+
+// TestQueueCloseWakesBlockedPop: closing the link wakes a receiver
+// blocked on an empty queue with io.EOF, and a later send reports
+// ErrClosed.
+func TestQueueCloseWakesBlockedPop(t *testing.T) {
+	a, b := SimPair(SimConfig{})
+	got := make(chan error, 1)
+	go func() {
+		_, err := b.Recv()
+		got <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let Recv block
+	a.Close()
+	select {
+	case err := <-got:
+		if err != io.EOF {
+			t.Fatalf("blocked Recv woke with %v, want io.EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("close did not wake the blocked Recv")
+	}
+	if err := b.Send([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send after close: %v, want ErrClosed", err)
 	}
 }
 
@@ -186,8 +235,8 @@ func TestEthernetFCSDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire[len(wire)/2] ^= 0x01
-	if err := a.out.push(wire); err != nil {
-		t.Fatal(err)
+	if !a.out.push(wire) {
+		t.Fatal("push on an open queue refused")
 	}
 	if _, err := b.Recv(); err == nil {
 		t.Fatal("corrupted frame passed the FCS check")

@@ -18,70 +18,25 @@ import (
 type DelayEndpoint struct {
 	inner   Endpoint
 	latency time.Duration
-	out, in *delayQueue
+	out, in *queue[delayItem]
 
 	mu      sync.Mutex
 	sendErr error
 }
 
+// delayItem is one stamped message. Delivery-time sleeping is the
+// consumer's job, so queued messages keep aging while earlier ones are
+// drained.
 type delayItem struct {
 	msg []byte
 	due time.Time
 	err error
 }
 
-// delayQueue is an unbounded FIFO of stamped messages; delivery-time
-// sleeping is the consumer's job, so queued messages keep aging while
-// earlier ones are drained.
-type delayQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []delayItem
-	closed bool
-}
-
-func newDelayQueue() *delayQueue {
-	q := &delayQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *delayQueue) push(it delayItem) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append(q.items, it)
-	q.cond.Signal()
-	return true
-}
-
-func (q *delayQueue) pop() (delayItem, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return delayItem{}, false
-	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	return it, true
-}
-
-func (q *delayQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
 // NewDelayEndpoint wraps inner with the given one-way latency per
 // direction (a send and its response therefore pay 2×latency round trip).
 func NewDelayEndpoint(inner Endpoint, latency time.Duration) *DelayEndpoint {
-	d := &DelayEndpoint{inner: inner, latency: latency, out: newDelayQueue(), in: newDelayQueue()}
+	d := &DelayEndpoint{inner: inner, latency: latency, out: newQueue[delayItem](), in: newQueue[delayItem]()}
 	go d.sendPump()
 	go d.recvPump()
 	return d

@@ -35,9 +35,15 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, buf[:n]...)
 }
 
-// Encode compresses a word stream.
+// Encode compresses a word stream into a fresh buffer.
 func Encode(words []uint32) []byte {
-	out := make([]byte, 0, len(words)/4+16)
+	return AppendEncode(make([]byte, 0, len(words)/4+16), words)
+}
+
+// AppendEncode appends the compressed form of words to dst and returns
+// the extended slice, for callers that encode into one reused buffer.
+func AppendEncode(dst []byte, words []uint32) []byte {
+	out := dst
 	i := 0
 	for i < len(words) {
 		// Measure the run starting at i.

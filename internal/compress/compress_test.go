@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,6 +228,24 @@ func TestAppendDecodeReusesBuffer(t *testing.T) {
 	}
 	if _, err := AppendDecode(buf[:0], enc, len(words)-1); err == nil {
 		t.Fatal("AppendDecode ignored the bound")
+	}
+}
+
+// TestAppendEncodeReusesBuffer: encoding onto a prefix appends exactly
+// Encode's bytes, and a buffer with room is reused without allocating.
+func TestAppendEncodeReusesBuffer(t *testing.T) {
+	words := make([]uint32, device.FrameWords)
+	for i := range words {
+		words[i] = uint32(i * 2654435761) // literal-heavy: the worst case for growth
+	}
+	enc := Encode(words)
+	buf := append(make([]byte, 0, 2+len(enc)), 0xCA, 0xFE)
+	out := AppendEncode(buf, words)
+	if &out[0] != &buf[:1][0] || !bytes.Equal(out[:2], []byte{0xCA, 0xFE}) || !bytes.Equal(out[2:], enc) {
+		t.Fatalf("AppendEncode onto a prefix = %x, want cafe%x in place", out, enc)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { out = AppendEncode(out[:0], words) }); allocs != 0 {
+		t.Fatalf("AppendEncode into a large enough buffer allocates %.0f times", allocs)
 	}
 }
 

@@ -1,0 +1,53 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"sacha/internal/verifier"
+)
+
+// TestSessionAllocsPerFrame pins the allocation cost of the message path
+// over a whole warm SmallLX session on the simulated Ethernet link:
+// verifier Run, both endpoints and the prover's serve loop, counted
+// process-wide per frame moved (configured + read back). What remains
+// is essentially the one wire buffer per message that changes owner at
+// SimEndpoint.Send.
+func TestSessionAllocsPerFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  verifier.Options
+		limit float64
+	}{
+		{"plain", verifier.Options{}, 2.5},
+		{"compress", verifier.Options{Compress: true}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := smallSystem(t, nil)
+			plan, err := sys.Plan(0x5AC4A, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := AttestOptions{Opts: tc.opts}
+			if _, err := sys.AttestWithPlan(plan, opts); err != nil { // warm the buffers
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep, err := sys.AttestWithPlan(plan, opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Accepted {
+				t.Fatal("honest device rejected")
+			}
+			frames := rep.FramesConfigured + rep.FramesRead
+			perFrame := float64(after.Mallocs-before.Mallocs) / float64(frames)
+			t.Logf("%d frames moved, %.2f allocations per frame", frames, perFrame)
+			if perFrame > tc.limit {
+				t.Fatalf("%.2f allocations per frame moved, want ≤ %v", perFrame, tc.limit)
+			}
+		})
+	}
+}

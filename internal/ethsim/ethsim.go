@@ -80,20 +80,35 @@ func (f *Frame) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// Unmarshal parses a frame and verifies its FCS.
+// Unmarshal parses a frame and verifies its FCS. The returned frame owns
+// a copy of the payload.
 func Unmarshal(data []byte) (*Frame, error) {
+	f, err := View(data)
+	if err != nil {
+		return nil, err
+	}
+	f.Payload = append([]byte(nil), f.Payload...)
+	return &f, nil
+}
+
+// View parses a frame and verifies its FCS without copying: the returned
+// Payload is a sub-slice of data. Payloads beyond MaxPayload are
+// rejected, the bound Marshal enforces.
+func View(data []byte) (Frame, error) {
 	if len(data) < HeaderBytes+FCSBytes {
-		return nil, fmt.Errorf("ethsim: frame of %d bytes too short", len(data))
+		return Frame{}, fmt.Errorf("ethsim: frame of %d bytes too short", len(data))
+	}
+	if n := len(data) - HeaderBytes - FCSBytes; n > MaxPayload {
+		return Frame{}, fmt.Errorf("ethsim: payload %d exceeds MTU %d", n, MaxPayload)
 	}
 	body := data[:len(data)-FCSBytes]
 	want := binary.BigEndian.Uint32(data[len(data)-FCSBytes:])
 	if got := CRC32(body); got != want {
-		return nil, fmt.Errorf("ethsim: FCS mismatch (got %#08x, want %#08x)", got, want)
+		return Frame{}, fmt.Errorf("ethsim: FCS mismatch (got %#08x, want %#08x)", got, want)
 	}
-	f := &Frame{EtherType: binary.BigEndian.Uint16(body[12:14])}
+	f := Frame{EtherType: binary.BigEndian.Uint16(body[12:14]), Payload: body[HeaderBytes:]}
 	copy(f.Dst[:], body[0:6])
 	copy(f.Src[:], body[6:12])
-	f.Payload = append([]byte(nil), body[14:]...)
 	return f, nil
 }
 

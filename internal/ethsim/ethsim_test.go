@@ -1,6 +1,7 @@
 package ethsim
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -89,6 +90,53 @@ func TestMarshalRejectsJumbo(t *testing.T) {
 	f := &Frame{Payload: make([]byte, MaxPayload+1)}
 	if _, err := f.Marshal(); err == nil {
 		t.Fatal("jumbo payload accepted")
+	}
+}
+
+// TestParseRejectsJumbo: a frame with a valid FCS but a payload beyond
+// MaxPayload is refused by both parsers — the bound Marshal enforces on
+// the way out holds on the way in.
+func TestParseRejectsJumbo(t *testing.T) {
+	for _, n := range []int{MaxPayload, MaxPayload + 1} {
+		wire := make([]byte, HeaderBytes+n)
+		binary.BigEndian.PutUint16(wire[12:], EtherTypeSACHa)
+		wire = binary.BigEndian.AppendUint32(wire, CRC32(wire))
+		_, uerr := Unmarshal(wire)
+		_, verr := View(wire)
+		if ok := n <= MaxPayload; (uerr == nil) != ok || (verr == nil) != ok {
+			t.Fatalf("%d-byte payload: Unmarshal err %v, View err %v, want accepted=%v", n, uerr, verr, ok)
+		}
+	}
+}
+
+// TestViewAliasesUnmarshalCopies: View returns the payload in place,
+// Unmarshal a copy the caller owns.
+func TestViewAliasesUnmarshalCopies(t *testing.T) {
+	f := &Frame{Dst: MAC{1}, Src: MAC{2}, EtherType: EtherTypeSACHa, Payload: []byte("sacha")}
+	wire, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := View(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Dst != f.Dst || view.Src != f.Src || view.EtherType != f.EtherType || string(view.Payload) != "sacha" {
+		t.Fatalf("View = %+v, want %+v", view, *f)
+	}
+	if a := testing.AllocsPerRun(100, func() { View(wire) }); a != 0 {
+		t.Fatalf("View allocates %.1f objects per frame, want 0", a)
+	}
+	wire[HeaderBytes] = 'S'
+	if string(view.Payload) != "Sacha" {
+		t.Fatal("View payload does not alias the frame")
+	}
+	if string(owned.Payload) != "sacha" {
+		t.Fatal("Unmarshal payload aliases the frame")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"sacha/internal/device"
 )
@@ -199,44 +200,43 @@ const (
 	SizeMACValue     = 1 + 16 + 4                  // 21
 )
 
-// Encode serialises the message.
-func (m *Message) Encode() ([]byte, error) {
-	out := []byte{byte(m.Type)}
+// Encode serialises the message into a fresh buffer.
+func (m *Message) Encode() ([]byte, error) { return m.AppendEncode(nil) }
+
+// AppendEncode appends the message's wire form to dst and returns the
+// extended slice, so a sender can encode every message of a session into
+// one reused buffer. On error dst is returned unchanged.
+func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
+	out := append(dst, byte(m.Type))
 	switch m.Type {
 	case MsgICAPConfig:
 		if len(m.Words) != device.FrameWords {
-			return nil, fmt.Errorf("protocol: %v with %d words", m.Type, len(m.Words))
+			return dst, fmt.Errorf("protocol: %v with %d words", m.Type, len(m.Words))
 		}
 		out = binary.BigEndian.AppendUint32(out, m.FrameIndex)
-		for _, w := range m.Words {
-			out = binary.BigEndian.AppendUint32(out, w)
-		}
+		out = appendWords(out, m.Words)
 	case MsgFrameData:
 		// The frame sendback packs the index into 24 bits, giving the
 		// 328-byte payload behind the paper's A8 timing.
 		if len(m.Words) != device.FrameWords {
-			return nil, fmt.Errorf("protocol: %v with %d words", m.Type, len(m.Words))
+			return dst, fmt.Errorf("protocol: %v with %d words", m.Type, len(m.Words))
 		}
 		if m.FrameIndex >= 1<<24 {
-			return nil, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
+			return dst, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
 		}
 		out = append(out, byte(m.FrameIndex>>16), byte(m.FrameIndex>>8), byte(m.FrameIndex))
-		for _, w := range m.Words {
-			out = binary.BigEndian.AppendUint32(out, w)
-		}
+		out = appendWords(out, m.Words)
 	case MsgICAPConfigBatch:
 		if len(m.Batch) == 0 || len(m.Batch) > 255 {
-			return nil, fmt.Errorf("protocol: batch of %d frames", len(m.Batch))
+			return dst, fmt.Errorf("protocol: batch of %d frames", len(m.Batch))
 		}
 		out = append(out, byte(len(m.Batch)))
 		for _, fr := range m.Batch {
 			if len(fr.Words) != device.FrameWords {
-				return nil, fmt.Errorf("protocol: batch frame %d has %d words", fr.Index, len(fr.Words))
+				return dst, fmt.Errorf("protocol: batch frame %d has %d words", fr.Index, len(fr.Words))
 			}
 			out = binary.BigEndian.AppendUint32(out, fr.Index)
-			for _, w := range fr.Words {
-				out = binary.BigEndian.AppendUint32(out, w)
-			}
+			out = appendWords(out, fr.Words)
 		}
 	case MsgICAPReadback:
 		out = binary.BigEndian.AppendUint32(out, m.FrameIndex)
@@ -254,13 +254,13 @@ func (m *Message) Encode() ([]byte, error) {
 		out = append(out, m.Sig...)
 	case MsgError:
 		if len(m.Err) > MaxErrLen {
-			return nil, fmt.Errorf("protocol: error string too long")
+			return dst, fmt.Errorf("protocol: error string too long")
 		}
 		out = binary.BigEndian.AppendUint16(out, uint16(len(m.Err)))
 		out = append(out, m.Err...)
 	case MsgSeqReq, MsgSeqResp:
 		if len(m.Inner) == 0 {
-			return nil, fmt.Errorf("protocol: empty %v envelope", m.Type)
+			return dst, fmt.Errorf("protocol: empty %v envelope", m.Type)
 		}
 		out = binary.BigEndian.AppendUint32(out, m.Seq)
 		out = binary.BigEndian.AppendUint32(out, seqCRC(m.Seq, m.Inner))
@@ -269,45 +269,82 @@ func (m *Message) Encode() ([]byte, error) {
 		out = binary.BigEndian.AppendUint32(out, m.Caps)
 	case MsgICAPConfigBatchC, MsgScanData:
 		if len(m.Frames) == 0 || len(m.Frames) > MaxScanFrames {
-			return nil, fmt.Errorf("protocol: %v with %d frames", m.Type, len(m.Frames))
+			return dst, fmt.Errorf("protocol: %v with %d frames", m.Type, len(m.Frames))
 		}
 		if len(m.Comp) == 0 {
-			return nil, fmt.Errorf("protocol: %v without payload", m.Type)
+			return dst, fmt.Errorf("protocol: %v without payload", m.Type)
 		}
 		out = append(out, byte(len(m.Frames)))
-		for _, f := range m.Frames {
-			out = binary.BigEndian.AppendUint32(out, f)
-		}
+		out = appendWords(out, m.Frames)
 		out = append(out, m.Comp...)
 	case MsgScan:
 		if len(m.Frames) == 0 || len(m.Frames) > MaxScanFrames {
-			return nil, fmt.Errorf("protocol: %v with %d frames", m.Type, len(m.Frames))
+			return dst, fmt.Errorf("protocol: %v with %d frames", m.Type, len(m.Frames))
 		}
 		out = append(out, byte(len(m.Frames)))
-		for _, f := range m.Frames {
-			out = binary.BigEndian.AppendUint32(out, f)
-		}
+		out = appendWords(out, m.Frames)
 	case MsgFrameDataC:
 		if m.FrameIndex >= 1<<24 {
-			return nil, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
+			return dst, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
 		}
 		if len(m.Comp) == 0 {
-			return nil, fmt.Errorf("protocol: %v without payload", m.Type)
+			return dst, fmt.Errorf("protocol: %v without payload", m.Type)
 		}
 		out = append(out, byte(m.FrameIndex>>16), byte(m.FrameIndex>>8), byte(m.FrameIndex))
 		out = append(out, m.Comp...)
 	default:
-		return nil, fmt.Errorf("protocol: cannot encode %v", m.Type)
+		return dst, fmt.Errorf("protocol: cannot encode %v", m.Type)
 	}
 	return out, nil
 }
 
-// Decode parses a message.
-func Decode(data []byte) (*Message, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("protocol: empty message")
+// appendWords appends words big-endian.
+func appendWords(dst []byte, words []uint32) []byte {
+	for _, w := range words {
+		dst = binary.BigEndian.AppendUint32(dst, w)
 	}
-	m := &Message{Type: MsgType(data[0])}
+	return dst
+}
+
+// decodeWords decodes n big-endian words from src into buf's backing
+// array, growing it only when it lacks room.
+func decodeWords(buf []uint32, src []byte, n int) []uint32 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = binary.BigEndian.Uint32(src[4*i:])
+	}
+	return buf
+}
+
+// Decode parses a message into a freshly allocated Message.
+func Decode(data []byte) (*Message, error) {
+	m := new(Message)
+	if err := DecodeInto(m, data); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto parses a message into m, for receivers that decode every
+// message of a session into one reused Message. Every field of m is
+// reset, and bytes are copied out of data, so m never aliases the input.
+// The backing arrays of Words, Frames, Comp, Inner, Sig and Batch are
+// reused: a field the decoded type does not carry is left empty with its
+// capacity kept for a later message. On error the content of m is
+// unspecified.
+func DecodeInto(m *Message, data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("protocol: empty message")
+	}
+	*m = Message{
+		Type:   MsgType(data[0]),
+		Words:  m.Words[:0],
+		Frames: m.Frames[:0],
+		Comp:   m.Comp[:0],
+		Inner:  m.Inner[:0],
+		Sig:    m.Sig[:0],
+		Batch:  m.Batch[:0],
+	}
 	body := data[1:]
 	need := func(n int) error {
 		if len(body) != n {
@@ -318,149 +355,131 @@ func Decode(data []byte) (*Message, error) {
 	switch m.Type {
 	case MsgICAPConfig:
 		if err := need(4 + 4*device.FrameWords); err != nil {
-			return nil, err
+			return err
 		}
 		m.FrameIndex = binary.BigEndian.Uint32(body)
-		m.Words = make([]uint32, device.FrameWords)
-		for i := range m.Words {
-			m.Words[i] = binary.BigEndian.Uint32(body[4+4*i:])
-		}
+		m.Words = decodeWords(m.Words, body[4:], device.FrameWords)
 	case MsgFrameData:
 		if err := need(3 + 4*device.FrameWords); err != nil {
-			return nil, err
+			return err
 		}
 		m.FrameIndex = uint32(body[0])<<16 | uint32(body[1])<<8 | uint32(body[2])
-		m.Words = make([]uint32, device.FrameWords)
-		for i := range m.Words {
-			m.Words[i] = binary.BigEndian.Uint32(body[3+4*i:])
-		}
+		m.Words = decodeWords(m.Words, body[3:], device.FrameWords)
 	case MsgICAPConfigBatch:
 		if len(body) < 1 {
-			return nil, fmt.Errorf("protocol: empty batch")
+			return fmt.Errorf("protocol: empty batch")
 		}
 		count := int(body[0])
 		if count == 0 {
-			return nil, fmt.Errorf("protocol: batch of zero frames")
+			return fmt.Errorf("protocol: batch of zero frames")
 		}
 		per := 4 + 4*device.FrameWords
 		if len(body) != 1+count*per {
-			return nil, fmt.Errorf("protocol: batch of %d frames has %d body bytes", count, len(body))
+			return fmt.Errorf("protocol: batch of %d frames has %d body bytes", count, len(body))
 		}
 		body = body[1:]
-		m.Batch = make([]FrameRecord, count)
-		for i := 0; i < count; i++ {
-			rec := FrameRecord{
-				Index: binary.BigEndian.Uint32(body),
-				Words: make([]uint32, device.FrameWords),
-			}
-			for w := range rec.Words {
-				rec.Words[w] = binary.BigEndian.Uint32(body[4+4*w:])
-			}
-			m.Batch[i] = rec
+		m.Batch = slices.Grow(m.Batch, count)[:count]
+		for i := range m.Batch {
+			fr := &m.Batch[i]
+			fr.Index = binary.BigEndian.Uint32(body)
+			fr.Words = decodeWords(fr.Words, body[4:], device.FrameWords)
 			body = body[per:]
 		}
 	case MsgICAPReadback:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		m.FrameIndex = binary.BigEndian.Uint32(body)
 	case MsgMACChecksum, MsgSigChecksum:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		m.Arg = binary.BigEndian.Uint32(body)
 	case MsgAck:
 		if err := need(0); err != nil {
-			return nil, err
+			return err
 		}
 	case MsgAppStep:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		m.Steps = binary.BigEndian.Uint32(body)
 	case MsgMACValue:
 		if err := need(16 + 4); err != nil {
-			return nil, err
+			return err
 		}
 		copy(m.MAC[:], body)
 		m.Arg = binary.BigEndian.Uint32(body[16:])
 	case MsgSigValue:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("protocol: short Sig_value")
+			return fmt.Errorf("protocol: short Sig_value")
 		}
 		n := int(binary.BigEndian.Uint16(body))
 		if len(body) != 2+n {
-			return nil, fmt.Errorf("protocol: Sig_value length mismatch")
+			return fmt.Errorf("protocol: Sig_value length mismatch")
 		}
-		m.Sig = append([]byte(nil), body[2:]...)
+		m.Sig = append(m.Sig, body[2:]...)
 	case MsgError:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("protocol: short Error")
+			return fmt.Errorf("protocol: short Error")
 		}
 		n := int(binary.BigEndian.Uint16(body))
 		if len(body) != 2+n {
-			return nil, fmt.Errorf("protocol: Error length mismatch")
+			return fmt.Errorf("protocol: Error length mismatch")
 		}
 		if n > MaxErrLen {
-			return nil, fmt.Errorf("protocol: error string too long")
+			return fmt.Errorf("protocol: error string too long")
 		}
 		m.Err = string(body[2:])
 	case MsgSeqReq, MsgSeqResp:
 		if len(body) < 9 {
-			return nil, fmt.Errorf("protocol: short %v envelope", m.Type)
+			return fmt.Errorf("protocol: short %v envelope", m.Type)
 		}
 		m.Seq = binary.BigEndian.Uint32(body)
-		sum := binary.BigEndian.Uint32(body[4:])
-		m.Inner = append([]byte(nil), body[8:]...)
-		if sum != seqCRC(m.Seq, m.Inner) {
-			return nil, fmt.Errorf("protocol: %v envelope CRC mismatch", m.Type)
+		if binary.BigEndian.Uint32(body[4:]) != seqCRC(m.Seq, body[8:]) {
+			return fmt.Errorf("protocol: %v envelope CRC mismatch", m.Type)
 		}
+		m.Inner = append(m.Inner, body[8:]...)
 	case MsgHello, MsgHelloAck:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		m.Caps = binary.BigEndian.Uint32(body)
 	case MsgICAPConfigBatchC, MsgScanData:
 		if len(body) < 1 {
-			return nil, fmt.Errorf("protocol: empty %v", m.Type)
+			return fmt.Errorf("protocol: empty %v", m.Type)
 		}
 		count := int(body[0])
 		if count == 0 || count > MaxScanFrames {
-			return nil, fmt.Errorf("protocol: %v with %d frames", m.Type, count)
+			return fmt.Errorf("protocol: %v with %d frames", m.Type, count)
 		}
 		if len(body) < 1+4*count+1 {
-			return nil, fmt.Errorf("protocol: short %v", m.Type)
+			return fmt.Errorf("protocol: short %v", m.Type)
 		}
-		m.Frames = make([]uint32, count)
-		for i := range m.Frames {
-			m.Frames[i] = binary.BigEndian.Uint32(body[1+4*i:])
-		}
-		m.Comp = append([]byte(nil), body[1+4*count:]...)
+		m.Frames = decodeWords(m.Frames, body[1:], count)
+		m.Comp = append(m.Comp, body[1+4*count:]...)
 	case MsgScan:
 		if len(body) < 1 {
-			return nil, fmt.Errorf("protocol: empty %v", m.Type)
+			return fmt.Errorf("protocol: empty %v", m.Type)
 		}
 		count := int(body[0])
 		if count == 0 || count > MaxScanFrames {
-			return nil, fmt.Errorf("protocol: %v with %d frames", m.Type, count)
+			return fmt.Errorf("protocol: %v with %d frames", m.Type, count)
 		}
 		if len(body) != 1+4*count {
-			return nil, fmt.Errorf("protocol: %v with %d frames has %d body bytes", m.Type, count, len(body))
+			return fmt.Errorf("protocol: %v with %d frames has %d body bytes", m.Type, count, len(body))
 		}
-		m.Frames = make([]uint32, count)
-		for i := range m.Frames {
-			m.Frames[i] = binary.BigEndian.Uint32(body[1+4*i:])
-		}
+		m.Frames = decodeWords(m.Frames, body[1:], count)
 	case MsgFrameDataC:
 		if len(body) < 4 {
-			return nil, fmt.Errorf("protocol: short %v", m.Type)
+			return fmt.Errorf("protocol: short %v", m.Type)
 		}
 		m.FrameIndex = uint32(body[0])<<16 | uint32(body[1])<<8 | uint32(body[2])
-		m.Comp = append([]byte(nil), body[3:]...)
+		m.Comp = append(m.Comp, body[3:]...)
 	default:
-		return nil, fmt.Errorf("protocol: unknown message type %d", data[0])
+		return fmt.Errorf("protocol: unknown message type %d", data[0])
 	}
-	return m, nil
+	return nil
 }
 
 // Convenience constructors.

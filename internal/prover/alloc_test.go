@@ -81,3 +81,72 @@ func TestReadbackResponseOwnsWords(t *testing.T) {
 		t.Fatal("a later readback overwrote an earlier response's words")
 	}
 }
+
+// TestServeReadbackNoAlloc pins the serve loop's path for a compressed
+// ICAP_readback — request decode, readback, MAC step, compression and
+// response encode — at zero allocations: every buffer is the device's
+// own and is reused on the next request.
+func TestServeReadbackNoAlloc(t *testing.T) {
+	d := newDevice(t)
+	hello, err := protocol.Hello(protocol.CapCompress).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.serveBytes(hello); err != nil {
+		t.Fatal(err)
+	}
+	n := d.Geo.NumFrames()
+	reqs := make([][]byte, 0, 64)
+	for idx := 0; idx < n && len(reqs) < cap(reqs); idx += 29 {
+		req, err := protocol.Readback(idx).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		resps, err := d.serveBytes(reqs[i%len(reqs)])
+		if err != nil || len(resps) != 1 || resps[0][0] != byte(protocol.MsgFrameDataC) {
+			t.Fatalf("readback answered %v, %v", resps, err)
+		}
+		i++
+	}); avg != 0 {
+		t.Fatalf("serving a compressed readback allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestHandleBytesAllOwnsResponses: the serve path reuses its buffers,
+// so HandleBytesAll must return copies — a response keeps its bytes
+// after 40 later requests, plain and compressed.
+func TestHandleBytesAllOwnsResponses(t *testing.T) {
+	for _, caps := range []uint32{0, protocol.CapCompress} {
+		d := newDevice(t)
+		hello, err := protocol.Hello(caps).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.HandleBytesAll(hello); err != nil {
+			t.Fatal(err)
+		}
+		readback := func(idx int) []byte {
+			req, err := protocol.Readback(idx).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps, err := d.HandleBytesAll(req)
+			if err != nil || len(resps) != 1 {
+				t.Fatalf("readback %d: %d responses, %v", idx, len(resps), err)
+			}
+			return resps[0]
+		}
+		first := readback(1)
+		want := slices.Clone(first)
+		for idx := 2; idx < 42; idx++ {
+			readback(idx)
+		}
+		if !slices.Equal(first, want) {
+			t.Fatalf("caps %#x: a later request overwrote an earlier response", caps)
+		}
+	}
+}

@@ -137,9 +137,18 @@ type Device struct {
 	cfgWords  []uint32
 
 	// scanWords stages a scan's read-back frames (at most MaxScanFrames)
-	// before compression; the response's Comp is freshly encoded, so
-	// reusing the staging buffer leaks nothing into the message.
+	// before compression into compBuf.
 	scanWords []uint32
+
+	// The serve path's reused buffers, valid until the next request: the
+	// decoded request (innerMsg for the command inside a sequence
+	// envelope), the response, its compressed payload, its encoding and
+	// the list of wire responses a request releases. A plain FrameData
+	// response aliases rbFrame. The exported Handle* entry points clone
+	// whatever they return.
+	reqMsg, innerMsg, respMsg protocol.Message
+	compBuf, outBuf           []byte
+	outs                      [][]byte
 
 	// caps holds the capability bits negotiated for the current session
 	// via Hello. Like the MAC and sequence state it never survives a
@@ -258,8 +267,31 @@ func appendFrameBytes(dst []byte, words []uint32) []byte {
 }
 
 // Handle processes one verifier command and returns the response message,
-// or nil for commands without a response (ICAP_config).
+// or nil for commands without a response (ICAP_config). The response
+// owns its memory.
 func (d *Device) Handle(m *protocol.Message) (*protocol.Message, error) {
+	resp, err := d.handle(m)
+	if resp == nil || err != nil {
+		return resp, err
+	}
+	own := *resp
+	own.Words = slices.Clone(resp.Words)
+	own.Sig = slices.Clone(resp.Sig)
+	own.Frames = slices.Clone(resp.Frames)
+	own.Comp = slices.Clone(resp.Comp)
+	return &own, nil
+}
+
+// reply stores r as the device's response message, valid until the next
+// request.
+func (d *Device) reply(r protocol.Message) *protocol.Message {
+	d.respMsg = r
+	return &d.respMsg
+}
+
+// handle is Handle without the copy: the response may alias the
+// device's buffers and m.
+func (d *Device) handle(m *protocol.Message) (*protocol.Message, error) {
 	if !d.poweredOn {
 		return nil, fmt.Errorf("prover: device not powered on")
 	}
@@ -293,7 +325,7 @@ const DeviceCaps = protocol.CapCompress | protocol.CapScan
 
 func (d *Device) handleHello(m *protocol.Message) (*protocol.Message, error) {
 	d.caps = m.Caps & DeviceCaps
-	return &protocol.Message{Type: protocol.MsgHelloAck, Caps: d.caps}, nil
+	return d.reply(protocol.Message{Type: protocol.MsgHelloAck, Caps: d.caps}), nil
 }
 
 // handleConfig writes one frame. Like every configuration handler it
@@ -408,17 +440,10 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 	d.Timeline.Add("mac-update", d.model.ActionTime(timing.A6))
 
 	if d.caps&protocol.CapCompress != 0 {
-		return &protocol.Message{
-			Type:       protocol.MsgFrameDataC,
-			FrameIndex: m.FrameIndex,
-			Comp:       compress.Encode(frame),
-		}, nil
+		d.compBuf = compress.AppendEncode(d.compBuf[:0], frame)
+		return d.reply(protocol.Message{Type: protocol.MsgFrameDataC, FrameIndex: m.FrameIndex, Comp: d.compBuf}), nil
 	}
-	return &protocol.Message{
-		Type:       protocol.MsgFrameData,
-		FrameIndex: m.FrameIndex,
-		Words:      slices.Clone(frame),
-	}, nil
+	return d.reply(protocol.Message{Type: protocol.MsgFrameData, FrameIndex: m.FrameIndex, Words: frame}), nil
 }
 
 // readFrameRaw runs one ICAP readback — command stream in, pad frame
@@ -464,11 +489,8 @@ func (d *Device) handleScan(m *protocol.Message) (*protocol.Message, error) {
 		words = append(words, frame...)
 	}
 	d.scanWords = words
-	return &protocol.Message{
-		Type:   protocol.MsgScanData,
-		Frames: m.Frames,
-		Comp:   compress.Encode(words),
-	}, nil
+	d.compBuf = compress.AppendEncode(d.compBuf[:0], words)
+	return d.reply(protocol.Message{Type: protocol.MsgScanData, Frames: m.Frames, Comp: d.compBuf}), nil
 }
 
 func (d *Device) handleChecksum() (*protocol.Message, error) {
@@ -478,7 +500,7 @@ func (d *Device) handleChecksum() (*protocol.Message, error) {
 	tag := d.mac.Sum()
 	d.macActive = false
 	d.Timeline.Add("mac-finalize", d.model.ActionTime(timing.A7))
-	return &protocol.Message{Type: protocol.MsgMACValue, MAC: tag}, nil
+	return d.reply(protocol.Message{Type: protocol.MsgMACValue, MAC: tag}), nil
 }
 
 func (d *Device) handleSigChecksum() (*protocol.Message, error) {
@@ -495,7 +517,7 @@ func (d *Device) handleSigChecksum() (*protocol.Message, error) {
 	// The MAC state is consumed alongside the signature.
 	d.mac.Sum()
 	d.macActive = false
-	return &protocol.Message{Type: protocol.MsgSigValue, Sig: sig}, nil
+	return d.reply(protocol.Message{Type: protocol.MsgSigValue, Sig: sig}), nil
 }
 
 // MaxAppSteps bounds one App_step command. A command asking for more
@@ -516,7 +538,7 @@ func (d *Device) handleAppStep(m *protocol.Message) (*protocol.Message, error) {
 			return nil, err
 		}
 	}
-	return &protocol.Message{Type: protocol.MsgAck}, nil
+	return d.reply(protocol.Message{Type: protocol.MsgAck}), nil
 }
 
 // appView returns the decoded dynamic partition, re-decoding after any
@@ -556,47 +578,63 @@ const SeqCacheEntries = 128
 // Error messages rather than hard faults, as a deployed device must not
 // crash on malformed input. For enveloped requests that fill a sequence
 // gap the first of possibly several releasable responses is returned;
-// transports that must ship all of them use HandleBytesAll.
+// transports that must ship all of them use HandleBytesAll. The response
+// owns its memory.
 func (d *Device) HandleBytes(req []byte) ([]byte, error) {
-	resps, err := d.HandleBytesAll(req)
+	resps, err := d.serveBytes(req)
 	if err != nil || len(resps) == 0 {
 		return nil, err
 	}
-	return resps[0], nil
+	return slices.Clone(resps[0]), nil
 }
 
 // HandleBytesAll is HandleBytes for pipelined transports: an enveloped
 // request that arrives ahead of the next expected sequence is buffered
 // and produces no response yet, while one that fills a gap releases its
 // own response plus those of every buffered successor, in sequence order.
+// The responses own their memory.
 func (d *Device) HandleBytesAll(req []byte) ([][]byte, error) {
-	m, err := protocol.Decode(req)
-	if err != nil {
-		enc, err := protocol.Errorf("decode: %v", err).Encode()
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{enc}, nil
+	resps, err := d.serveBytes(req)
+	if err != nil || len(resps) == 0 {
+		return nil, err
+	}
+	out := make([][]byte, len(resps))
+	for i, r := range resps {
+		out[i] = slices.Clone(r)
+	}
+	return out, nil
+}
+
+// serveBytes is HandleBytesAll on the device's reused buffers: the
+// request is decoded into reqMsg and a response is encoded into outBuf,
+// so the returned slices are valid only until the next request.
+func (d *Device) serveBytes(req []byte) ([][]byte, error) {
+	m := &d.reqMsg
+	if err := protocol.DecodeInto(m, req); err != nil {
+		return d.release(protocol.Errorf("decode: %v", err))
 	}
 	if m.Type == protocol.MsgSeqReq {
 		return d.handleSeqReqAll(m)
 	}
-	resp, err := d.Handle(m)
+	resp, err := d.handle(m)
 	if err != nil {
-		enc, err := protocol.Errorf("%v", err).Encode()
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{enc}, nil
+		resp = protocol.Errorf("%v", err)
 	}
 	if resp == nil {
 		return nil, nil
 	}
-	enc, err := resp.Encode()
+	return d.release(resp)
+}
+
+// release encodes resp into outBuf as the request's only response.
+func (d *Device) release(resp *protocol.Message) ([][]byte, error) {
+	enc, err := resp.AppendEncode(d.outBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	return [][]byte{enc}, nil
+	d.outBuf = enc
+	d.outs = append(d.outs[:0], enc)
+	return d.outs, nil
 }
 
 // handleSeqReqAll executes enveloped commands with at-most-once,
@@ -612,7 +650,7 @@ func (d *Device) handleSeqReqAll(m *protocol.Message) ([][]byte, error) {
 	if d.seqSeen {
 		if cached, ok := d.seqResp[m.Seq]; ok {
 			mSeqReplays.Inc()
-			return [][]byte{cached}, nil
+			return append(d.outs[:0], cached), nil
 		}
 		if m.Seq <= d.seqLast {
 			mSeqStale.Inc()
@@ -646,7 +684,7 @@ func (d *Device) handleSeqReqAll(m *protocol.Message) ([][]byte, error) {
 	}
 	// m.Seq is executable: the first envelope of the session pins the
 	// sequence base, afterwards only seqLast+1 reaches this point.
-	var out [][]byte
+	out := d.outs[:0]
 	wire, err := d.execSeq(m.Seq, m.Inner)
 	if err != nil {
 		return nil, err
@@ -666,29 +704,33 @@ func (d *Device) handleSeqReqAll(m *protocol.Message) ([][]byte, error) {
 		}
 		out = append(out, wire)
 	}
+	d.outs = out
 	return out, nil
 }
 
 // execSeq executes one enveloped command, caches the encoded response
 // (evicting the oldest entry beyond SeqCacheEntries) and advances the
-// sequence cursor.
+// sequence cursor. The cached wire image is the one allocation: it
+// outlives the request.
 func (d *Device) execSeq(seq uint32, innerEnc []byte) ([]byte, error) {
 	var resp *protocol.Message
-	inner, err := protocol.Decode(innerEnc)
-	if err != nil {
+	inner := &d.innerMsg
+	if err := protocol.DecodeInto(inner, innerEnc); err != nil {
 		resp = protocol.Errorf("decode: %v", err)
-	} else if r, err := d.Handle(inner); err != nil {
+	} else if r, err := d.handle(inner); err != nil {
 		resp = protocol.Errorf("%v", err)
 	} else if r == nil {
-		resp = &protocol.Message{Type: protocol.MsgAck}
+		resp = d.reply(protocol.Message{Type: protocol.MsgAck})
 	} else {
 		resp = r
 	}
-	enc, err := resp.Encode()
+	enc, err := resp.AppendEncode(d.outBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	wire, err := protocol.WrapResp(seq, enc).Encode()
+	d.outBuf = enc
+	env := protocol.Message{Type: protocol.MsgSeqResp, Seq: seq, Inner: enc}
+	wire, err := env.AppendEncode(make([]byte, 0, 9+len(enc)))
 	if err != nil {
 		return nil, err
 	}
@@ -764,7 +806,7 @@ func (d *Device) Serve(ep channel.Endpoint) error {
 			}
 			return err
 		}
-		resps, err := d.HandleBytesAll(req)
+		resps, err := d.serveBytes(req)
 		if err != nil {
 			return err
 		}

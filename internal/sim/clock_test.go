@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -90,4 +94,77 @@ func TestTimelineNegativePanics(t *testing.T) {
 		}
 	}()
 	tl.Add("x", -time.Second)
+}
+
+// mapTimeline is the map-backed Timeline the slice-backed one replaced,
+// kept as the reference its observable behaviour must match.
+type mapTimeline struct {
+	total time.Duration
+	byTag map[string]time.Duration
+}
+
+func (t *mapTimeline) add(tag string, d time.Duration) { t.total += d; t.byTag[tag] += d }
+
+func (t *mapTimeline) tags() []string {
+	out := make([]string, 0, len(t.byTag))
+	for k := range t.byTag {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (t *mapTimeline) String() string {
+	s := fmt.Sprintf("total %v", t.total)
+	for _, tag := range t.tags() {
+		s += fmt.Sprintf("; %s %v", tag, t.byTag[tag])
+	}
+	return s
+}
+
+// TestTimelineMatchesMapReference drives a seeded sequence of Add and
+// Reset calls — zero durations and never-charged tags included — through
+// the Timeline and the map reference and checks Tag, Tags, Total and
+// String after every step.
+func TestTimelineMatchesMapReference(t *testing.T) {
+	names := []string{"wire", "latency", "icap-config", "icap-readback", "mac-init",
+		"mac-update", "mac-finalize", "vrf-sw", "a", "b", "c", "d", "e", "f"}
+	rng := rand.New(rand.NewSource(42))
+	tl := NewTimeline()
+	ref := &mapTimeline{byTag: map[string]time.Duration{}}
+	for step := 0; step < 5000; step++ {
+		if rng.Intn(400) == 0 {
+			tl.Reset()
+			ref = &mapTimeline{byTag: map[string]time.Duration{}}
+		} else {
+			tag := names[rng.Intn(len(names)-2)] // the last two are never charged
+			d := time.Duration(rng.Intn(3)) * time.Duration(rng.Int63n(int64(time.Millisecond)))
+			tl.Add(tag, d)
+			ref.add(tag, d)
+		}
+		if tl.Total() != ref.total {
+			t.Fatalf("step %d: Total %v, want %v", step, tl.Total(), ref.total)
+		}
+		for _, tag := range names {
+			if tl.Tag(tag) != ref.byTag[tag] {
+				t.Fatalf("step %d: Tag(%q) %v, want %v", step, tag, tl.Tag(tag), ref.byTag[tag])
+			}
+		}
+		if got, want := tl.Tags(), ref.tags(); !slices.Equal(got, want) || got == nil {
+			t.Fatalf("step %d: Tags %q, want %q", step, got, want)
+		}
+		if got, want := tl.String(), ref.String(); got != want {
+			t.Fatalf("step %d: String\n%s\nwant\n%s", step, got, want)
+		}
+	}
+}
+
+// TestTimelineAddNoAlloc: charging a known tag allocates nothing.
+func TestTimelineAddNoAlloc(t *testing.T) {
+	tl := NewTimeline()
+	tl.Add("wire", time.Nanosecond)
+	tl.Add("latency", time.Nanosecond)
+	if a := testing.AllocsPerRun(100, func() { tl.Add("latency", time.Nanosecond) }); a != 0 {
+		t.Fatalf("Add allocates %.1f objects, want 0", a)
+	}
 }
