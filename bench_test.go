@@ -529,9 +529,7 @@ func newTinyAttestRig(b *testing.B, delay time.Duration) (*attestation.Plan, pro
 		if err := dev.PowerOn(); err != nil {
 			b.Fatal(err)
 		}
-		vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-		go dev.Serve(prvEP)
-		return channel.NewDelayEndpoint(vrfEP, delay)
+		return channel.NewDelayEndpoint(channel.NewInline(dev.Handler(), channel.SimConfig{}), delay)
 	}
 	return plan, key, dial
 }

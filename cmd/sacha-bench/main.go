@@ -175,9 +175,7 @@ func measure(geo *device.Geometry, plan *attestation.Plan, key prover.RegisterKe
 		dev, err := prover.New(prover.Config{Geo: geo, BootMem: core.BuildBootMem(geo, buildID), Key: key})
 		fatal(err)
 		fatal(dev.PowerOn())
-		vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-		go dev.Serve(prvEP)
-		link := channel.NewDelayEndpoint(vrfEP, delay)
+		link := channel.NewDelayEndpoint(channel.NewInline(dev.Handler(), channel.SimConfig{}), delay)
 
 		opts := attestation.RunOpts{Key: key}
 		opts.Retry = attestation.RetryPolicy{
@@ -229,8 +227,7 @@ func measureDelta(geo *device.Geometry, fullPlan, deltaPlan *attestation.Plan, d
 
 		warm := scenario != "cold"
 		if warm {
-			vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-			go dev.Serve(prvEP)
+			vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
 			rep, err := fullPlan.Run(vrfEP, attestation.RunOpts{Key: key,
 				Retry: attestation.RetryPolicy{Timeout: time.Second, MaxRetries: 3, Window: attestation.MaxWindow}})
 			fatal(err)
@@ -253,9 +250,7 @@ func measureDelta(geo *device.Geometry, fullPlan, deltaPlan *attestation.Plan, d
 			}
 		}
 
-		vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-		go dev.Serve(prvEP)
-		link := channel.NewDelayEndpoint(vrfEP, delay)
+		link := channel.NewDelayEndpoint(channel.NewInline(dev.Handler(), channel.SimConfig{}), delay)
 		opts := attestation.RunOpts{Key: key, Delta: true, DeltaWarm: warm, Compress: true,
 			Retry: attestation.RetryPolicy{Timeout: 4*delay + 250*time.Millisecond, MaxRetries: 5, Window: window}}
 		t0 := time.Now()

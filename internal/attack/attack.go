@@ -7,8 +7,8 @@ package attack
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
+	"slices"
 
 	"sacha/internal/channel"
 	"sacha/internal/cmac"
@@ -110,60 +110,46 @@ func Impersonation(sys *core.System) Result {
 	var guessedKey [16]byte
 	rand.New(rand.NewSource(0xBAD)).Read(guessedKey[:])
 
-	rep, err := sys.AttestAgainst(func(ep channel.Endpoint) error {
-		return serveImpersonator(ep, static, guessedKey)
-	}, core.AttestOptions{})
+	h, err := impersonator(static, guessedKey)
+	if err != nil {
+		r.Err = err
+		return r
+	}
+	rep, err := sys.AttestAgainst(h, core.AttestOptions{})
 	r.Err = err
 	r.Detected, r.Mechanism = verdict(rep, err)
 	return r
 }
 
-// serveImpersonator answers the protocol from stored frames using a
-// guessed key.
-func serveImpersonator(ep channel.Endpoint, content *fabric.Image, key [16]byte) error {
+// impersonator answers the protocol from stored frames using a guessed
+// key.
+func impersonator(content *fabric.Image, key [16]byte) (channel.Handler, error) {
 	mac, err := cmac.New(key[:])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	started := false
-	for {
-		raw, err := ep.Recv()
-		if err == io.EOF {
-			return nil
-		}
+	return func(req []byte) ([][]byte, error) {
+		m, err := protocol.Decode(req)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		m, err := protocol.Decode(raw)
-		if err != nil {
-			return err
-		}
+		var resp *protocol.Message
 		switch m.Type {
 		case protocol.MsgICAPConfig:
 			content.SetFrame(int(m.FrameIndex), m.Words)
+			return nil, nil
 		case protocol.MsgICAPReadback:
-			if !started {
-				started = true
-			}
 			words := content.Frame(int(m.FrameIndex))
 			mac.Update(wordsToBytes(words))
-			resp, _ := (&protocol.Message{Type: protocol.MsgFrameData, FrameIndex: m.FrameIndex, Words: words}).Encode()
-			if err := ep.Send(resp); err != nil {
-				return err
-			}
+			resp = &protocol.Message{Type: protocol.MsgFrameData, FrameIndex: m.FrameIndex, Words: words}
 		case protocol.MsgMACChecksum:
-			tag := mac.Sum()
-			resp, _ := (&protocol.Message{Type: protocol.MsgMACValue, MAC: tag}).Encode()
-			if err := ep.Send(resp); err != nil {
-				return err
-			}
+			resp = &protocol.Message{Type: protocol.MsgMACValue, MAC: mac.Sum()}
 		default:
-			resp, _ := protocol.Errorf("impersonator: unsupported %v", m.Type).Encode()
-			if err := ep.Send(resp); err != nil {
-				return err
-			}
+			resp = protocol.Errorf("impersonator: unsupported %v", m.Type)
 		}
-	}
+		enc, err := resp.Encode()
+		return [][]byte{enc}, err
+	}, nil
 }
 
 func wordsToBytes(words []uint32) []byte {
@@ -210,66 +196,62 @@ func Replay(sys *core.System) Result {
 
 	// Step 1: record an honest attestation's responses.
 	var recorded [][]byte
-	recErr := make(chan error, 1)
-	honest := func(ep channel.Endpoint) error {
-		tap := &channel.Tap{Inner: ep, OnSend: func(m []byte) []byte {
-			cp := make([]byte, len(m))
-			copy(cp, m)
-			recorded = append(recorded, cp)
-			return m
-		}}
-		err := sys.Device.Serve(tap)
-		recErr <- err
-		return err
-	}
+	honest := onResponse(sys.Device.Handler(), func(m []byte) []byte {
+		recorded = append(recorded, slices.Clone(m))
+		return m
+	})
 	n1 := uint64(0x1111)
 	if rep, err := sys.AttestAgainst(honest, core.AttestOptions{Nonce: &n1}); err != nil || !rep.Accepted {
 		r.Err = fmt.Errorf("attack: honest recording run failed: %v", err)
 		return r
 	}
-	<-recErr
 
 	// Step 2: replay against a fresh nonce.
 	n2 := uint64(0x2222)
-	rep, err := sys.AttestAgainst(func(ep channel.Endpoint) error {
-		i := 0
-		for {
-			raw, err := ep.Recv()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			m, err := protocol.Decode(raw)
-			if err != nil {
-				return err
-			}
-			switch m.Type {
-			case protocol.MsgICAPConfig:
-				// Dropped: the adversary does not apply the new challenge.
-			case protocol.MsgICAPReadback, protocol.MsgMACChecksum:
-				if i >= len(recorded) {
-					return fmt.Errorf("attack: replay transcript exhausted")
-				}
-				if err := ep.Send(recorded[i]); err != nil {
-					return err
-				}
-				i++
-			default:
-				resp, _ := protocol.Errorf("replayer: unsupported %v", m.Type).Encode()
-				if err := ep.Send(resp); err != nil {
-					return err
-				}
-			}
-		}
-	}, core.AttestOptions{Nonce: &n2})
+	rep, err := sys.AttestAgainst(replayer(recorded), core.AttestOptions{Nonce: &n2})
 	r.Err = err
 	r.Detected, r.Mechanism = verdict(rep, err)
 	if r.Detected && err == nil && rep.MACOK {
 		r.Mechanism = "stale nonce in masked bitstream (MAC of old transcript still valid)"
 	}
 	return r
+}
+
+// onResponse wraps a handler and passes each of its responses through f.
+func onResponse(h channel.Handler, f func([]byte) []byte) channel.Handler {
+	return func(req []byte) ([][]byte, error) {
+		resps, err := h(req)
+		out := make([][]byte, len(resps))
+		for i, resp := range resps {
+			out[i] = f(resp)
+		}
+		return out, err
+	}
+}
+
+// replayer answers readback and checksum requests with the recorded
+// responses in order and drops configuration: the adversary ignores the
+// fresh challenge.
+func replayer(recorded [][]byte) channel.Handler {
+	next := 0
+	return func(req []byte) ([][]byte, error) {
+		m, err := protocol.Decode(req)
+		if err != nil {
+			return nil, err
+		}
+		switch m.Type {
+		case protocol.MsgICAPConfig, protocol.MsgICAPConfigBatch:
+			return nil, nil
+		case protocol.MsgICAPReadback, protocol.MsgMACChecksum:
+			if next >= len(recorded) {
+				return nil, fmt.Errorf("attack: replay transcript exhausted")
+			}
+			next++
+			return recorded[next-1 : next], nil
+		}
+		enc, err := protocol.Errorf("replayer: unsupported %v", m.Type).Encode()
+		return [][]byte{enc}, err
+	}
 }
 
 // NonceReuse targets the freshness policy engine's patched-plan path: an
@@ -299,15 +281,12 @@ func NonceReuse(sys *core.System) Result {
 		return r
 	}
 	var staleMAC []byte
-	honest := func(ep channel.Endpoint) error {
-		tap := &channel.Tap{Inner: ep, OnSend: func(m []byte) []byte {
-			if len(m) > 0 && m[0] == byte(protocol.MsgMACValue) {
-				staleMAC = append([]byte(nil), m...)
-			}
-			return m
-		}}
-		return sys.Device.Serve(tap)
-	}
+	honest := onResponse(sys.Device.Handler(), func(m []byte) []byte {
+		if len(m) > 0 && m[0] == byte(protocol.MsgMACValue) {
+			staleMAC = slices.Clone(m)
+		}
+		return m
+	})
 	if rep, err := sys.AttestPlanAgainst(planA, honest, core.AttestOptions{}); err != nil || !rep.Accepted {
 		r.Err = fmt.Errorf("attack: honest recording run failed: %v", err)
 		return r
@@ -324,15 +303,12 @@ func NonceReuse(sys *core.System) Result {
 		r.Err = err
 		return r
 	}
-	rep, err := sys.AttestPlanAgainst(planB, func(ep channel.Endpoint) error {
-		tap := &channel.Tap{Inner: ep, OnSend: func(m []byte) []byte {
-			if len(m) > 0 && m[0] == byte(protocol.MsgMACValue) {
-				return staleMAC
-			}
-			return m
-		}}
-		return sys.Device.Serve(tap)
-	}, core.AttestOptions{})
+	rep, err := sys.AttestPlanAgainst(planB, onResponse(sys.Device.Handler(), func(m []byte) []byte {
+		if len(m) > 0 && m[0] == byte(protocol.MsgMACValue) {
+			return staleMAC
+		}
+		return m
+	}), core.AttestOptions{})
 	r.Err = err
 	r.Detected, r.Mechanism = verdict(rep, err)
 	return r
@@ -363,13 +339,10 @@ func StaleNonceReplay(sys *core.System) Result {
 		return r
 	}
 	var recorded [][]byte
-	honest := func(ep channel.Endpoint) error {
-		tap := &channel.Tap{Inner: ep, OnSend: func(m []byte) []byte {
-			recorded = append(recorded, append([]byte(nil), m...))
-			return m
-		}}
-		return sys.Device.Serve(tap)
-	}
+	honest := onResponse(sys.Device.Handler(), func(m []byte) []byte {
+		recorded = append(recorded, slices.Clone(m))
+		return m
+	})
 	if rep, err := sys.AttestPlanAgainst(planA, honest, core.AttestOptions{}); err != nil || !rep.Accepted {
 		r.Err = fmt.Errorf("attack: honest recording run failed: %v", err)
 		return r
@@ -380,39 +353,7 @@ func StaleNonceReplay(sys *core.System) Result {
 		r.Err = err
 		return r
 	}
-	rep, err := sys.AttestPlanAgainst(planB, func(ep channel.Endpoint) error {
-		i := 0
-		for {
-			raw, err := ep.Recv()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			m, err := protocol.Decode(raw)
-			if err != nil {
-				return err
-			}
-			switch m.Type {
-			case protocol.MsgICAPConfig, protocol.MsgICAPConfigBatch:
-				// Dropped: the adversary ignores the rotated challenge.
-			case protocol.MsgICAPReadback, protocol.MsgMACChecksum:
-				if i >= len(recorded) {
-					return fmt.Errorf("attack: replay transcript exhausted")
-				}
-				if err := ep.Send(recorded[i]); err != nil {
-					return err
-				}
-				i++
-			default:
-				resp, _ := protocol.Errorf("replayer: unsupported %v", m.Type).Encode()
-				if err := ep.Send(resp); err != nil {
-					return err
-				}
-			}
-		}
-	}, core.AttestOptions{})
+	rep, err := sys.AttestPlanAgainst(planB, replayer(recorded), core.AttestOptions{})
 	r.Err = err
 	r.Detected, r.Mechanism = verdict(rep, err)
 	if r.Detected && err == nil && rep.MACOK {
@@ -441,20 +382,16 @@ func RemoteUpdateTamper(sys *core.System) Result {
 		period = 1
 	}
 	tampered := 0
-	rep, err := sys.AttestAgainst(func(ep channel.Endpoint) error {
-		mitm := &channel.Tap{Inner: ep, OnRecv: func(m []byte) []byte {
-			if len(m) > 0 && m[0] == byte(protocol.MsgICAPConfig) {
-				tampered++
-				if tampered%period == 0 {
-					cp := make([]byte, len(m))
-					copy(cp, m)
-					cp[len(cp)/2] ^= 0x20
-					return cp
-				}
+	h := sys.Device.Handler()
+	rep, err := sys.AttestAgainst(func(req []byte) ([][]byte, error) {
+		if len(req) > 0 && req[0] == byte(protocol.MsgICAPConfig) {
+			tampered++
+			if tampered%period == 0 {
+				req = slices.Clone(req)
+				req[len(req)/2] ^= 0x20
 			}
-			return m
-		}}
-		return sys.Device.Serve(mitm)
+		}
+		return h(req)
 	}, core.AttestOptions{})
 	r.Err = err
 	r.Detected, r.Mechanism = verdict(rep, err)

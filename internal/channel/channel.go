@@ -1,7 +1,9 @@
 // Package channel provides the message transports between verifier and
 // prover: an in-process simulated link with virtual-time accounting (the
-// lab network of the paper's measurements) and a TCP transport for real
-// deployments, plus a tap for adversary-in-the-middle experiments.
+// lab network of the paper's measurements), either as a pair of
+// endpoints or with the prover as a Handler run inline on the sender's
+// goroutine, and a TCP transport for real deployments, plus a tap for
+// adversary-in-the-middle experiments.
 package channel
 
 import (
@@ -18,8 +20,9 @@ import (
 //
 // Ownership: Send must not retain msg after it returns, so a caller may
 // reuse its encode buffer for the next message (SimEndpoint marshals
-// into a fresh frame, DelayEndpoint and FaultEndpoint copy what they
-// hold, TCP writes synchronously). Recv hands ownership of the returned
+// into a fresh frame, InlineEndpoint hands it to a Handler that does not
+// retain it, DelayEndpoint and FaultEndpoint copy what they hold, TCP
+// writes synchronously). Recv hands ownership of the returned
 // slice to the caller.
 type Endpoint interface {
 	// Send transmits one message to the peer.
@@ -146,10 +149,9 @@ func (e *SimEndpoint) Send(msg []byte) error {
 	}
 	var wire []byte
 	if e.cfg.Ethernet {
-		frame := ethsim.Frame{Dst: e.dst, Src: e.src, EtherType: ethsim.EtherTypeSACHa, Payload: msg}
 		var err error
-		if wire, err = frame.Marshal(); err != nil {
-			return fmt.Errorf("channel: %w", err)
+		if wire, err = marshal(nil, e.dst, e.src, msg); err != nil {
+			return err
 		}
 	} else {
 		wire = make([]byte, len(msg))
@@ -173,6 +175,23 @@ func (e *SimEndpoint) Recv() ([]byte, error) {
 	if !e.cfg.Ethernet {
 		return raw, nil
 	}
+	return unframe(raw, e.src)
+}
+
+// marshal appends msg to dst inside an Ethernet II frame with its FCS.
+func marshal(dst []byte, to, from ethsim.MAC, msg []byte) ([]byte, error) {
+	frame := ethsim.Frame{Dst: to, Src: from, EtherType: ethsim.EtherTypeSACHa, Payload: msg}
+	wire, err := frame.AppendMarshal(dst)
+	if err != nil {
+		return nil, fmt.Errorf("channel: %w", err)
+	}
+	return wire, nil
+}
+
+// unframe verifies the FCS of a received frame, rejects other ethertypes
+// and frames not addressed to self, and returns the payload as a view
+// into raw.
+func unframe(raw []byte, self ethsim.MAC) ([]byte, error) {
 	frame, err := ethsim.View(raw)
 	if err != nil {
 		return nil, fmt.Errorf("channel: %w", err)
@@ -180,8 +199,8 @@ func (e *SimEndpoint) Recv() ([]byte, error) {
 	if frame.EtherType != ethsim.EtherTypeSACHa {
 		return nil, fmt.Errorf("channel: unexpected ethertype %#04x", frame.EtherType)
 	}
-	if frame.Dst != e.src {
-		return nil, fmt.Errorf("channel: frame for %v delivered to %v", frame.Dst, e.src)
+	if frame.Dst != self {
+		return nil, fmt.Errorf("channel: frame for %v delivered to %v", frame.Dst, self)
 	}
 	return frame.Payload, nil
 }

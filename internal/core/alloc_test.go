@@ -9,18 +9,18 @@ import (
 
 // TestSessionAllocsPerFrame pins the allocation cost of the message path
 // over a whole warm SmallLX session on the simulated Ethernet link:
-// verifier Run, both endpoints and the prover's serve loop, counted
+// verifier Run, the inline link and the prover's handler, counted
 // process-wide per frame moved (configured + read back). What remains
-// is essentially the one wire buffer per message that changes owner at
-// SimEndpoint.Send.
+// is essentially the one response frame per response that changes owner
+// at InlineEndpoint.Send; requests are framed into a reused buffer.
 func TestSessionAllocsPerFrame(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		opts  verifier.Options
 		limit float64
 	}{
-		{"plain", verifier.Options{}, 2.5},
-		{"compress", verifier.Options{Compress: true}, 2},
+		{"plain", verifier.Options{}, 1},
+		{"compress", verifier.Options{Compress: true}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := smallSystem(t, nil)

@@ -444,11 +444,11 @@ func (s *System) PatchablePlan(opts verifier.Options) (*attestation.Plan, error)
 }
 
 // AttestPlanAgainst runs a precomputed plan against an arbitrary
-// prover-side implementation — the adversary-experiment counterpart of
+// prover-side handler — the adversary-experiment counterpart of
 // AttestWithPlan, used to replay captured transcripts against patched
 // (re-nonced) plans.
-func (s *System) AttestPlanAgainst(plan *attestation.Plan, serve func(channel.Endpoint) error, opts AttestOptions) (*verifier.Report, error) {
-	return s.runPlan(plan, serve, opts)
+func (s *System) AttestPlanAgainst(plan *attestation.Plan, h channel.Handler, opts AttestOptions) (*verifier.Report, error) {
+	return s.runPlan(plan, h, opts)
 }
 
 // ClassKey identifies the fleet-invariant attestation inputs of this
@@ -465,18 +465,19 @@ func (s *System) ClassKey() string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// serveFunc returns the prover-side handler for one attestation,
-// wrapping the device's Serve loop with the adversary hook if requested.
-func (s *System) serveFunc(opts AttestOptions) func(channel.Endpoint) error {
+// handler starts a device session and returns its handler, wrapped
+// with the adversary hook if requested.
+func (s *System) handler(opts AttestOptions) channel.Handler {
+	h := s.Device.Handler()
 	if opts.TamperDevice == nil {
-		return s.Device.Serve
+		return h
 	}
 	// The adversary's window is after configuration and before
 	// readback: the hook fires on the prover side when the device is
 	// about to process the first ICAP_readback command. Under the
 	// reliable transport the command rides inside a sequence envelope
-	// (type + seq + crc before the inner message), so the tap peeks at
-	// both spellings.
+	// (type + seq + crc before the inner message), so the wrapper peeks
+	// at both spellings.
 	isReadback := func(m []byte) bool {
 		if len(m) > 0 && m[0] == byte(protocol.MsgICAPReadback) {
 			return true
@@ -485,23 +486,20 @@ func (s *System) serveFunc(opts AttestOptions) func(channel.Endpoint) error {
 		return len(m) > envHdr && m[0] == byte(protocol.MsgSeqReq) &&
 			m[envHdr] == byte(protocol.MsgICAPReadback)
 	}
-	return func(ep channel.Endpoint) error {
-		armed := false
-		tapped := &channel.Tap{Inner: ep, OnRecv: func(m []byte) []byte {
-			if !armed && isReadback(m) {
-				armed = true
-				opts.TamperDevice(s.Device)
-			}
-			return m
-		}}
-		return s.Device.Serve(tapped)
+	armed := false
+	return func(req []byte) ([][]byte, error) {
+		if !armed && isReadback(req) {
+			armed = true
+			opts.TamperDevice(s.Device)
+		}
+		return h(req)
 	}
 }
 
 // Attest runs one full attestation over a simulated lab channel and
 // returns the verifier's report.
 func (s *System) Attest(opts AttestOptions) (*verifier.Report, error) {
-	return s.AttestAgainst(s.serveFunc(opts), opts)
+	return s.AttestAgainst(s.handler(opts), opts)
 }
 
 // AttestWithPlan runs one attestation using a precomputed shared plan —
@@ -510,13 +508,13 @@ func (s *System) Attest(opts AttestOptions) (*verifier.Report, error) {
 // only the per-run knobs (Retry, Trace, Events, adversary and channel
 // hooks).
 func (s *System) AttestWithPlan(plan *attestation.Plan, opts AttestOptions) (*verifier.Report, error) {
-	return s.runPlan(plan, s.serveFunc(opts), opts)
+	return s.runPlan(plan, s.handler(opts), opts)
 }
 
 // AttestAgainst runs the verifier against an arbitrary prover-side
-// implementation — the hook the adversary experiments use to substitute
+// handler — the hook the adversary experiments use to substitute
 // impersonators, proxies and replayers for the genuine device.
-func (s *System) AttestAgainst(serve func(channel.Endpoint) error, opts AttestOptions) (*verifier.Report, error) {
+func (s *System) AttestAgainst(h channel.Handler, opts AttestOptions) (*verifier.Report, error) {
 	nonce := s.rng.Uint64()
 	if opts.Nonce != nil {
 		nonce = *opts.Nonce
@@ -525,11 +523,12 @@ func (s *System) AttestAgainst(serve func(channel.Endpoint) error, opts AttestOp
 	if err != nil {
 		return nil, err
 	}
-	return s.runPlan(plan, serve, opts)
+	return s.runPlan(plan, h, opts)
 }
 
-// runPlan wires one per-session Run over the simulated lab link.
-func (s *System) runPlan(plan *attestation.Plan, serve func(channel.Endpoint) error, opts AttestOptions) (*verifier.Report, error) {
+// runPlan runs one per-session Run over the simulated lab link, with the
+// prover handler inline on the verifier's side of it.
+func (s *System) runPlan(plan *attestation.Plan, h channel.Handler, opts AttestOptions) (*verifier.Report, error) {
 	lat := s.cfg.LabLatency
 	if lat == 0 {
 		lat = timing.LabCommandLatency
@@ -541,7 +540,7 @@ func (s *System) runPlan(plan *attestation.Plan, serve func(channel.Endpoint) er
 	var prvMAC ethsim.MAC
 	prvMAC[0] = 0x02 // locally administered
 	binary.BigEndian.PutUint32(prvMAC[2:6], uint32(s.cfg.DeviceID))
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{
+	link := channel.NewInline(h, channel.SimConfig{
 		Timeline:       s.ChannelTime,
 		MessageLatency: lat,
 		Ethernet:       true,
@@ -549,20 +548,15 @@ func (s *System) runPlan(plan *attestation.Plan, serve func(channel.Endpoint) er
 		AddrB:          prvMAC,
 	})
 
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- serve(prvEP)
-	}()
-
-	var vep channel.Endpoint = vrfEP
+	var vep channel.Endpoint = link
 	if opts.WrapVerifierChannel != nil {
 		vep = opts.WrapVerifierChannel(vep)
 	}
 	rep, err := s.Verifier.RunPlan(vep, plan, opts.Opts)
 	vep.Close()
-	vrfEP.Close()
-	if sErr := <-serveErr; sErr != nil && err == nil {
-		return rep, fmt.Errorf("core: prover: %w", sErr)
+	link.Close()
+	if hErr := link.Err(); hErr != nil {
+		return rep, fmt.Errorf("core: prover: %w", hErr)
 	}
 	return rep, err
 }

@@ -64,20 +64,27 @@ func CRC32Serial(data []byte) uint32 {
 // multiply) implementation of the same polynomial.
 func CRC32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
-// Marshal serialises the frame with its FCS. Payloads beyond MaxPayload
-// are rejected; short frames are *not* padded (the model keeps payload
-// sizes exact, and WireBytes accounts for the 64-byte minimum).
-func (f *Frame) Marshal() ([]byte, error) {
+// Marshal serialises the frame with its FCS into a fresh slice; it is
+// AppendMarshal(nil).
+func (f *Frame) Marshal() ([]byte, error) { return f.AppendMarshal(nil) }
+
+// AppendMarshal appends the frame with its FCS to dst. Payloads beyond
+// MaxPayload are rejected; short frames are *not* padded (the model
+// keeps payload sizes exact, and WireBytes accounts for the 64-byte
+// minimum).
+func (f *Frame) AppendMarshal(dst []byte) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, fmt.Errorf("ethsim: payload %d exceeds MTU %d", len(f.Payload), MaxPayload)
 	}
-	out := make([]byte, 0, HeaderBytes+len(f.Payload)+FCSBytes)
-	out = append(out, f.Dst[:]...)
-	out = append(out, f.Src[:]...)
-	out = binary.BigEndian.AppendUint16(out, f.EtherType)
-	out = append(out, f.Payload...)
-	out = binary.BigEndian.AppendUint32(out, CRC32(out))
-	return out, nil
+	start := len(dst)
+	if need := start + HeaderBytes + len(f.Payload) + FCSBytes; cap(dst) < need {
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	dst = append(dst, f.Dst[:]...)
+	dst = append(dst, f.Src[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, f.EtherType)
+	dst = append(dst, f.Payload...)
+	return binary.BigEndian.AppendUint32(dst, CRC32(dst[start:])), nil
 }
 
 // Unmarshal parses a frame and verifies its FCS. The returned frame owns

@@ -93,6 +93,33 @@ func TestMarshalRejectsJumbo(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalNoAlloc: AppendMarshal into a large-enough buffer
+// allocates nothing, keeps the prefix, and appends exactly Marshal's
+// bytes.
+func TestAppendMarshalNoAlloc(t *testing.T) {
+	f := &Frame{Dst: MAC{1}, Src: MAC{2}, EtherType: EtherTypeSACHa, Payload: make([]byte, 329)}
+	rand.New(rand.NewSource(7)).Read(f.Payload)
+	want, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 2*len(want))
+	buf = append(buf, "prefix"...)
+	got, err := f.AppendMarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:6]) != "prefix" || string(got[6:]) != string(want) {
+		t.Fatal("AppendMarshal differs from prefix + Marshal")
+	}
+	if a := testing.AllocsPerRun(100, func() { f.AppendMarshal(buf[:0]) }); a != 0 {
+		t.Fatalf("AppendMarshal into a large-enough buffer allocates %.1f objects, want 0", a)
+	}
+	if _, err := (&Frame{Payload: make([]byte, MaxPayload+1)}).AppendMarshal(buf[:0]); err == nil {
+		t.Fatal("AppendMarshal accepted a jumbo payload")
+	}
+}
+
 // TestParseRejectsJumbo: a frame with a valid FCS but a payload beyond
 // MaxPayload is refused by both parsers — the bound Marshal enforces on
 // the way out holds on the way in.

@@ -785,19 +785,29 @@ func sessionOver(err error) bool {
 	return err == io.EOF || errors.Is(err, channel.ErrClosed) || errors.Is(err, channel.ErrReset)
 }
 
-// Serve answers commands from the endpoint until it closes. A peer that
-// disappears (EOF, closed or reset endpoint) ends the session cleanly:
-// the device outlives any one verifier connection.
+// Handler starts a session and returns the device as a function: each
+// call answers one wire request with the responses to ship, valid only
+// until the next call (see channel.Handler).
 //
 // Each session starts with fresh transport state: a half-accumulated MAC
 // or a cached sequence envelope left behind by a torn-down connection
 // would otherwise poison the next verifier's run (its first readback
 // continuing the dead session's checksum). The configuration memory
 // itself is untouched — only a power cycle reloads BootMem.
-func (d *Device) Serve(ep channel.Endpoint) error {
+func (d *Device) Handler() channel.Handler {
 	d.macActive = false
 	d.caps = 0
 	d.resetSeq()
+	return d.serveBytes
+}
+
+// Serve runs one session of Handler over an endpoint (Recv → handler →
+// Send) until the endpoint closes — the adapter for transports with a
+// real peer, such as TCP. A peer that disappears (EOF, closed or reset
+// endpoint) ends the session cleanly: the device outlives any one
+// verifier connection.
+func (d *Device) Serve(ep channel.Endpoint) error {
+	h := d.Handler()
 	for {
 		req, err := ep.Recv()
 		if err != nil {
@@ -806,7 +816,7 @@ func (d *Device) Serve(ep channel.Endpoint) error {
 			}
 			return err
 		}
-		resps, err := d.serveBytes(req)
+		resps, err := h(req)
 		if err != nil {
 			return err
 		}
