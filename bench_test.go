@@ -23,6 +23,9 @@ import (
 	"sacha/internal/device"
 	"sacha/internal/ethsim"
 	"sacha/internal/fabric"
+	"sacha/internal/fleet"
+	"sacha/internal/fleet/dispatch"
+	"sacha/internal/fleet/registry"
 	"sacha/internal/hwattest"
 	"sacha/internal/netlist"
 	"sacha/internal/obs/span"
@@ -30,7 +33,6 @@ import (
 	"sacha/internal/prover"
 	"sacha/internal/resources"
 	"sacha/internal/scrub"
-	"sacha/internal/swarm"
 	"sacha/internal/timing"
 	"sacha/internal/trace"
 	"sacha/internal/verifier"
@@ -361,9 +363,10 @@ func BenchmarkScrubCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkSwarmSweep attests a small fleet in parallel.
-func BenchmarkSwarmSweep(b *testing.B) {
-	fleet, err := swarm.NewFleet(4, func(id uint64) (*core.System, error) {
+// newBenchFleet provisions an n-member one-class SmallLX registry.
+func newBenchFleet(b *testing.B, n int) *registry.Static {
+	b.Helper()
+	reg, err := registry.New(n, func(id uint64) (*core.System, error) {
 		return core.NewSystem(core.Config{
 			Geo:        device.SmallLX(),
 			App:        netlist.Blinker(8),
@@ -376,13 +379,21 @@ func BenchmarkSwarmSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return reg
+}
+
+// BenchmarkFleetSweep attests a small fleet in parallel through a
+// one-shard dispatcher.
+func BenchmarkFleetSweep(b *testing.B) {
+	reg := newBenchFleet(b, 4)
+	disp := dispatch.New(dispatch.Config{Shards: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.AttestAll(true, nil)
+		rep, err := disp.Sweep(context.Background(), reg, fleet.SweepConfig{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.Healthy) != fleet.Size() {
+		if len(rep.Healthy) != reg.Size() {
 			b.Fatalf("unhealthy fleet: %v", rep.Compromised)
 		}
 	}
@@ -420,62 +431,28 @@ func BenchmarkPlanReuse(b *testing.B) {
 	})
 }
 
-// BenchmarkFleetPlan compares a fleet sweep that builds one plan per
-// device (cold) against the shared-plan sweep (one build per device
-// class), reporting the golden-image builds each sweep pays.
+// BenchmarkFleetPlan sweeps a one-class fleet at a pinned nonce and
+// reports the golden-image builds each sweep pays: one per device
+// class, not one per device.
 func BenchmarkFleetPlan(b *testing.B) {
-	newFleet := func(b *testing.B) *swarm.Fleet {
-		b.Helper()
-		fleet, err := swarm.NewFleet(6, func(id uint64) (*core.System, error) {
-			return core.NewSystem(core.Config{
-				Geo:        device.SmallLX(),
-				App:        netlist.Blinker(8),
-				KeyMode:    core.KeyStatPUF,
-				DeviceID:   id,
-				LabLatency: -1,
-				Seed:       int64(id),
-			})
-		})
+	reg := newBenchFleet(b, 6)
+	disp := dispatch.New(dispatch.Config{Shards: 1})
+	nonce := uint64(0xBEEF)
+	built := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := disp.Sweep(context.Background(), reg, fleet.SweepConfig{
+			Concurrency: 4, Nonce: &nonce,
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return fleet
+		if len(rep.Healthy) != reg.Size() {
+			b.Fatalf("unhealthy fleet: %v", rep.Compromised)
+		}
+		built = rep.PlansBuilt
 	}
-	b.Run("cold-plan", func(b *testing.B) {
-		fleet := newFleet(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep, err := fleet.Sweep(context.Background(), swarm.SweepConfig{Concurrency: 4}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rep.Healthy) != fleet.Size() {
-				b.Fatalf("unhealthy fleet: %v", rep.Compromised)
-			}
-		}
-		// Without SharePlans every device builds its own plan inside
-		// Attest: fleet-size golden-image builds per sweep.
-		b.ReportMetric(float64(fleet.Size()), "plan-builds/sweep")
-	})
-	b.Run("shared-plan", func(b *testing.B) {
-		fleet := newFleet(b)
-		nonce := uint64(0xBEEF)
-		built := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep, err := fleet.Sweep(context.Background(), swarm.SweepConfig{
-				Concurrency: 4, SharePlans: true, Nonce: &nonce,
-			}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rep.Healthy) != fleet.Size() {
-				b.Fatalf("unhealthy fleet: %v", rep.Compromised)
-			}
-			built = rep.PlansBuilt
-		}
-		b.ReportMetric(float64(built), "plan-builds/sweep")
-	})
+	b.ReportMetric(float64(built), "plan-builds/sweep")
 }
 
 // BenchmarkPlaceAndDecode measures the golden-image pipeline: place an

@@ -128,7 +128,6 @@ func main() {
 	template := fleet.SweepConfig{
 		Concurrency:      *concurrency,
 		PerDeviceTimeout: *timeout,
-		SharePlans:       true,
 		Freshness:        policy,
 		Compress:         *compress,
 	}

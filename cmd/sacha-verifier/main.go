@@ -34,7 +34,7 @@
 // patches the shared plan's nonce column per target (Plan.WithNonce), so
 // cross-device freshness still costs one plan build. per-device cannot
 // be combined with a pinned -nonce, and rotate-key is rejected here: PUF
-// re-enrollment needs the in-process fleet (swarm.SweepConfig), not a
+// re-enrollment needs the in-process fleet (fleet.SweepConfig), not a
 // TCP link.
 package main
 
@@ -119,7 +119,7 @@ func main() {
 	policy, err := attestation.ParseFreshnessPolicy(*freshness)
 	fatal(err)
 	if policy == attestation.RotateKey {
-		fatal(fmt.Errorf("-freshness rotate-key needs PUF re-enrollment on the prover; it is only available to in-process fleets (swarm.SweepConfig), not a TCP verifier"))
+		fatal(fmt.Errorf("-freshness rotate-key needs PUF re-enrollment on the prover; it is only available to in-process fleets (fleet.SweepConfig), not a TCP verifier"))
 	}
 	noncePinned := false
 	flag.Visit(func(f *flag.Flag) {

@@ -50,7 +50,7 @@ func fuzzPlan(t testing.TB) *attestation.Plan {
 //     must round-trip (parse(policy.String()) == policy) and be Valid.
 //   - Plan.WithNonce must stay path-independent and idempotent for ANY
 //     nonce — zero, all-ones, repeated, whatever the fuzzer finds —
-//     because the swarm patches a shared plan with attacker-observable
+//     because a fleet sweep patches a shared plan with attacker-observable
 //     nonces and any drift between patch orders would fork H_Vrf.
 func FuzzFreshnessPolicy(f *testing.F) {
 	f.Add("per-sweep", uint64(0), uint64(0))

@@ -30,7 +30,7 @@ import (
 	"sacha/internal/verifier"
 )
 
-// Handles on the swarm's sweep metric families (registration is
+// Handles on the dispatcher's sweep metric families (registration is
 // idempotent), used to audit the live metrics against the campaign
 // ledger — invariant 3.
 var (
@@ -59,7 +59,6 @@ type Engine struct {
 	reg     registry.Registry
 	disp    *dispatch.Dispatcher
 	sched   *Scheduler
-	cache   *attestation.PlanCache
 	led     *ledger
 	factory func(deviceID uint64) (*core.System, error)
 	// Durable-state harness (non-nil only when the scenario weights crash
@@ -155,9 +154,8 @@ func New(sc Scenario) (*Engine, error) {
 	}
 	e := &Engine{
 		sc:            sc,
-		disp:          dispatch.New(dispatch.Config{Shards: 1}),
+		disp:          dispatch.New(dispatch.Config{Shards: 1, PlanCacheSize: sc.PlanCacheSize}),
 		sched:         NewScheduler(sc),
-		cache:         attestation.NewPlanCache(sc.PlanCacheSize),
 		led:           newLedger(),
 		factory:       factory,
 		advByKey:      adv,
@@ -342,9 +340,7 @@ func (e *Engine) runSweep(ctx context.Context, ev Event) error {
 	}
 	cfg := fleet.SweepConfig{
 		Concurrency: e.sc.Concurrency,
-		SharePlans:  true,
 		Freshness:   ev.Freshness,
-		PlanCache:   e.cache,
 		Sessions:    &e.sessions,
 		Spans:       e.spans,
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"sacha/internal/swarm"
+	"sacha/internal/fleet"
 	"sacha/internal/verifier"
 )
 
@@ -140,9 +140,9 @@ func TestNewRejectsInvalidScenario(t *testing.T) {
 // TestClassify pins the zero-false-verdicts expectation table.
 func TestClassify(t *testing.T) {
 	var e Engine
-	healthy := swarm.DeviceResult{DeviceID: 1, Report: &verifier.Report{Accepted: true}}
-	compromised := swarm.DeviceResult{DeviceID: 1, Report: &verifier.Report{}}
-	unreachable := swarm.DeviceResult{DeviceID: 1, Err: &verifier.TransportError{Op: "x", Attempts: 1, Err: context.DeadlineExceeded}}
+	healthy := fleet.DeviceResult{DeviceID: 1, Report: &verifier.Report{Accepted: true}}
+	compromised := fleet.DeviceResult{DeviceID: 1, Report: &verifier.Report{}}
+	unreachable := fleet.DeviceResult{DeviceID: 1, Err: &verifier.TransportError{Op: "x", Attempts: 1, Err: context.DeadlineExceeded}}
 	faulted := map[uint64]DeviceFault{1: {Device: 1}}
 	none := map[uint64]DeviceFault{}
 
@@ -150,7 +150,7 @@ func TestClassify(t *testing.T) {
 		name     string
 		tampered bool
 		faults   map[uint64]DeviceFault
-		res      swarm.DeviceResult
+		res      fleet.DeviceResult
 		wantExp  string
 		wantOK   bool
 	}{

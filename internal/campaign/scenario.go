@@ -98,9 +98,10 @@ type Scenario struct {
 	// HeapCeilingMB is the bounded-memory invariant: HeapAlloc sampled
 	// between events must stay under this many MiB.
 	HeapCeilingMB int `json:"heap_ceiling_mb"`
-	// PlanCacheSize caps the shared attestation.PlanCache — deliberately
-	// small so the campaign proves memory stays bounded under cache
-	// churn rather than under an effectively unbounded cache.
+	// PlanCacheSize caps the dispatcher's PlanCache (the campaign runs
+	// one shard) — deliberately small so the campaign proves memory
+	// stays bounded under cache churn rather than under an effectively
+	// unbounded cache.
 	PlanCacheSize int     `json:"plan_cache_size"`
 	Weights       Weights `json:"weights"`
 }

@@ -245,7 +245,7 @@ func (s *Scheduler) churnPolicy() attestation.FreshnessPolicy {
 	return p
 }
 
-// drawDevice picks one fleet member (IDs are 1-based, swarm.NewFleet's
+// drawDevice picks one fleet member (IDs are 1-based, registry.New's
 // convention).
 func (s *Scheduler) drawDevice() uint64 {
 	return uint64(1 + s.rng.Intn(s.sc.Fleet))

@@ -66,7 +66,7 @@ func TestCrashRecoveryTwinEquivalence(t *testing.T) {
 
 	serial := dispatch.Config{Shards: 1}
 	cfg := func(policy attestation.FreshnessPolicy, base uint64, journal fleet.NonceSpender) fleet.SweepConfig {
-		c := fleet.SweepConfig{Concurrency: 1, SharePlans: true, Freshness: policy, Nonces: journal}
+		c := fleet.SweepConfig{Concurrency: 1, Freshness: policy, Nonces: journal}
 		if policy == attestation.PerSweep {
 			c.Nonce = &base
 		} else {

@@ -16,19 +16,19 @@ import (
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/fleet"
+	"sacha/internal/fleet/dispatch"
 	"sacha/internal/fleet/registry"
 	"sacha/internal/netlist"
 	"sacha/internal/scrub"
-	"sacha/internal/swarm"
 	"sacha/internal/verifier"
 )
 
 // deltaFleet provisions a small TinyLX fleet plus the delta sweep
 // configuration (shared plans, compressed transport, fresh trust
 // ledger) and a helper that pins a distinct nonce per sweep.
-func deltaFleet(t *testing.T, size int) (*swarm.Fleet, *fleet.SweepConfig) {
+func deltaFleet(t *testing.T, size int) (*registry.Static, *fleet.SweepConfig) {
 	t.Helper()
-	f, err := swarm.NewFleet(size, func(id uint64) (*core.System, error) {
+	f, err := registry.New(size, func(id uint64) (*core.System, error) {
 		return core.NewSystem(core.Config{
 			Geo:        device.TinyLX(),
 			App:        netlist.Blinker(8),
@@ -43,7 +43,6 @@ func deltaFleet(t *testing.T, size int) (*swarm.Fleet, *fleet.SweepConfig) {
 	}
 	cfg := &fleet.SweepConfig{
 		Concurrency: 4,
-		SharePlans:  true,
 		Delta:       true,
 		Compress:    true,
 		Trust:       registry.NewTrustLedger(),
@@ -53,10 +52,10 @@ func deltaFleet(t *testing.T, size int) (*swarm.Fleet, *fleet.SweepConfig) {
 
 // sweepOnce runs one pinned-nonce sweep and requires every device healthy
 // unless the caller inspects the report itself.
-func sweepOnce(t *testing.T, f *swarm.Fleet, cfg *fleet.SweepConfig, nonce uint64) *fleet.Report {
+func sweepOnce(t *testing.T, f *registry.Static, cfg *fleet.SweepConfig, nonce uint64) *fleet.Report {
 	t.Helper()
 	cfg.Nonce = &nonce
-	rep, err := f.Sweep(context.Background(), *cfg, nil)
+	rep, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(context.Background(), f, *cfg, nil)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

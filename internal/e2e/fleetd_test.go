@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,7 +91,6 @@ func TestFleetdControlAPISmoke(t *testing.T) {
 		Dispatcher: dispatch.New(dispatch.Config{Shards: 4, PlanCacheSize: 4}),
 		Template: fleet.SweepConfig{
 			Concurrency: 4,
-			SharePlans:  true,
 			Freshness:   attestation.PerDevice,
 		},
 		Opts:       tamper,
@@ -204,6 +204,22 @@ func TestFleetdControlAPISmoke(t *testing.T) {
 		t.Fatalf("history: %d records, newest %d", len(history.Sweeps), history.Sweeps[0].ID)
 	}
 
+	// An oversized body is refused before it is buffered, and no sweep
+	// runs for it.
+	huge := `{"class":"` + strings.Repeat("a", 1<<20) + `"}`
+	resp, err = http.Post(base+"/fleet/sweep", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB POST /fleet/sweep answered %d, want 413", resp.StatusCode)
+	}
+	getJSON(t, base+"/fleet/sweeps", &history)
+	if len(history.Sweeps) != 2 {
+		t.Fatalf("oversized request ran a sweep: %d records", len(history.Sweeps))
+	}
+
 	// Shutdown: drain must complete (sessions joined) and the API must
 	// refuse sweeps while it does.
 	cancel()
@@ -236,7 +252,7 @@ func TestFleetdScheduledSweeps(t *testing.T) {
 	}
 	daemon := fleetd.New(fleetd.Config{
 		Registry: reg,
-		Template: fleet.SweepConfig{Concurrency: 2, SharePlans: true},
+		Template: fleet.SweepConfig{Concurrency: 2},
 		Scheduler: scheduler.Config{
 			Default: scheduler.Cadence{Every: 30 * time.Millisecond, Jitter: 10 * time.Millisecond},
 			Seed:    7,

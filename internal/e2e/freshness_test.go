@@ -9,18 +9,20 @@ import (
 	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
+	"sacha/internal/fleet"
+	"sacha/internal/fleet/dispatch"
+	"sacha/internal/fleet/registry"
 	"sacha/internal/netlist"
 	"sacha/internal/prover"
-	"sacha/internal/swarm"
 	"sacha/internal/verifier"
 )
 
 // freshnessFleet provisions a TinyLX fleet in the DynPart-PUF key mode,
 // the only provisioning all three freshness policies (including
 // RotateKey) can run against.
-func freshnessFleet(t testing.TB, size int) *swarm.Fleet {
+func freshnessFleet(t testing.TB, size int) *registry.Static {
 	t.Helper()
-	f, err := swarm.NewFleet(size, func(id uint64) (*core.System, error) {
+	f, err := registry.New(size, func(id uint64) (*core.System, error) {
 		return core.NewSystem(core.Config{
 			Geo:        device.TinyLX(),
 			App:        netlist.Blinker(8),
@@ -71,9 +73,8 @@ func TestFreshnessPoliciesFaultMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", pol, k), func(t *testing.T) {
 				t.Parallel()
 				f := freshnessFleet(t, len(phaseIndex))
-				rep, err := f.Sweep(t.Context(), swarm.SweepConfig{
+				rep, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(t.Context(), f, fleet.SweepConfig{
 					Concurrency: len(phaseIndex),
-					SharePlans:  true,
 					Freshness:   pol,
 				}, func(id uint64) core.AttestOptions {
 					idx := phaseIndex[(id-1)%uint64(len(phaseIndex))]
@@ -108,9 +109,8 @@ func TestFreshnessPoliciesIsolateTamper(t *testing.T) {
 	for _, pol := range allPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
 			f := freshnessFleet(t, size)
-			rep, err := f.Sweep(t.Context(), swarm.SweepConfig{
+			rep, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(t.Context(), f, fleet.SweepConfig{
 				Concurrency: size,
-				SharePlans:  true,
 				Freshness:   pol,
 			}, func(id uint64) core.AttestOptions {
 				if id != bad {
@@ -154,9 +154,8 @@ func TestPerSweepMatchesLockstepBaseline(t *testing.T) {
 		baseline[id] = rep.HVrf
 	}
 
-	rep, err := f.Sweep(t.Context(), swarm.SweepConfig{
+	rep, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(t.Context(), f, fleet.SweepConfig{
 		Concurrency: size,
-		SharePlans:  true,
 		Nonce:       &nonce,
 		// Freshness deliberately unset: the zero value must be PerSweep.
 	}, nil)
@@ -185,9 +184,8 @@ func TestPerDeviceMatchesDirectAttest(t *testing.T) {
 	for _, pol := range []attestation.FreshnessPolicy{attestation.PerDevice, attestation.RotateKey} {
 		t.Run(pol.String(), func(t *testing.T) {
 			f := freshnessFleet(t, size)
-			rep, err := f.Sweep(t.Context(), swarm.SweepConfig{
+			rep, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(t.Context(), f, fleet.SweepConfig{
 				Concurrency: size,
-				SharePlans:  true,
 				Freshness:   pol,
 			}, nil)
 			if err != nil {

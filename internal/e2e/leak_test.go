@@ -10,9 +10,11 @@ import (
 
 	"sacha/internal/core"
 	"sacha/internal/device"
+	"sacha/internal/fleet"
+	"sacha/internal/fleet/dispatch"
+	"sacha/internal/fleet/registry"
 	"sacha/internal/netlist"
 	"sacha/internal/obs"
-	"sacha/internal/swarm"
 	"sacha/internal/verifier"
 )
 
@@ -24,7 +26,7 @@ import (
 // campaign hammers thousands of times — one stuck session per kill
 // would otherwise accumulate into an unbounded-memory failure.
 func TestSweepCancellationLeaksNothing(t *testing.T) {
-	fleet, err := swarm.NewFleet(8, func(id uint64) (*core.System, error) {
+	reg, err := registry.New(8, func(id uint64) (*core.System, error) {
 		return core.NewSystem(core.Config{
 			Geo:        device.TinyLX(),
 			App:        netlist.Blinker(8),
@@ -46,9 +48,8 @@ func TestSweepCancellationLeaksNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
-	_, err = fleet.Sweep(ctx, swarm.SweepConfig{
+	_, err = dispatch.New(dispatch.Config{Shards: 1}).Sweep(ctx, reg, fleet.SweepConfig{
 		Concurrency: 4,
-		SharePlans:  true,
 		Sessions:    &sessions,
 	}, func(id uint64) core.AttestOptions {
 		// Cut the sweep down after the third device starts, with workers
@@ -99,7 +100,7 @@ func TestSweepCancellationLeaksNothing(t *testing.T) {
 
 	// No stuck in-flight accounting: both gauges read zero once the
 	// stragglers drained. (Registration is idempotent — these resolve to
-	// the families swarm and attestation already registered.)
+	// the families dispatch and attestation already registered.)
 	sweepInflight := obs.Default().Gauge("sacha_sweep_inflight",
 		"Device attestations currently running in fleet sweeps.")
 	windowInflight := obs.Default().Gauge("sacha_attest_window_inflight",

@@ -61,7 +61,6 @@ func TestFlightRecorderOnTamperedSweep(t *testing.T) {
 		Dispatcher: dispatch.New(dispatch.Config{Shards: 2, PlanCacheSize: 4}),
 		Template: fleet.SweepConfig{
 			Concurrency: 4,
-			SharePlans:  true,
 			Freshness:   attestation.PerDevice,
 			NonceSeed:   &seed,
 			Spans:       col,
@@ -207,7 +206,6 @@ func TestPerfettoExportDeterminism(t *testing.T) {
 			// tags are then pure functions of the membership, which is
 			// what lets the whole export be compared byte for byte.
 			Concurrency: 1,
-			SharePlans:  true,
 			Freshness:   attestation.PerDevice,
 			NonceSeed:   &seed,
 			Spans:       col,

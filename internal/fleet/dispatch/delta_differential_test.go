@@ -73,7 +73,6 @@ func TestDeltaDifferentialMatchesFullOverwrite(t *testing.T) {
 			}
 			cfgDelta := fleet.SweepConfig{
 				Concurrency: 8,
-				SharePlans:  true,
 				Freshness:   policy,
 				Delta:       true,
 				Compress:    true,
@@ -81,7 +80,6 @@ func TestDeltaDifferentialMatchesFullOverwrite(t *testing.T) {
 			}
 			cfgPlain := fleet.SweepConfig{
 				Concurrency: 8,
-				SharePlans:  true,
 				Freshness:   policy,
 			}
 			pin := func(cfgs []*fleet.SweepConfig, v uint64) {

@@ -12,7 +12,6 @@ import (
 	"sacha/internal/fleet/registry"
 	"sacha/internal/netlist"
 	"sacha/internal/prover"
-	"sacha/internal/swarm"
 )
 
 // diffFactory provisions the differential fleet: 32 devices, mixed
@@ -52,10 +51,10 @@ func tamperOpts(lookup func(uint64) (*core.System, bool), tampered map[uint64]bo
 	}
 }
 
-// TestDifferentialShardedEqualsSingleEngine is the facade contract of
-// the layered refactor: over a 32-device mixed-geometry fleet, a
+// TestDifferentialShardedEqualsSingleEngine is the sharding contract of
+// the one sweep engine: over a 32-device mixed-geometry fleet, a
 // 4-shard dispatch sweep must produce verdicts AND per-device H_Vrf
-// bit-identical to the single-engine swarm.Sweep baseline, under all
+// bit-identical to the one-shard dispatcher baseline, under all
 // three freshness policies, tampered members included. Per-device
 // nonces are pinned through SweepConfig (Nonce for PerSweep, NonceSeed
 // for the patch policies), so every difference that could appear here
@@ -69,7 +68,7 @@ func TestDifferentialShardedEqualsSingleEngine(t *testing.T) {
 	for _, policy := range policies {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
-			baseline, err := swarm.NewFleet(size, diffFactory)
+			baseline, err := registry.New(size, diffFactory)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +78,6 @@ func TestDifferentialShardedEqualsSingleEngine(t *testing.T) {
 			}
 			cfg := fleet.SweepConfig{
 				Concurrency: 8,
-				SharePlans:  true,
 				Freshness:   policy,
 			}
 			if policy == attestation.PerSweep {
@@ -90,8 +88,8 @@ func TestDifferentialShardedEqualsSingleEngine(t *testing.T) {
 				cfg.NonceSeed = &seed
 			}
 
-			single, err := baseline.Sweep(context.Background(), cfg,
-				tamperOpts(baseline.System, tampered))
+			single, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(
+				context.Background(), baseline, cfg, tamperOpts(baseline.System, tampered))
 			if err != nil {
 				t.Fatalf("single-engine sweep: %v", err)
 			}

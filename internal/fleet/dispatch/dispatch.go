@@ -7,12 +7,14 @@
 // shard's queue first and then steal from other shards' tails, so a
 // shard full of stragglers cannot idle the rest of the pool.
 //
-// The dispatcher preserves the single-engine sweep semantics exactly:
-// one bounded worker pool of SweepConfig.Concurrency sessions across
-// ALL shards, per-device deadlines, and the same verdict taxonomy —
-// which is what lets swarm.Fleet.Sweep collapse to a one-shard call of
-// this engine, and what the differential test (sharded ≡ single-engine,
-// verdicts and H_Vrf bit-identical) pins down.
+// Every sweep attests through shared per-class plans: one plan per
+// device class, built (or fetched from the shard's cache) before the
+// worker pool starts, so every nonce the sweep issues is drawn where
+// the anti-replay journal can spend it. The shard count changes only
+// placement: one bounded worker pool of SweepConfig.Concurrency
+// sessions across ALL shards, per-device deadlines, and the same
+// verdict taxonomy. The one-shard dispatcher is the differential
+// baseline (sharded ≡ one shard, verdicts and H_Vrf bit-identical).
 package dispatch
 
 import (
@@ -39,8 +41,8 @@ import (
 // recent sweep. The class gauges are overwritten sweep by sweep — they
 // answer "how healthy is each device class right now", while the
 // counters accumulate across sweeps. The families keep their historic
-// names (the engine moved here from internal/swarm; dashboards and the
-// campaign metric audit did not move).
+// names (sacha_sweep_*; dashboards and the campaign metric audit key
+// on them).
 var (
 	mSweepInflight = obs.Default().Gauge("sacha_sweep_inflight",
 		"Device attestations currently running in fleet sweeps.")
@@ -68,15 +70,13 @@ var (
 
 // Config shapes a Dispatcher.
 type Config struct {
-	// Shards is the number of verifier shards; values < 1 mean 1 (the
-	// single-engine layout the swarm facade uses).
+	// Shards is the number of verifier shards; values < 1 mean 1.
 	Shards int
 	// PlanCacheSize, when > 0, gives every shard its own PlanCache of
 	// that capacity, persisting across sweeps — the warm path of a
-	// long-lived dispatcher (sacha-fleetd): after the first sweep every
-	// shard serves its classes from its own cache and builds zero
-	// plans. A SweepConfig.PlanCache, when set, overrides these and is
-	// shared by all shards (the campaign harness's layout).
+	// long-lived dispatcher (sacha-fleetd, the campaign harness): after
+	// the first sweep every shard serves its classes from its own cache
+	// and builds zero plans.
 	PlanCacheSize int
 }
 
@@ -181,36 +181,12 @@ func validate(st *sweepState) error {
 			}
 		}
 	}
-	if cfg.Delta {
-		// The delta artifacts (scan steps, expected raw frames, the
-		// pre-encoded nonce-frame rewrite) live in the shared per-class
-		// plan, and the admissibility precondition is per-device state only
-		// the ledger carries — neither half works without its config.
-		if !cfg.SharePlans {
-			return fmt.Errorf("sweep: Delta requires SharePlans (delta artifacts live in the shared per-class plan)")
-		}
-		if cfg.Trust == nil {
-			return fmt.Errorf("sweep: Delta requires a Trust ledger (every session would fall back cold without recorded warmth)")
-		}
-	}
-	if cfg.Nonces != nil && !cfg.SharePlans {
-		// The legacy per-device-plan path draws its nonces deep inside
-		// core.System.Attest, where no journal can intercept them — a
-		// Nonces config there would silently journal nothing.
-		return fmt.Errorf("sweep: Nonces (anti-replay journal) requires SharePlans — only the shared-plan path issues its nonces where the sweep can spend them")
+	if cfg.Delta && cfg.Trust == nil {
+		// The delta admissibility precondition is per-device state only
+		// the ledger carries.
+		return fmt.Errorf("sweep: Delta requires a Trust ledger (every session would fall back cold without recorded warmth)")
 	}
 	return nil
-}
-
-// route assigns every device class to a shard, balancing by device
-// count: classes are placed biggest-first onto the currently lightest
-// shard (ties break on class key, then shard index), so a two-class
-// fleet on a two-shard dispatcher always splits one class per shard.
-// The assignment is a pure function of the membership — the property
-// that keeps a class's plans landing on the same shard sweep after
-// sweep, which is what makes the per-shard caches worth owning.
-func route(st *sweepState, shards int) map[string]int {
-	return routeClasses(st.classes, shards)
 }
 
 // RouteClasses computes the class→shard assignment the dispatcher
@@ -229,8 +205,15 @@ func RouteClasses(reg registry.Registry, shards int) map[string]int {
 	return routeClasses(classes, shards)
 }
 
-// routeClasses is the shared assignment: one entry per device (not per
-// class), so class weights fall out of the multiplicity.
+// routeClasses assigns every device class to a shard, balancing by
+// device count: classes are placed biggest-first onto the currently
+// lightest shard (ties break on class key, then shard index), so a
+// two-class fleet on a two-shard dispatcher always splits one class
+// per shard. classes holds one entry per device (not per class), so
+// class weights fall out of the multiplicity. The assignment is a pure
+// function of the membership — the property that keeps a class's plans
+// landing on the same shard sweep after sweep, which is what makes the
+// per-shard caches worth owning.
 func routeClasses(classes []string, shards int) map[string]int {
 	count := make(map[string]int)
 	for _, c := range classes {
@@ -261,9 +244,9 @@ func routeClasses(classes []string, shards int) map[string]int {
 	return assign
 }
 
-// buildPlans constructs (or fetches from a cache) one shared plan per
-// device class, attributing build/hit counts to the class's shard.
-// Under PerSweep the plan bakes in the sweep nonce; under
+// buildPlans constructs (or fetches from the shard's cache) one shared
+// plan per device class, attributing build/hit counts to the class's
+// shard. Under PerSweep the plan bakes in the sweep nonce; under
 // PerDevice/RotateKey it is a nonce-patchable base (built from
 // PatchableSpec, cache-keyed nonce-free) that attestOne re-nonces per
 // device. A class whose plan fails to build carries the error to every
@@ -290,11 +273,7 @@ func (d *Dispatcher) buildPlans(st *sweepState, classShard map[string]int) {
 			st.plans[key] = planEntry{err: err}
 			continue
 		}
-		cache := cfg.PlanCache
-		if cache == nil {
-			cache = d.caches[shard]
-		}
-		if cache != nil {
+		if cache := d.caches[shard]; cache != nil {
 			p, didBuild, err := cache.GetOrBuild(spec)
 			st.plans[key] = planEntry{plan: p, patch: patchable, err: err}
 			if err == nil {
@@ -382,7 +361,7 @@ func (d *Dispatcher) Sweep(ctx context.Context, reg registry.Registry, cfg fleet
 			st.classes[i], _ = reg.ClassOf(id)
 		}
 	}
-	if cfg.SharePlans && cfg.Freshness == attestation.PerSweep {
+	if cfg.Freshness == attestation.PerSweep {
 		// The single sweep nonce is drawn here (not in buildPlans) so the
 		// anti-replay journal can spend it before any plan or session
 		// exists: a replayed sweep nonce aborts the sweep with no device
@@ -413,7 +392,7 @@ func (d *Dispatcher) Sweep(ctx context.Context, reg registry.Registry, cfg fleet
 		st.root.SetTag("shards", strconv.Itoa(d.shards))
 		st.root.SetTag("freshness", cfg.Freshness.String())
 	}
-	classShard := route(st, d.shards)
+	classShard := routeClasses(st.classes, d.shards)
 	st.queues = make([]*queue, d.shards)
 	for s := range st.queues {
 		st.queues[s] = &queue{}
@@ -433,15 +412,11 @@ func (d *Dispatcher) Sweep(ctx context.Context, reg registry.Registry, cfg fleet
 		st.stats[s].Classes = seen
 		mRouted.With(strconv.Itoa(s)).Add(uint64(st.stats[s].Routed))
 	}
-	if cfg.SharePlans {
-		d.buildPlans(st, classShard)
-		for s := range st.stats {
-			mShardPlansBuilt.With(strconv.Itoa(s)).Add(uint64(st.stats[s].PlansBuilt))
-			mShardCacheHits.With(strconv.Itoa(s)).Add(uint64(st.stats[s].PlanCacheHits))
-		}
-	}
+	d.buildPlans(st, classShard)
 	var plansBuilt, planCacheHits int
 	for s := range st.stats {
+		mShardPlansBuilt.With(strconv.Itoa(s)).Add(uint64(st.stats[s].PlansBuilt))
+		mShardCacheHits.With(strconv.Itoa(s)).Add(uint64(st.stats[s].PlanCacheHits))
 		plansBuilt += st.stats[s].PlansBuilt
 		planCacheHits += st.stats[s].PlanCacheHits
 	}
@@ -456,7 +431,7 @@ func (d *Dispatcher) Sweep(ctx context.Context, reg registry.Registry, cfg fleet
 		cfg.Tracker.Begin(targets)
 	}
 	obs.Logger().Info("sweep start", "devices", len(order), "workers", workers,
-		"shards", d.shards, "share_plans", cfg.SharePlans, "freshness", cfg.Freshness.String(),
+		"shards", d.shards, "freshness", cfg.Freshness.String(),
 		"plans_built", plansBuilt, "plan_cache_hits", planCacheHits, "keys_rotated", keysRotated)
 
 	var wg sync.WaitGroup
@@ -584,7 +559,7 @@ func (d *Dispatcher) runWorker(ctx context.Context, st *sweepState, worker int, 
 const sessionEventCap = 512
 
 // attestOne runs a single device attestation under the sweep's deadline
-// discipline, through the class's shared plan when the sweep built one.
+// discipline, through the class's shared plan.
 func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, worker int, o core.AttestOptions) (res fleet.DeviceResult) {
 	cfg := st.cfg
 	t0 := time.Now()
@@ -690,42 +665,35 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 			o.Opts.DeltaMaxRewrite = cfg.PlanOpts.DeltaMaxRewrite
 		}
 	}
-	attest := sys.Attest
+	entry := st.plans[class]
+	if entry.err != nil {
+		return fleet.DeviceResult{DeviceID: id, Err: fmt.Errorf("sweep: plan for device %d: %w", id, entry.err), Elapsed: time.Since(t0)}
+	}
+	plan := entry.plan
 	var patched bool
 	var deviceNonce uint64
-	if st.plans != nil {
-		entry := st.plans[class]
-		if entry.err != nil {
-			return fleet.DeviceResult{DeviceID: id, Err: fmt.Errorf("sweep: plan for device %d: %w", id, entry.err), Elapsed: time.Since(t0)}
-		}
-		plan := entry.plan
-		if entry.patch {
-			// Per-device freshness: re-nonce the class's shared plan for
-			// this device. The patch is O(nonce column) and never mutates
-			// the base, so concurrent workers patch the same plan freely.
-			// The nonce derives from the sweep base — a pure function of
-			// (base, device), identical no matter which shard or worker
-			// runs the device.
-			deviceNonce = fleet.DeviceNonce(st.nonceBase, id)
-			if cfg.Nonces != nil {
-				// Spend the derived nonce before it configures anything: a
-				// replay (e.g. the same NonceSeed re-submitted after a
-				// restart) fails this device, it is never attested under the
-				// journaled nonce.
-				if err := cfg.Nonces.Spend(deviceNonce); err != nil {
-					mNonceReplays.Inc()
-					return fleet.DeviceResult{DeviceID: id, Err: &fleet.NonceReplayError{DeviceID: id, Nonce: deviceNonce, Err: err}, Elapsed: time.Since(t0), Nonce: deviceNonce}
-				}
+	if entry.patch {
+		// Per-device freshness: re-nonce the class's shared plan for this
+		// device. The patch is O(nonce column) and never mutates the base,
+		// so concurrent workers patch the same plan freely. The nonce
+		// derives from the sweep base — a pure function of (base, device),
+		// identical no matter which shard or worker runs the device.
+		deviceNonce = fleet.DeviceNonce(st.nonceBase, id)
+		if cfg.Nonces != nil {
+			// Spend the derived nonce before it configures anything: a
+			// replay (e.g. the same NonceSeed re-submitted after a restart)
+			// fails this device, it is never attested under the journaled
+			// nonce.
+			if err := cfg.Nonces.Spend(deviceNonce); err != nil {
+				mNonceReplays.Inc()
+				return fleet.DeviceResult{DeviceID: id, Err: &fleet.NonceReplayError{DeviceID: id, Nonce: deviceNonce, Err: err}, Elapsed: time.Since(t0), Nonce: deviceNonce}
 			}
-			pp, err := plan.WithNonce(deviceNonce)
-			if err != nil {
-				return fleet.DeviceResult{DeviceID: id, Err: fmt.Errorf("sweep: patching nonce for device %d: %w", id, err), Elapsed: time.Since(t0)}
-			}
-			plan, patched = pp, true
 		}
-		attest = func(o core.AttestOptions) (*attestation.Report, error) {
-			return sys.AttestWithPlan(plan, o)
+		pp, err := plan.WithNonce(deviceNonce)
+		if err != nil {
+			return fleet.DeviceResult{DeviceID: id, Err: fmt.Errorf("sweep: patching nonce for device %d: %w", id, err), Elapsed: time.Since(t0)}
 		}
+		plan, patched = pp, true
 	}
 	dctx := ctx
 	if cfg.PerDeviceTimeout > 0 {
@@ -745,7 +713,7 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 		if cfg.Sessions != nil {
 			defer cfg.Sessions.Done()
 		}
-		rep, err := attest(o)
+		rep, err := sys.AttestWithPlan(plan, o)
 		done <- outcome{rep, err}
 	}()
 	select {

@@ -56,7 +56,7 @@ func mustSweep(t testing.TB, d *Dispatcher, reg registry.Registry, cfg fleet.Swe
 func TestClassAffinityRouting(t *testing.T) {
 	reg := mustRegistry(t, 8, mixedFactory)
 	d := New(Config{Shards: 2})
-	rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 4, SharePlans: true}, nil)
+	rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 4}, nil)
 	if len(rep.Healthy) != 8 {
 		t.Fatalf("healthy=%v failed=%v unreachable=%v", rep.Healthy, rep.Failed, rep.Unreachable)
 	}
@@ -94,7 +94,6 @@ func TestWarmShardCachesBuildZeroPlans(t *testing.T) {
 	d := New(Config{Shards: 2, PlanCacheSize: 4})
 	cfg := fleet.SweepConfig{
 		Concurrency: 4,
-		SharePlans:  true,
 		Freshness:   attestation.PerDevice,
 	}
 	first := mustSweep(t, d, reg, cfg, nil)
@@ -199,7 +198,7 @@ func TestWorkStealingDeterministic(t *testing.T) {
 			},
 		}
 	}
-	rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 2, SharePlans: true}, opts)
+	rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 2}, opts)
 	if len(rep.Healthy) != 5 {
 		t.Fatalf("healthy=%v unreachable=%v failed=%v", rep.Healthy, rep.Unreachable, rep.Failed)
 	}

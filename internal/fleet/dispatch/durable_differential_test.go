@@ -49,7 +49,6 @@ func TestDurableRegistryEqualsStatic(t *testing.T) {
 
 			cfg := fleet.SweepConfig{
 				Concurrency: 8,
-				SharePlans:  true,
 				Freshness:   policy,
 			}
 			if policy == attestation.PerSweep {

@@ -6,10 +6,10 @@
 //	scheduler — scheduled/continuous sweep loops (per-class cadence)
 //	dispatch  — N verifier shards, class-affinity routing, work stealing
 //
-// with swarm.Fleet surviving as a thin single-shard facade so existing
-// callers (the verifier CLI, the campaign harness, the e2e rigs) keep
-// working unchanged. The types live here, below all three layers, so
-// the facade can alias them without an import cycle.
+// A fleet sweep is dispatch.Dispatcher.Sweep over a registry.Registry;
+// a one-shard dispatcher is the single-engine layout. The types live
+// here, below all three layers, so each layer can use them without an
+// import cycle.
 package fleet
 
 import (
@@ -37,7 +37,7 @@ type NoncePolicyError struct {
 }
 
 func (e *NoncePolicyError) Error() string {
-	return fmt.Sprintf("swarm: SweepConfig pins a nonce but selects the %s freshness policy — a pinned nonce implies per-sweep freshness; drop the pin or the policy", e.Policy)
+	return fmt.Sprintf("fleet: SweepConfig pins a nonce but selects the %s freshness policy — a pinned nonce implies per-sweep freshness; drop the pin or the policy", e.Policy)
 }
 
 // NonceSpender is the anti-replay journal the sweep consults before a
@@ -78,7 +78,7 @@ type KeyModeError struct {
 }
 
 func (e *KeyModeError) Error() string {
-	return fmt.Sprintf("swarm: freshness policy rotate-key requires the DynPart-PUF key mode on every member, but device %d uses key mode %d", e.DeviceID, e.Mode)
+	return fmt.Sprintf("fleet: freshness policy rotate-key requires the DynPart-PUF key mode on every member, but device %d uses key mode %d", e.DeviceID, e.Mode)
 }
 
 // DeviceResult is the outcome for one fleet member.
@@ -92,14 +92,13 @@ type DeviceResult struct {
 	Elapsed time.Duration
 	// PlanPatched reports that this device was attested through a
 	// WithNonce patch of its class's shared plan (PerDevice or RotateKey
-	// freshness under SharePlans); Nonce is then the per-device nonce
-	// the patch encoded.
+	// freshness); Nonce is then the per-device nonce the patch encoded.
 	PlanPatched bool
 	Nonce       uint64
 	// Shard is the dispatcher shard whose plan served this device and
 	// Worker the pool worker that ran the session. Stolen devices keep
 	// the victim's Shard (the plan they attested through) while Worker
-	// names the thief. Single-engine sweeps report shard 0.
+	// names the thief. One-shard sweeps report shard 0.
 	Shard, Worker int
 }
 
@@ -172,7 +171,7 @@ type Report struct {
 	// plan problem, one with Compromised members at an attack.
 	PerClass map[string]ClassHealth
 	// PerShard is the dispatcher's shard-by-shard accounting, indexed by
-	// shard. Single-engine sweeps report exactly one entry.
+	// shard. One-shard sweeps report exactly one entry.
 	PerShard []ShardStats
 	// Retries and TransportFaults aggregate the per-run transport
 	// counters across the fleet, so sweep-level fault pressure is
@@ -181,11 +180,11 @@ type Report struct {
 	// Elapsed is the wall time of the sweep.
 	Elapsed time.Duration
 	// PlansBuilt counts the attestation plans actually constructed for the
-	// sweep: one per device class under SharePlans, fewer (down to zero)
-	// when a PlanCache serves classes it has seen before.
+	// sweep: one per device class, fewer (down to zero) when a shard's
+	// PlanCache serves classes it has seen before.
 	PlansBuilt int
-	// PlanCacheHits counts device classes whose plan came out of the
-	// sweep's PlanCache instead of being built.
+	// PlanCacheHits counts device classes whose plan came out of a
+	// shard's PlanCache instead of being built.
 	PlanCacheHits int
 	// PlanPatches counts devices attested through a WithNonce patch of
 	// their class's shared plan — the per-device freshness rotations that
@@ -224,26 +223,17 @@ type SweepConfig struct {
 	// PerDeviceTimeout bounds each device's attestation; expired devices
 	// are reported Unreachable. Zero means no per-device deadline.
 	PerDeviceTimeout time.Duration
-	// SharePlans, when set, builds one attestation.Plan per device class
-	// (same geometry, application, build, key mode, ROM — see
-	// core.System.ClassKey) before the worker pool starts, and shares it
-	// read-only across all concurrent per-device Runs. The whole sweep
-	// then uses one nonce and one set of plan-shaping options (PlanOpts);
-	// per-device AttestOptions contribute only their per-run knobs
-	// (Retry, Trace, adversary and channel hooks). This converts the
-	// golden-image work from O(fleet × fabric) to O(classes × fabric).
+	// Deprecated: ignored; every sweep shares per-class plans.
 	SharePlans bool
-	// Nonce fixes the sweep nonce under SharePlans; nil draws a fresh
-	// one. Ignored when SharePlans is unset (each device then draws its
-	// own nonce as before). A pinned Nonce is only meaningful under the
-	// PerSweep freshness policy; combining it with PerDevice or
+	// Nonce fixes the sweep nonce under the PerSweep freshness policy;
+	// nil draws a fresh one. Combining a pinned Nonce with PerDevice or
 	// RotateKey is a NoncePolicyError.
 	Nonce *uint64
 	// NonceSeed pins the base of the per-device nonce derivation under
 	// the PerDevice and RotateKey policies: device d's nonce is then
 	// DeviceNonce(*NonceSeed, d) — still distinct per device, but
 	// reproducible, which is what lets a sharded dispatch be proven
-	// bit-identical (verdicts AND H_Vrf) to a single-engine sweep. Nil
+	// bit-identical (verdicts AND H_Vrf) to a one-shard sweep. Nil
 	// draws a random base per sweep. Ignored under PerSweep, where
 	// Nonce already pins the single sweep nonce.
 	NonceSeed *uint64
@@ -255,17 +245,16 @@ type SweepConfig struct {
 	// the sweep, which rebuilds each class's plan once). RotateKey
 	// requires every member to use core.KeyDynPUF.
 	Freshness attestation.FreshnessPolicy
-	// PlanOpts are the fleet-wide plan-shaping options under SharePlans
-	// (Offset, Permutation, AppSteps, SignatureMode, ConfigBatch).
+	// PlanOpts are the fleet-wide plan-shaping options (Offset,
+	// Permutation, AppSteps, SignatureMode, ConfigBatch). Every sweep
+	// builds one attestation.Plan per device class (same geometry,
+	// application, build, key mode, ROM — see core.System.ClassKey)
+	// before the worker pool starts and shares it read-only across the
+	// concurrent per-device Runs, so per-device AttestOptions contribute
+	// only their per-run knobs (Retry, Trace, adversary and channel
+	// hooks). The golden-image work is O(classes × fabric), not
+	// O(fleet × fabric).
 	PlanOpts verifier.Options
-	// PlanCache, if non-nil under SharePlans, caches built plans across
-	// sweeps keyed by (golden-image digest, geometry, options hash). A
-	// repeated sweep with a pinned Nonce then builds zero plans — the
-	// cache returns the previous sweep's plans, and Report.PlansBuilt /
-	// PlanCacheHits make the split observable. When set it is shared by
-	// every shard; when nil, a dispatcher created with a per-shard cache
-	// size serves each shard from its own cache instead.
-	PlanCache *attestation.PlanCache
 	// Tracker, if non-nil, follows the sweep live: per-device
 	// pending/running/done states with verdicts, served by the verifier
 	// CLI and sacha-fleetd as the /debug/sweep snapshot.
@@ -285,8 +274,8 @@ type SweepConfig struct {
 	// Delta opts the sweep into delta configuration: devices the Trust
 	// ledger marks warm for their current class are scanned and get only
 	// their nonce frames rewritten; everything else (cold devices, drift,
-	// missing capability) falls back to the full overwrite. Requires
-	// SharePlans (the delta artifacts live in the shared plan).
+	// missing capability) falls back to the full overwrite. The delta
+	// artifacts live in the shared per-class plan.
 	Delta bool
 	// Trust is the fleet's delta-admissibility ledger. Required when
 	// Delta is set: without recorded warmth every session would fall back
@@ -311,9 +300,7 @@ type SweepConfig struct {
 	// attestation. Under PerSweep the single sweep nonce is spent before
 	// any session starts and a replay aborts the whole sweep; under
 	// PerDevice/RotateKey each device's derived nonce is spent by its
-	// worker and a replay fails only that device. Requires SharePlans —
-	// the legacy per-device-plan path draws nonces deep inside
-	// core.System where no journal can intercept them.
+	// worker and a replay fails only that device.
 	Nonces NonceSpender
 }
 
@@ -323,11 +310,10 @@ const DefaultConcurrency = 8
 
 // DeviceNonce derives device id's attestation nonce from a sweep-level
 // base — a splitmix64 mix, so consecutive device IDs land on
-// uncorrelated nonces while the mapping stays a pure function. Both the
-// single-engine facade and the sharded dispatcher derive per-device
-// nonces through this one function; that shared derivation (not luck)
-// is why a sharded sweep's H_Vrf values are bit-identical to the
-// single-engine baseline under a pinned NonceSeed.
+// uncorrelated nonces while the mapping stays a pure function of
+// (base, device), whatever shard or worker runs the device. That (not
+// luck) is why a sharded sweep's H_Vrf values are bit-identical to the
+// one-shard baseline under a pinned NonceSeed.
 func DeviceNonce(base, id uint64) uint64 {
 	z := base + id*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -427,6 +427,11 @@ func (d *Daemon) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sweeps": out})
 }
 
+// maxSweepBody bounds the POST /fleet/sweep body: it carries five
+// scalar fields, so anything larger is refused with 413 before it is
+// buffered.
+const maxSweepBody = 4 << 10
+
 // sweepRequest is the optional POST /fleet/sweep body.
 type sweepRequest struct {
 	// Class scopes the sweep to one device class (empty = whole fleet).
@@ -437,9 +442,9 @@ type sweepRequest struct {
 	// Freshness overrides the template's freshness policy for this sweep
 	// ("per-sweep", "per-device" or "rotate-key"; empty inherits).
 	Freshness string `json:"freshness"`
-	// Nonce pins the sweep nonce (PerSweep under SharePlans) and
-	// NonceSeed the per-device derivation base (PerDevice/RotateKey) —
-	// the reproducibility knobs the crash-recovery rig replays sweeps
+	// Nonce pins the sweep nonce (PerSweep) and NonceSeed the
+	// per-device derivation base (PerDevice/RotateKey) — the
+	// reproducibility knobs the crash-recovery rig replays sweeps
 	// through. Nil inherits the template (usually: draw fresh).
 	Nonce     *uint64 `json:"nonce"`
 	NonceSeed *uint64 `json:"nonce_seed"`
@@ -456,7 +461,13 @@ func (d *Daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if r.Body != nil {
 		// An empty body is a legal whole-fleet trigger.
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		body := http.MaxBytesReader(w, r.Body, maxSweepBody)
+		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"testing"
 
 	"sacha/internal/core"
@@ -46,6 +47,24 @@ func TestStaticMembership(t *testing.T) {
 	}
 	if classes := Classes(r); len(classes) != 2 {
 		t.Fatalf("mixed fleet should index 2 classes, got %v", classes)
+	}
+}
+
+func TestFleetValidation(t *testing.T) {
+	if _, err := New(0, mixedFactory); err == nil {
+		t.Fatal("empty fleet accepted")
+	}
+	if _, err := New(2, func(uint64) (*core.System, error) {
+		return nil, errors.New("boom")
+	}); err == nil {
+		t.Fatal("factory failure not propagated")
+	}
+	r, err := New(1, mixedFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.System(99); ok {
+		t.Fatal("unknown device returned")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Sweep verdict names, shared by the tracker, the swarm report
+// Sweep verdict names, shared by the tracker, the fleet report
 // aggregation and the /debug/sweep JSON snapshot.
 const (
 	VerdictHealthy     = "healthy"
@@ -54,8 +54,8 @@ type SweepOutcome struct {
 // SweepTracker tracks one fleet sweep live: which targets are pending,
 // running and done, with per-target verdicts and transport pressure.
 // The verifier CLI serves its Snapshot as the /debug/sweep endpoint;
-// swarm.Sweep feeds it when SweepConfig.Tracker is set. Begin resets
-// the tracker, so one tracker follows consecutive sweeps.
+// dispatch.Dispatcher.Sweep feeds it when SweepConfig.Tracker is set.
+// Begin resets the tracker, so one tracker follows consecutive sweeps.
 type SweepTracker struct {
 	mu        sync.Mutex
 	startedAt time.Time
