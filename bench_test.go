@@ -8,7 +8,6 @@ package sacha_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,7 +33,6 @@ import (
 	"sacha/internal/resources"
 	"sacha/internal/scrub"
 	"sacha/internal/timing"
-	"sacha/internal/trace"
 	"sacha/internal/verifier"
 )
 
@@ -114,13 +112,14 @@ func BenchmarkFig8Protocol(b *testing.B) {
 }
 
 // BenchmarkFig9Trace runs the low-level Fig. 9 sequence with a non-zero
-// readback offset and the trace generator active.
+// readback offset, recording every protocol step on a session span.
 func BenchmarkFig9Trace(b *testing.B) {
 	sys := newSmall(b, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sp := span.NewCollector(1).StartTrace(1, "fig9")
 		rep, err := sys.Attest(core.AttestOptions{
-			Opts: verifier.Options{Offset: 137, Trace: io.Discard},
+			Opts: verifier.Options{Offset: 137, Span: sp},
 		})
 		if err != nil || !rep.Accepted {
 			b.Fatalf("attestation failed: %v", err)
@@ -518,8 +517,8 @@ func newTinyAttestRig(b *testing.B, delay time.Duration) (*attestation.Plan, pro
 // the lockstep rate because up to 16 frames share each round trip.
 //
 // The "+spans" variants run the same protocol with causal tracing fully
-// armed — session span, protocol-event bridge, phase children — and are
-// the tracing overhead budget: frames/sec must stay within 3% of the
+// armed — session span, its protocol step events, phase children — and
+// are the tracing overhead budget: frames/sec must stay within 3% of the
 // untraced run at the same window (the path is latency-bound, so the
 // per-event span cost amortises below measurement noise). With tracing
 // disabled (the plain variants) the span hooks are nil and cost zero
@@ -552,7 +551,6 @@ func BenchmarkWindowedReadback(b *testing.B) {
 					if traced {
 						sp = root.DeviceChild("bench", uint64(i)+1)
 						opts.Span = sp
-						opts.Events = trace.NewLog(512)
 					}
 					rep, err := plan.Run(ep, opts)
 					sp.End()

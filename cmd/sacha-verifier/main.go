@@ -39,6 +39,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -78,7 +79,7 @@ func main() {
 	offset := flag.Int("offset", 0, "readback order offset i")
 	batch := flag.Int("batch", 1, "frames per configuration packet (1..4)")
 	steps := flag.Uint("steps", 0, "CAPTURE extension: clock the application N cycles and attest its state")
-	trace := flag.Bool("trace", false, "print the protocol trace")
+	trace := flag.Bool("trace", false, "print each target's protocol trace to stderr after its run")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-message response timeout")
 	retries := flag.Int("retries", 5, "re-sends per message before giving up")
 	backoff := flag.Duration("backoff", 20*time.Millisecond, "base retry backoff (doubles per retry)")
@@ -191,16 +192,23 @@ func main() {
 		go func(worker int) {
 			defer wg.Done()
 			for i := range jobs {
-				opts := runOptions(key, *trace && len(addrs) == 1,
-					*plain, *timeout, *retries, *backoff, *window)
+				opts := runOptions(key, *plain, *timeout, *retries, *backoff, *window)
 				opts.Compress = *compress
 				sp := root.DeviceChild(addrs[i], uint64(i)+1)
+				if sp == nil && *trace {
+					// No obs collector: the trace still needs the session's
+					// event record.
+					sp = span.NewCollector(1).StartTrace(span.NewTraceID(*nonce), addrs[i])
+				}
 				sp.SetTag("addr", addrs[i])
 				sp.SetTag("worker", fmt.Sprint(worker))
 				opts.Span = sp
 				targets[i] = attestOne(addrs[i], plan, *nonce, policy, *delta, tracker, worker, opts)
 				sp.SetTag("verdict", verdictOf(targets[i]))
 				sp.End()
+				if *trace {
+					printTrace(addrs[i], len(addrs) > 1, sp)
+				}
 			}
 		}(w)
 	}
@@ -271,11 +279,19 @@ func main() {
 	}
 }
 
-func runOptions(key [16]byte, trace, plain bool, timeout time.Duration, retries int, backoff time.Duration, window int) attestation.RunOpts {
-	opts := attestation.RunOpts{Key: key}
-	if trace {
-		opts.Trace = os.Stderr
+// printTrace writes one target's Fig. 8 protocol trace to stderr as a
+// single block, so concurrent targets never interleave their lines.
+func printTrace(addr string, header bool, sp *span.Span) {
+	var b bytes.Buffer
+	if header {
+		fmt.Fprintf(&b, "--- %s\n", addr)
 	}
+	attestation.WriteMilestones(&b, sp.Events())
+	os.Stderr.Write(b.Bytes())
+}
+
+func runOptions(key [16]byte, plain bool, timeout time.Duration, retries int, backoff time.Duration, window int) attestation.RunOpts {
+	opts := attestation.RunOpts{Key: key}
 	if !plain {
 		opts.Retry = attestation.RetryPolicy{
 			Timeout:    timeout,

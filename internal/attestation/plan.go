@@ -49,7 +49,7 @@ const CompressBatch = protocol.MaxScanFrames
 
 // Spec is the fleet-invariant input of a Plan: the golden image, the
 // geometry, and the protocol options that shape the message sequence.
-// Per-session knobs (key, retry policy, trace sinks) live in RunOpts.
+// Per-session knobs (key, retry policy, session span) live in RunOpts.
 type Spec struct {
 	// Geo is the device geometry of the fleet class.
 	Geo *device.Geometry
@@ -126,7 +126,7 @@ func (s Spec) nonceBits() int {
 // configStep is one pre-encoded configuration packet.
 type configStep struct {
 	wire  []byte
-	first int // first frame index, for trace/event labels
+	first int // first frame index, for op and step event labels
 	count int
 }
 

@@ -2,7 +2,6 @@ package attestation
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -17,14 +16,13 @@ import (
 	"sacha/internal/signature"
 	"sacha/internal/sim"
 	"sacha/internal/timing"
-	"sacha/internal/trace"
 )
 
 // RunOpts are the per-session inputs of one attestation: everything that
 // must NOT be shared across devices. The MAC key and the CMAC/transcript
 // state derived from it are per device (each fleet member has its own
-// enrolled key), the retry session is per connection, and the trace
-// sinks are per caller.
+// enrolled key), the retry session is per connection, and the session
+// span is per caller.
 type RunOpts struct {
 	// Key is the enrolled MAC key (from the PUF enrollment database).
 	Key [16]byte
@@ -36,11 +34,6 @@ type RunOpts struct {
 	// Retry.Window > 1 additionally pipelines the configuration and
 	// readback phases with up to Window outstanding frames.
 	Retry RetryPolicy
-	// Trace, if non-nil, receives a Fig. 9-style protocol trace.
-	Trace io.Writer
-	// Events, if non-nil, records every protocol step with its modelled
-	// duration (the machine-readable Fig. 9).
-	Events *trace.Log
 	// Timeline, if non-nil, accumulates verifier-side software time.
 	// sim.Timeline is not concurrency-safe: concurrent Runs must use
 	// distinct timelines (or nil).
@@ -69,13 +62,15 @@ type RunOpts struct {
 	// falling back to the full overwrite ("threshold"). 0 means a quarter
 	// of the dynamic partition, floored at the nonce-frame count.
 	DeltaMaxRewrite int
-	// Span, if non-nil, is this session's causal span: Run records the
-	// four contiguous phase checkpoints as child spans, the Hello
-	// negotiation, delta scan outcome and transport summary as span
-	// events, and bridges Events (when also set) into the span so the
-	// protocol step stream lands on the causal timeline. Every hook is
-	// nil-guarded — a nil Span costs the checkpoint path zero
-	// allocations (the contract TestNilSpanZeroAlloc pins).
+	// Span, if non-nil, is this session's causal span and its one
+	// protocol event record: Run records every A-action step (the Step
+	// kinds, with the action's modelled duration), every Fig. 8 protocol
+	// line (a milestone event whose note is the line's text) and a
+	// transport summary as span events, and the four contiguous phase
+	// checkpoints as child spans. Every hook is nil-guarded and notes are
+	// formatted only for a non-nil Span, so a nil Span costs the
+	// checkpoint path zero allocations (the contract TestNilSpanZeroAlloc
+	// pins).
 	Span *span.Span
 }
 
@@ -176,11 +171,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			mRuns.With("error").Inc()
 		}
 	}()
-	trc := func(format string, args ...any) {
-		if opts.Trace != nil {
-			fmt.Fprintf(opts.Trace, format+"\n", args...)
-		}
-	}
+	sp := opts.Span
 	rep := &Report{}
 	if p.signatureMode && opts.SigVerifier == nil {
 		return nil, fmt.Errorf("verifier: signature mode without an enrolled public key")
@@ -193,14 +184,6 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	}
 	sess := newSession(ep, opts.Retry, rep)
 	defer sess.close()
-
-	// Bridge the protocol event stream into the session span for the
-	// duration of this run. AddSink is safe mid-stream (the Log may be
-	// caller-owned and already live), and the remove keeps a reused Log
-	// from leaking later events into this run's span.
-	if opts.Span != nil && opts.Events != nil {
-		defer opts.Events.AddSink(span.LogSink(opts.Span))()
-	}
 
 	// rawB/wireB account the compressed payloads moved this run, on both
 	// directions; the ratio lands in the compression histogram.
@@ -225,8 +208,8 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		if opts.Timeline != nil {
 			opts.Timeline.Add("vrf-sw", timing.VrfConfigOverhead())
 		}
-		if opts.Events != nil {
-			opts.Events.Add(trace.KindConfig, cs.first,
+		if sp != nil {
+			sp.Event(StepConfig, cs.first,
 				p.model.ActionTime(timing.A1)+p.model.ActionTime(timing.A2), "")
 		}
 		rep.FramesConfigured += cs.count
@@ -246,10 +229,10 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			transcript.Absorb(scratch.bytes)
 		}
 		rep.FramesRead++
-		if opts.Events != nil {
-			opts.Events.Add(trace.KindReadback, idx,
+		if sp != nil {
+			sp.Event(StepReadback, idx,
 				p.model.ActionTime(timing.A3)+p.model.ActionTime(timing.A4)+p.model.ActionTime(timing.A6), "")
-			opts.Events.Add(trace.KindFrameData, idx, p.model.ActionTime(timing.A8), "frame sendback")
+			sp.Event(StepFrameData, idx, p.model.ActionTime(timing.A8), "frame sendback")
 		}
 		if !p.frameMatches(idx, words) {
 			rep.Mismatches = append(rep.Mismatches, idx)
@@ -287,10 +270,9 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		if resp != nil && resp.Type == protocol.MsgHelloAck {
 			caps = resp.Caps & wantCaps
 		}
-		trc("command: Hello(caps=%#x)  ->  granted caps=%#x", wantCaps, caps)
-		if opts.Span != nil {
-			opts.Span.Event("hello", -1, 0,
-				fmt.Sprintf("want=%#x granted=%#x", wantCaps, caps))
+		if sp != nil {
+			sp.Event(milestoneHello, -1, 0,
+				fmt.Sprintf("command: Hello(caps=%#x)  ->  granted caps=%#x", wantCaps, caps))
 		}
 	}
 	useCompress := opts.Compress && caps&protocol.CapCompress != 0
@@ -366,11 +348,10 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			if err := p.deltaScan(sess, opts, rep, windowed, &scratch, &rawB, &wireB); err != nil {
 				return nil, err
 			}
-			trc("command: Scan(frame_%d..frame_%d)  [%d frames probed, %d drifted]",
-				p.dynFirst, p.dynLast, rep.Delta.FramesScanned, len(rep.Delta.Unexpected))
-			if opts.Span != nil {
-				opts.Span.Event("delta-scan", p.dynFirst, 0,
-					fmt.Sprintf("%d frames probed, %d drifted", rep.Delta.FramesScanned, len(rep.Delta.Unexpected)))
+			if sp != nil {
+				sp.Event(milestoneDeltaScan, p.dynFirst, 0,
+					fmt.Sprintf("command: Scan(frame_%d..frame_%d)  [%d frames probed, %d drifted]",
+						p.dynFirst, p.dynLast, rep.Delta.FramesScanned, len(rep.Delta.Unexpected)))
 			}
 			if len(rep.Delta.Unexpected) > 0 {
 				rep.Delta.Fallback = "mismatch"
@@ -390,19 +371,15 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		}
 		rep.Delta.FramesRewritten = rep.FramesConfigured
 		rep.Delta.FramesSkipped = p.dynCount - rep.Delta.FramesRewritten
-		trc("command: delta rewrite  [%d of %d frames rewritten, %d proven clean and skipped]",
-			rep.Delta.FramesRewritten, p.dynCount, rep.Delta.FramesSkipped)
-		if opts.Span != nil {
-			opts.Span.Event("delta-applied", -1, 0,
-				fmt.Sprintf("%d of %d frames rewritten, %d skipped",
+		if sp != nil {
+			sp.Event(milestoneDeltaApplied, -1, 0,
+				fmt.Sprintf("command: delta rewrite  [%d of %d frames rewritten, %d proven clean and skipped]",
 					rep.Delta.FramesRewritten, p.dynCount, rep.Delta.FramesSkipped))
 		}
 	} else {
-		if rep.Delta.Enabled {
-			trc("delta: falling back to full overwrite (%s)", rep.Delta.Fallback)
-			if opts.Span != nil {
-				opts.Span.Event("delta-fallback", -1, 0, rep.Delta.Fallback)
-			}
+		if rep.Delta.Enabled && sp != nil {
+			sp.Event(milestoneDeltaFallback, -1, 0,
+				"delta: falling back to full overwrite ("+rep.Delta.Fallback+")")
 		}
 		configs, format := p.configs, "ICAP_config(%d)"
 		if useCompress {
@@ -411,8 +388,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		if err := sendConfigs(configs, format, useCompress); err != nil {
 			return nil, err
 		}
-		trc("command: ICAP_config(frame_%d..frame_%d)  [%d frames, DynMem overwritten]",
-			p.dynFirst, p.dynLast, p.dynCount)
+		if sp != nil {
+			sp.Event(milestoneConfig, -1, 0,
+				fmt.Sprintf("command: ICAP_config(frame_%d..frame_%d)  [%d frames, DynMem overwritten]",
+					p.dynFirst, p.dynLast, p.dynCount))
+		}
 	}
 	tConfig := time.Now()
 
@@ -427,7 +407,9 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		if resp.Type != protocol.MsgAck {
 			return nil, fmt.Errorf("verifier: AppStep answered with %v (%s)", resp.Type, resp.Err)
 		}
-		trc("command: App_step(%d)", p.appSteps)
+		if sp != nil {
+			sp.Event(milestoneAppStep, -1, 0, fmt.Sprintf("command: App_step(%d)", p.appSteps))
+		}
 	}
 
 	// Phase 2: full configuration readback in the plan's validated
@@ -462,8 +444,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			}
 		}
 	}
-	trc("command: ICAP_readback(%d)..ICAP_readback(%d)  [%d frames, order offset %d mod %d]",
-		p.order[0], p.order[len(p.order)-1], len(p.order), p.order[0], p.geo.NumFrames())
+	if sp != nil {
+		sp.Event(milestoneReadback, -1, 0,
+			fmt.Sprintf("command: ICAP_readback(%d)..ICAP_readback(%d)  [%d frames, order offset %d mod %d]",
+				p.order[0], p.order[len(p.order)-1], len(p.order), p.order[0], p.geo.NumFrames()))
+	}
 	tReadback := time.Now()
 
 	// Phase 3: checksum.
@@ -476,7 +461,10 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			return nil, fmt.Errorf("verifier: Sig_checksum answered with %v (%s)", resp.Type, resp.Err)
 		}
 		rep.MACOK = opts.SigVerifier.Verify(transcript.Digest(), resp.Sig)
-		trc("command: Sig_checksum  ->  signature %d bytes, valid=%v", len(resp.Sig), rep.MACOK)
+		if sp != nil {
+			sp.Event(milestoneChecksum, -1, 0,
+				fmt.Sprintf("command: Sig_checksum  ->  signature %d bytes, valid=%v", len(resp.Sig), rep.MACOK))
+		}
 	} else {
 		resp, err := sess.exchange(p.checksumWire, op("MAC_checksum"), true)
 		if err != nil {
@@ -487,11 +475,12 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		}
 		rep.HVrf = mac.Sum()
 		rep.MACOK = cmac.Equal(resp.MAC, rep.HVrf)
-		trc("command: MAC_checksum  ->  H_Prv == H_Vrf: %v", rep.MACOK)
-		if opts.Events != nil {
-			opts.Events.Add(trace.KindChecksum, -1,
+		if sp != nil {
+			sp.Event(milestoneChecksum, -1, 0,
+				fmt.Sprintf("command: MAC_checksum  ->  H_Prv == H_Vrf: %v", rep.MACOK))
+			sp.Event(StepChecksum, -1,
 				p.model.ActionTime(timing.A9)+p.model.ActionTime(timing.A7), "finalize")
-			opts.Events.Add(trace.KindMACValue, -1, p.model.ActionTime(timing.A10),
+			sp.Event(StepMACValue, -1, p.model.ActionTime(timing.A10),
 				fmt.Sprintf("H_Prv == H_Vrf: %v", rep.MACOK))
 		}
 	}
@@ -503,7 +492,10 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// readback permutation.
 	sort.Ints(rep.Mismatches)
 	rep.ConfigOK = len(rep.Mismatches) == 0
-	trc("verdict: B_Prv == B_Vrf: %v  (%d mismatching frames)", rep.ConfigOK, len(rep.Mismatches))
+	if sp != nil {
+		sp.Event(milestoneVerdict, -1, 0,
+			fmt.Sprintf("verdict: B_Prv == B_Vrf: %v  (%d mismatching frames)", rep.ConfigOK, len(rep.Mismatches)))
+	}
 
 	rep.Accepted = rep.MACOK && rep.ConfigOK
 	end := time.Now()
@@ -514,7 +506,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		Verdict:  end.Sub(tChecksum),
 	}
 	rep.Elapsed = end.Sub(start)
-	if sp := opts.Span; sp != nil {
+	if sp != nil {
 		// Phase children telescope over the same checkpoints as
 		// rep.Phases, so their durations sum to exactly rep.Elapsed — the
 		// invariant the flight-recorder e2e test pins.

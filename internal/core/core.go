@@ -375,8 +375,9 @@ func (s *System) KeyMode() KeyMode { return s.cfg.KeyMode }
 type AttestOptions struct {
 	// Nonce fixes the nonce; nil draws a fresh one.
 	Nonce *uint64
-	// Offset, Permutation, AppSteps, SignatureMode, Trace: see
-	// verifier.Options.
+	// Opts shapes the plan (Offset, Permutation, AppSteps,
+	// SignatureMode, ConfigBatch) and the run (Span, Retry, Compress,
+	// Delta); see verifier.Options.
 	Opts verifier.Options
 	// TamperDevice, if non-nil, runs after configuration completes and
 	// before readback — the adversary's window.
@@ -505,7 +506,7 @@ func (s *System) Attest(opts AttestOptions) (*verifier.Report, error) {
 // AttestWithPlan runs one attestation using a precomputed shared plan —
 // the per-device path of a fleet sweep. The plan fixes the nonce (baked
 // into its golden image) and the plan-shaping options; opts contributes
-// only the per-run knobs (Retry, Trace, Events, adversary and channel
+// only the per-run knobs (Retry, Span, adversary and channel
 // hooks).
 func (s *System) AttestWithPlan(plan *attestation.Plan, opts AttestOptions) (*verifier.Report, error) {
 	return s.runPlan(plan, s.handler(opts), opts)

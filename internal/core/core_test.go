@@ -7,15 +7,17 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/device"
 	"sacha/internal/fabric"
 	"sacha/internal/netlist"
+	"sacha/internal/obs/span"
 	"sacha/internal/protocol"
 	"sacha/internal/prover"
 	"sacha/internal/timing"
-	"sacha/internal/trace"
 	"sacha/internal/verifier"
 )
 
@@ -311,9 +313,13 @@ func TestCaptureExtension(t *testing.T) {
 
 func TestTraceOutput(t *testing.T) {
 	sys := smallSystem(t, nil)
-	var buf bytes.Buffer
-	rep, err := sys.Attest(AttestOptions{Opts: verifier.Options{Trace: &buf}})
+	sp := span.NewCollector(1).StartTrace(1, "attestation")
+	rep, err := sys.Attest(AttestOptions{Opts: verifier.Options{Span: sp}})
 	if err != nil || !rep.Accepted {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := attestation.WriteMilestones(&buf, sp.Events()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -326,28 +332,38 @@ func TestTraceOutput(t *testing.T) {
 
 func TestEventLogRecordsProtocol(t *testing.T) {
 	sys := smallSystem(t, nil)
-	log := trace.NewLog(50)
-	rep, err := sys.Attest(AttestOptions{Opts: verifier.Options{Events: log}})
+	sp := span.NewCollector(1).StartTrace(1, "attestation")
+	rep, err := sys.Attest(AttestOptions{Opts: verifier.Options{Span: sp}})
 	if err != nil || !rep.Accepted {
 		t.Fatal(err)
 	}
-	if got := log.Count(trace.KindConfig); got != len(sys.DynFrames()) {
+	kinds := sp.Kinds()
+	if got := kinds[attestation.StepConfig].Count; got != len(sys.DynFrames()) {
 		t.Errorf("config events %d, want %d", got, len(sys.DynFrames()))
 	}
-	if got := log.Count(trace.KindReadback); got != sys.Geo.NumFrames() {
+	if got := kinds[attestation.StepReadback].Count; got != sys.Geo.NumFrames() {
 		t.Errorf("readback events %d, want %d", got, sys.Geo.NumFrames())
 	}
-	if log.Count(trace.KindChecksum) != 1 || log.Count(trace.KindMACValue) != 1 {
+	if kinds[attestation.StepChecksum].Count != 1 || kinds[attestation.StepMACValue].Count != 1 {
 		t.Error("checksum exchange not recorded")
 	}
-	if len(log.Events()) != 50 {
-		t.Errorf("retention cap not applied: %d", len(log.Events()))
+	recorded := 0
+	var got time.Duration
+	for _, k := range kinds {
+		recorded += k.Count
+		got += k.Total
+	}
+	events := sp.Events()
+	if len(events) >= recorded {
+		t.Errorf("retention cap not applied: %d of %d events retained", len(events), recorded)
+	}
+	if last := events[len(events)-1]; !strings.HasPrefix(last.Note, "verdict: ") {
+		t.Errorf("the verdict milestone past the step streams was not retained; last event %+v", last)
 	}
 	// The per-event durations sum to the Table 4 theoretical total for
 	// this geometry (A5 init is folded into the first readback's margin).
 	model := timing.NewModel(sys.Geo)
 	want := model.Table4().Theoretical
-	got := log.Elapsed()
 	diff := got - want
 	if diff < 0 {
 		diff = -diff

@@ -8,9 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/obs"
-	"sacha/internal/trace"
+	"sacha/internal/obs/span"
 	"sacha/internal/verifier"
 )
 
@@ -79,27 +80,22 @@ func TestRunPopulatesMetricFamilies(t *testing.T) {
 	}
 }
 
-// TestEventsSinkSeesWholeRun bridges the protocol trace of a run into
-// an obs.TraceSink and checks the live aggregation covers every frame
-// despite a tiny retention cap.
-func TestEventsSinkSeesWholeRun(t *testing.T) {
+// TestSpanKindsSeeWholeRun records a run over the reliable transport on
+// a session span and checks the span's per-kind aggregates count every
+// configured and read-back frame.
+func TestSpanKindsSeeWholeRun(t *testing.T) {
 	r := newRig(t)
 	ep := r.serveSim(t, channel.FaultConfig{})
-	sink := obs.NewTraceSink(obs.NewRegistry())
-	events := trace.NewLog(2)
-	events.SetSink(sink)
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: retryPolicy(), Events: events})
+	sp := span.NewCollector(1).StartTrace(1, "attestation")
+	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: retryPolicy(), Span: sp})
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}
-	var b strings.Builder
-	if err := sink.Table(&b); err != nil {
-		t.Fatalf("Table: %v", err)
+	kinds := sp.Kinds()
+	if got := kinds[attestation.StepReadback].Count; got != rep.FramesRead {
+		t.Errorf("span counted %d readbacks, report says %d", got, rep.FramesRead)
 	}
-	if !strings.Contains(b.String(), string(trace.KindReadback)) {
-		t.Errorf("live table missing %s rows:\n%s", trace.KindReadback, b.String())
-	}
-	if got := events.Count(trace.KindReadback); got != rep.FramesRead {
-		t.Errorf("trace counted %d readbacks, report says %d", got, rep.FramesRead)
+	if got := kinds[attestation.StepConfig].Count; got != rep.FramesConfigured {
+		t.Errorf("span counted %d config steps, report says %d", got, rep.FramesConfigured)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"sacha/internal/fleet/registry"
 	"sacha/internal/obs"
 	"sacha/internal/obs/span"
-	"sacha/internal/trace"
 )
 
 // Fleet-sweep metric families: live progress (in-flight and completed
@@ -552,12 +551,6 @@ func (d *Dispatcher) runWorker(ctx context.Context, st *sweepState, worker int, 
 	}
 }
 
-// sessionEventCap bounds the per-session protocol event log a traced
-// sweep creates when the caller did not supply one — enough for the
-// full Fig. 9 exchange of a mid-size device, and the retained stream a
-// flight record embeds.
-const sessionEventCap = 512
-
 // attestOne runs a single device attestation under the sweep's deadline
 // discipline, through the class's shared plan.
 func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, worker int, o core.AttestOptions) (res fleet.DeviceResult) {
@@ -571,7 +564,6 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 		cfg.Tracker.Start(name)
 	}
 	var sp *span.Span
-	var sessionLog *trace.Log
 	if cfg.Spans != nil {
 		// The session span's ID derives from (trace, device) only, so it
 		// is stable across shard placement and steal order; which worker
@@ -583,10 +575,6 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 		if home := worker % d.shards; home != shard {
 			sp.SetTag("stolen_from_shard", strconv.Itoa(shard))
 			sp.SetTag("thief_home_shard", strconv.Itoa(home))
-		}
-		if o.Opts.Events == nil {
-			sessionLog = trace.NewLog(sessionEventCap)
-			o.Opts.Events = sessionLog
 		}
 		o.Opts.Span = sp
 	}
@@ -606,15 +594,11 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 			sp.End()
 		}
 		if cfg.Flight != nil && res.Verdict() != obs.VerdictHealthy {
-			var events []trace.Event
-			if sessionLog != nil {
-				events = sessionLog.Events()
-			}
 			var rep any
 			if res.Report != nil {
 				rep = res.Report
 			}
-			cfg.Flight.RecordVerdict(cfg.Spans, st.trace, id, res.Verdict(), rep, events)
+			cfg.Flight.RecordVerdict(cfg.Spans, st.trace, id, res.Verdict(), rep)
 		}
 		if cfg.Trust != nil {
 			// Full trust — the delta admissibility precondition for the

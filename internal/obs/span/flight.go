@@ -9,14 +9,12 @@ import (
 	"time"
 
 	"sacha/internal/obs"
-	"sacha/internal/trace"
 )
 
 // Record is one flight-recorder artifact: a self-contained post-mortem
 // of a non-Healthy verdict or a campaign invariant violation. It
-// carries the full causal span tree of the trace it fired in, the
-// retained trace.Log protocol events of the failing session, the
-// attestation Report (incl. Delta and Phases), and the metrics delta
+// carries the full causal span tree of the trace it fired in — the
+// failing session's protocol events included — the attestation Report (incl. Delta and Phases), and the metrics delta
 // since the previous record — everything a post-mortem needs without
 // the process that produced it.
 type Record struct {
@@ -34,8 +32,6 @@ type Record struct {
 	// Spans is the trace's full span tree at snapshot time — the sweep
 	// root (still open mid-sweep), every session, phases and events.
 	Spans []SpanSnapshot `json:"spans,omitempty"`
-	// Events is the failing session's retained trace.Log stream.
-	Events []trace.Event `json:"events,omitempty"`
 	// MetricsDelta lists every registry sample that moved since the
 	// recorder's previous record (or its creation, for the first one).
 	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
@@ -83,12 +79,13 @@ func NewRecorder(dir string, maxRecords int, reg *obs.Registry) (*Recorder, erro
 }
 
 // RecordVerdict snapshots a non-Healthy session verdict: the trace's
-// span tree out of col, the session's protocol events, the attestation
-// report and the metrics movement. col may be nil (no span tree).
-func (r *Recorder) RecordVerdict(col *Collector, tr TraceID, device uint64, verdict string, report any, events []trace.Event) Record {
+// span tree out of col (the session's protocol events included), the
+// attestation report and the metrics movement. col may be nil (no span
+// tree).
+func (r *Recorder) RecordVerdict(col *Collector, tr TraceID, device uint64, verdict string, report any) Record {
 	rec := Record{
 		Kind: "verdict", At: time.Now(), Device: device, Verdict: verdict,
-		Report: report, Events: events,
+		Report: report,
 	}
 	if tr != 0 {
 		rec.Trace = tr.String()

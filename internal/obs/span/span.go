@@ -5,8 +5,8 @@
 // trace whose root span fans out into per-device session spans (with
 // the dispatcher's shard route and work-stealing attribution as tags),
 // each session into the four protocol phase spans of attestation.Run,
-// with Hello negotiation, delta scan probes, retries and the bridged
-// trace.Log protocol events hanging off as span events.
+// with the session's protocol record — one event per A-action step and
+// one per Fig. 8 protocol line — hanging off as span events.
 //
 // Identifiers are deterministic: the trace ID derives from the sweep's
 // nonce base (pinned by fleet.SweepConfig.NonceSeed) and session span
@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"sacha/internal/trace"
 )
 
 // TraceID identifies one sweep-level trace.
@@ -74,11 +72,10 @@ func childSpanID(parent SpanID, n int) SpanID {
 }
 
 // Event is one point-in-time annotation on a span: a protocol step
-// bridged from trace.Log (kind = the Table 3 action), a Hello
-// negotiation, a delta scan outcome or a transport summary.
+// (kind = the Table 3 action, with its modelled duration), a protocol
+// milestone (a Fig. 8 line) or a transport summary.
 type Event struct {
-	// Kind classifies the event; bridged protocol events reuse the
-	// trace.Kind spelling.
+	// Kind classifies the event.
 	Kind string
 	// Frame is the frame index the event concerns, -1 when not
 	// applicable.
@@ -95,6 +92,14 @@ type Event struct {
 
 // Tag is one key/value annotation.
 type Tag struct{ Key, Value string }
+
+// KindStat aggregates every event of one kind a span recorded,
+// including the ones past the retention cap.
+type KindStat struct {
+	Count int
+	// Total and Max are over the events' virtual durations.
+	Total, Max time.Duration
+}
 
 // Span is one node of a trace tree. A span is mutated by the goroutine
 // that owns the unit of work it describes plus any Snapshot reader, so
@@ -118,14 +123,17 @@ type Span struct {
 	childSeq int
 	tags     []Tag
 	events   []Event
+	kinds    map[string]*KindStat
 	durNS    int64
 	done     bool
 }
 
-// eventCap bounds the events one span retains; beyond it only the
-// dropped counter grows. A TinyLX session bridges ~3 events per frame,
-// so the default keeps whole small sessions and the head of large ones.
-const eventCap = 4096
+// kindEventCap bounds the events of one kind a span retains; beyond it
+// only the kind's KindStat keeps growing. A session records a fixed set
+// of kinds — a few per-frame step streams plus one-off milestones — so
+// the cap keeps whole TinyLX sessions, the head of every step stream of
+// a large one and every milestone, in recording order.
+const kindEventCap = 1024
 
 // Trace returns the span's trace ID (0 on nil).
 func (s *Span) Trace() TraceID {
@@ -159,7 +167,7 @@ func (s *Span) SetTag(key, value string) {
 	s.tags = append(s.tags, Tag{key, value})
 }
 
-// Event records a point-in-time annotation.
+// Event records a point-in-time annotation with its virtual duration.
 func (s *Span) Event(kind string, frame int, virtual time.Duration, note string) {
 	if s == nil {
 		return
@@ -167,13 +175,49 @@ func (s *Span) Event(kind string, frame int, virtual time.Duration, note string)
 	off := time.Since(s.start).Nanoseconds()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.events) >= eventCap {
+	k := s.kinds[kind]
+	if k == nil {
+		if s.kinds == nil {
+			s.kinds = make(map[string]*KindStat)
+		}
+		k = &KindStat{}
+		s.kinds[kind] = k
+	}
+	k.Count++
+	k.Total += virtual
+	k.Max = max(k.Max, virtual)
+	if k.Count > kindEventCap {
 		return
 	}
 	s.events = append(s.events, Event{
 		Kind: kind, Frame: frame, VirtualNS: virtual.Nanoseconds(),
 		OffsetNS: off, Note: note,
 	})
+}
+
+// Events returns a copy of the retained events, in recording order.
+func (s *Span) Events() []Event {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Event(nil), s.events...)
+}
+
+// Kinds returns the per-kind aggregates of every event recorded on the
+// span, retained or not.
+func (s *Span) Kinds() map[string]KindStat {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]KindStat, len(s.kinds))
+	for kind, k := range s.kinds {
+		out[kind] = *k
+	}
+	return out
 }
 
 // Child starts a child span. Its ID derives from the parent's ID and
@@ -250,22 +294,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 	s.col.retireActive(s)
 }
-
-// logBridge forwards trace.Log protocol events into a span — the
-// trace.Log.Sink half of the causal layer. The sink interface is
-// called outside the Log's lock, and Span.Event takes only the span's
-// own mutex, so bridging composes with the metrics TraceSink.
-type logBridge struct{ sp *Span }
-
-// Observe implements trace.Sink.
-func (b logBridge) Observe(kind trace.Kind, frame int, d time.Duration, note string) {
-	b.sp.Event(string(kind), frame, d, note)
-}
-
-// LogSink returns a trace.Sink forwarding every protocol event into sp.
-// Install it with trace.Log.AddSink at session start and remove it on
-// return.
-func LogSink(sp *Span) trace.Sink { return logBridge{sp} }
 
 // Collector retains finished spans in a bounded ring plus the set of
 // still-open spans, so a snapshot mid-sweep shows the open sweep root

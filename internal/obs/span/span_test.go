@@ -7,11 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"sacha/internal/obs"
-	"sacha/internal/trace"
 )
 
 // TestDeterministicIDs pins the ID derivation: pure functions of their
@@ -150,24 +150,97 @@ func TestOpenSpansVisible(t *testing.T) {
 	}
 }
 
-// TestLogSinkBridge checks trace.Log events land on the span with the
-// protocol kind and the modelled duration.
-func TestLogSinkBridge(t *testing.T) {
+// TestEventKindAggregates checks the per-kind aggregates: count, total
+// and max of the virtual durations, per kind, alongside the retained
+// events in recording order.
+func TestEventKindAggregates(t *testing.T) {
 	col := NewCollector(16)
 	sp := col.StartTrace(NewTraceID(3), "session")
-	log := trace.NewLog(16)
-	remove := log.AddSink(LogSink(sp))
-	log.Add(trace.KindConfig, 5, 3*time.Microsecond, "frame 5")
-	remove()
-	log.Add(trace.KindConfig, 6, 3*time.Microsecond, "after removal")
+	sp.Event("ICAP_readback", 0, 3*time.Microsecond, "")
+	sp.Event("ICAP_config", 5, 2*time.Microsecond, "frame 5")
+	sp.Event("ICAP_readback", 1, 5*time.Microsecond, "")
+	sp.Event("verdict", -1, 0, "verdict: ok")
 	sp.End()
-	roots := col.Snapshot(Filter{})
-	if len(roots) != 1 || len(roots[0].Events) != 1 {
-		t.Fatalf("bridged events = %+v, want exactly one", roots)
+
+	kinds := sp.Kinds()
+	want := map[string]KindStat{
+		"ICAP_readback": {Count: 2, Total: 8 * time.Microsecond, Max: 5 * time.Microsecond},
+		"ICAP_config":   {Count: 1, Total: 2 * time.Microsecond, Max: 2 * time.Microsecond},
+		"verdict":       {Count: 1},
 	}
-	ev := roots[0].Events[0]
-	if ev.Kind != string(trace.KindConfig) || ev.Frame != 5 || ev.VirtualNS != 3000 {
-		t.Fatalf("bridged event mismatch: %+v", ev)
+	if len(kinds) != len(want) {
+		t.Fatalf("Kinds() = %+v, want %+v", kinds, want)
+	}
+	for k, w := range want {
+		if kinds[k] != w {
+			t.Errorf("Kinds()[%s] = %+v, want %+v", k, kinds[k], w)
+		}
+	}
+	events := sp.Events()
+	if len(events) != 4 || events[1].Kind != "ICAP_config" || events[1].Frame != 5 ||
+		events[1].VirtualNS != 2000 || events[3].Note != "verdict: ok" {
+		t.Fatalf("Events() = %+v", events)
+	}
+	roots := col.Snapshot(Filter{})
+	if len(roots) != 1 || len(roots[0].Events) != 4 {
+		t.Fatalf("snapshot events = %+v, want the four recorded", roots)
+	}
+}
+
+// TestEventRetentionCap checks the retention bound: past kindEventCap
+// events of one kind the span stops retaining that kind, the aggregates
+// keep growing, and events of other kinds — the one-off milestones
+// after a long step stream — are still retained.
+func TestEventRetentionCap(t *testing.T) {
+	col := NewCollector(16)
+	sp := col.StartTrace(NewTraceID(4), "session")
+	for i := 0; i < kindEventCap+100; i++ {
+		sp.Event("ICAP_readback", i, time.Microsecond, "")
+	}
+	sp.Event("verdict", -1, 0, "verdict: ok")
+	sp.End()
+	if got := sp.Kinds()["ICAP_readback"]; got.Count != kindEventCap+100 ||
+		got.Total != (kindEventCap+100)*time.Microsecond {
+		t.Fatalf("aggregate stopped at the cap: %+v", got)
+	}
+	events := sp.Events()
+	if len(events) != kindEventCap+1 {
+		t.Fatalf("retained %d events, want %d", len(events), kindEventCap+1)
+	}
+	if last := events[len(events)-1]; last.Kind != "verdict" {
+		t.Fatalf("milestone past the cap dropped; last event %+v", last)
+	}
+	if events[kindEventCap-1].Frame != kindEventCap-1 {
+		t.Fatalf("retained events are not the head of the stream: %+v", events[kindEventCap-1])
+	}
+}
+
+// TestEventRecordConcurrentReaders records on a session span while
+// other goroutines read its record the way the renderers and the
+// /debug/trace snapshots do; run under -race it checks the aggregates
+// and the retained events are guarded.
+func TestEventRecordConcurrentReaders(t *testing.T) {
+	col := NewCollector(16)
+	sp := col.StartTrace(NewTraceID(5), "session")
+	const n = 2000
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				_ = sp.Kinds()
+				_ = sp.Events()
+				_ = col.Snapshot(Filter{})
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		sp.Event("ICAP_readback", i, time.Microsecond, "")
+	}
+	wg.Wait()
+	if got := sp.Kinds()["ICAP_readback"].Count; got != n {
+		t.Fatalf("aggregate count %d, want %d", got, n)
 	}
 }
 
@@ -187,6 +260,8 @@ func TestNilSpanZeroAlloc(t *testing.T) {
 		sp.End()
 		_ = sp.Trace()
 		_ = sp.ID()
+		_ = sp.Events()
+		_ = sp.Kinds()
 		_ = col.StartTrace(1, "sweep")
 		_ = col.Snapshot(Filter{})
 		_ = col.Dropped()
@@ -254,7 +329,7 @@ func TestFlightRecorderBounding(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		ctr.Inc()
-		r := rec.RecordVerdict(col, tr, 4, "compromised", map[string]int{"i": i}, nil)
+		r := rec.RecordVerdict(col, tr, 4, "compromised", map[string]int{"i": i})
 		if r.Seq != i+1 {
 			t.Fatalf("record %d got seq %d", i, r.Seq)
 		}
@@ -347,7 +422,7 @@ func TestTraceEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.RecordVerdict(col, NewTraceID(11), 2, "compromised", nil, nil)
+	rec.RecordVerdict(col, NewTraceID(11), 2, "compromised", nil)
 	rr = httptest.NewRecorder()
 	FlightHandler(rec).ServeHTTP(rr, httptest.NewRequest("GET", "/fleet/flightrecords", nil))
 	if rr.Code != 200 {

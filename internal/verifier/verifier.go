@@ -15,8 +15,6 @@
 package verifier
 
 import (
-	"io"
-
 	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/device"
@@ -24,7 +22,6 @@ import (
 	"sacha/internal/obs/span"
 	"sacha/internal/signature"
 	"sacha/internal/sim"
-	"sacha/internal/trace"
 )
 
 // MaxConfigBatch caps batched configuration; see attestation.MaxConfigBatch.
@@ -46,8 +43,8 @@ func DefaultRetryPolicy() RetryPolicy { return attestation.DefaultRetryPolicy() 
 func IsTransport(err error) bool { return attestation.IsTransport(err) }
 
 // Options tune one attestation run. Offset, Permutation, AppSteps,
-// SignatureMode and ConfigBatch shape the Plan (fleet-invariant); Trace,
-// Events and Retry belong to the individual Run.
+// SignatureMode and ConfigBatch shape the Plan (fleet-invariant); Span
+// and Retry belong to the individual Run.
 type Options struct {
 	// Offset is the starting frame address i of the ascending modular
 	// readback order (paper Fig. 9). Ignored if Permutation is set.
@@ -68,14 +65,10 @@ type Options struct {
 	// (0 or 1 = one frame per packet, the paper's proof of concept). The
 	// prover bounds accepted batches by its frame buffer.
 	ConfigBatch int
-	// Trace, if non-nil, receives a Fig. 9-style protocol trace.
-	Trace io.Writer
-	// Events, if non-nil, records every protocol step with its modelled
-	// duration (the machine-readable Fig. 9).
-	Events *trace.Log
-	// Span, if non-nil, is the causal span of this session: Run records
-	// phase children and protocol milestones on it (and bridges Events
-	// into it when both are set). Nil disables tracing at zero cost.
+	// Span, if non-nil, is the causal span of this session and its
+	// protocol event record: Run records every protocol step, every
+	// Fig. 8 line and the phase children on it (see
+	// attestation.RunOpts.Span). Nil disables tracing at zero cost.
 	Span *span.Span
 	// Retry, when enabled, runs the protocol over the reliable transport:
 	// per-message timeouts, bounded re-sends with backoff, idempotent
@@ -151,7 +144,7 @@ func (v *Verifier) Plan(golden *fabric.Image, dynFrames []int, opts Options) (*a
 
 // RunPlan drives one per-session Run of a precomputed plan against the
 // prover at the other end of ep, using this verifier's enrolled key.
-// Only the per-run fields of opts (Trace, Events, Span, Retry, Compress,
+// Only the per-run fields of opts (Span, Retry, Compress,
 // Delta, DeltaWarm, DeltaMaxRewrite) are consulted; the plan-shaping
 // fields were fixed when the plan was built. Compress/Delta sessions
 // require a plan whose spec set the matching flag.
@@ -160,8 +153,6 @@ func (v *Verifier) RunPlan(ep channel.Endpoint, plan *attestation.Plan, opts Opt
 		Key:             v.Key,
 		SigVerifier:     v.SigVerifier,
 		Retry:           opts.Retry,
-		Trace:           opts.Trace,
-		Events:          opts.Events,
 		Span:            opts.Span,
 		Timeline:        v.Timeline,
 		Compress:        opts.Compress,

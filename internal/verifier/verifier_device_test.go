@@ -4,13 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"sacha/internal/attestation"
 	"sacha/internal/bitstream"
 	"sacha/internal/channel"
 	"sacha/internal/device"
 	"sacha/internal/fabric"
 	"sacha/internal/netlist"
+	"sacha/internal/obs/span"
 	"sacha/internal/prover"
-	"sacha/internal/trace"
 )
 
 // realDevice provisions a prover and the matching golden image without
@@ -48,13 +49,11 @@ func TestAttestRealDeviceEndToEnd(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- dev.Serve(prvEP) }()
 
-	var sb strings.Builder
-	log := trace.NewLog(4)
+	sp := span.NewCollector(1).StartTrace(1, "attestation")
 	rep, err := v.Attest(vrfEP, golden, dyn, Options{
 		Offset:      99,
 		ConfigBatch: 2,
-		Trace:       &sb,
-		Events:      log,
+		Span:        sp,
 	})
 	vrfEP.Close()
 	if err != nil {
@@ -69,11 +68,15 @@ func TestAttestRealDeviceEndToEnd(t *testing.T) {
 	if rep.FramesConfigured != len(dyn) || rep.FramesRead != dev.Geo.NumFrames() {
 		t.Fatalf("frame counts: %d configured, %d read", rep.FramesConfigured, rep.FramesRead)
 	}
+	var sb strings.Builder
+	if err := attestation.WriteMilestones(&sb, sp.Events()); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), "MAC_checksum") {
 		t.Error("trace missing")
 	}
-	if log.Count(trace.KindReadback) != dev.Geo.NumFrames() {
-		t.Errorf("event log readbacks: %d", log.Count(trace.KindReadback))
+	if got := sp.Kinds()[attestation.StepReadback].Count; got != dev.Geo.NumFrames() {
+		t.Errorf("event log readbacks: %d", got)
 	}
 	// Verifier-side software time accrued for every command.
 	if v.Timeline.Tag("vrf-sw") == 0 {
