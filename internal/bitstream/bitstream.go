@@ -157,17 +157,20 @@ func Read(r io.Reader) (*Partial, error) {
 	if count > 1<<24 {
 		return nil, fmt.Errorf("bitstream: implausible frame count %d", count)
 	}
-	p := &Partial{Device: string(name), Frames: make([]FrameRecord, 0, count)}
+	// The frame slice grows by append as records actually arrive: count
+	// is an unchecked header field, so preallocating from it would let a
+	// few header bytes claim up to 1<<24 records of memory.
+	p := &Partial{Device: string(name)}
+	rec := make([]byte, 4+device.FrameBytes)
 	for i := uint32(0); i < count; i++ {
-		var idx uint32
-		if err := binary.Read(tr, binary.BigEndian, &idx); err != nil {
-			return nil, err
+		if _, err := io.ReadFull(tr, rec); err != nil {
+			return nil, fmt.Errorf("bitstream: frame record %d: %w", i, err)
 		}
 		words := make([]uint32, device.FrameWords)
-		if err := binary.Read(tr, binary.BigEndian, words); err != nil {
-			return nil, err
+		for w := range words {
+			words[w] = binary.BigEndian.Uint32(rec[4+4*w:])
 		}
-		p.Frames = append(p.Frames, FrameRecord{Index: int(idx), Words: words})
+		p.Frames = append(p.Frames, FrameRecord{Index: int(binary.BigEndian.Uint32(rec)), Words: words})
 	}
 	sum := crc.Sum32()
 	var stored uint32
