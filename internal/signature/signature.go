@@ -11,12 +11,14 @@
 package signature
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math/big"
 )
 
 // Signer holds the device-side private key.
@@ -24,16 +26,38 @@ type Signer struct {
 	priv *ecdsa.PrivateKey
 }
 
-// Generate creates a fresh P-256 key pair. Pass nil to use crypto/rand.
+// Generate creates a P-256 key pair from rng. Pass nil to use
+// crypto/rand. The key is a pure function of the 40 bytes read from rng,
+// so a device re-derives the same key at every boot from the same seed
+// — crypto/ecdsa.GenerateKey does not promise that for a non-default
+// reader, as it may consume an extra random byte.
 func Generate(rng io.Reader) (*Signer, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rng)
+	// d = c mod (N−1) + 1 over 64 bits more than N's size, so d is
+	// uniform in [1, N−1] up to a 2^-64 bias (FIPS 186-5 A.2.1).
+	var seed [40]byte
+	if _, err := io.ReadFull(rng, seed[:]); err != nil {
+		return nil, fmt.Errorf("signature: %w", err)
+	}
+	curve := elliptic.P256()
+	nMinus1 := new(big.Int).Sub(curve.Params().N, big.NewInt(1))
+	d := new(big.Int).SetBytes(seed[:])
+	d.Mod(d, nMinus1).Add(d, big.NewInt(1))
+	key, err := ecdh.P256().NewPrivateKey(d.FillBytes(make([]byte, 32)))
 	if err != nil {
 		return nil, fmt.Errorf("signature: %w", err)
 	}
-	return &Signer{priv: priv}, nil
+	pub := key.PublicKey().Bytes() // uncompressed point: 0x04 || X || Y
+	return &Signer{priv: &ecdsa.PrivateKey{
+		PublicKey: ecdsa.PublicKey{
+			Curve: curve,
+			X:     new(big.Int).SetBytes(pub[1:33]),
+			Y:     new(big.Int).SetBytes(pub[33:]),
+		},
+		D: d,
+	}}, nil
 }
 
 // PublicKey returns the uncompressed-point encoding of the public key,
