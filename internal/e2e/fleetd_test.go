@@ -220,6 +220,27 @@ func TestFleetdControlAPISmoke(t *testing.T) {
 		t.Fatalf("oversized request ran a sweep: %d records", len(history.Sweeps))
 	}
 
+	// The body fails closed: a misspelt field or bytes after the object
+	// are refused with 400 instead of running a sweep that ignores them.
+	for _, body := range []string{
+		`{"wait": true, "nonceseed": 7}`,
+		`{"wait": true} trailing`,
+		`{"wait": true}{"wait": true}`,
+	} {
+		resp, err = http.Post(base+"/fleet/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /fleet/sweep %s answered %d, want 400", body, resp.StatusCode)
+		}
+	}
+	getJSON(t, base+"/fleet/sweeps", &history)
+	if len(history.Sweeps) != 2 {
+		t.Fatalf("a refused request ran a sweep: %d records", len(history.Sweeps))
+	}
+
 	// Shutdown: drain must complete (sessions joined) and the API must
 	// refuse sweeps while it does.
 	cancel()

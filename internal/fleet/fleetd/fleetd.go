@@ -450,6 +450,28 @@ type sweepRequest struct {
 	NonceSeed *uint64 `json:"nonce_seed"`
 }
 
+// decodeSweepRequest decodes a POST /fleet/sweep body into req, failing
+// closed: an unknown field (a misspelt "nonceseed" would otherwise run an
+// unpinned sweep) or anything after the object is an error. An empty
+// body is a legal whole-fleet trigger.
+func decodeSweepRequest(body io.Reader, req *sweepRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			return errors.New("trailing data after the request object")
+		}
+		return fmt.Errorf("trailing data after the request object: %w", err)
+	}
+	return nil
+}
+
 // handleSweep triggers a sweep. By default it returns 202 immediately
 // with the sweep's ID ({"id": N, "status": "started"}) and the caller
 // polls /fleet/status; {"wait": true} blocks and returns the record.
@@ -460,9 +482,8 @@ func (d *Daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	var req sweepRequest
 	if r.Body != nil {
-		// An empty body is a legal whole-fleet trigger.
 		body := http.MaxBytesReader(w, r.Body, maxSweepBody)
-		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		if err := decodeSweepRequest(body, &req); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
