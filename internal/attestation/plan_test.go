@@ -163,12 +163,10 @@ func TestBackoffBounds(t *testing.T) {
 	// Construct the session directly: newSession would start a recv pump.
 	s := &session{pol: RetryPolicy{Timeout: time.Second, Backoff: 2 * time.Millisecond,
 		MaxBackoff: 8 * time.Millisecond, Seed: 7}, rng: rand.New(rand.NewSource(7))}
-	for attempt := 1; attempt <= 6; attempt++ {
-		start := time.Now()
-		s.sleepBackoff(attempt)
-		d := time.Since(start)
-		if d > 50*time.Millisecond {
-			t.Fatalf("attempt %d slept %v, cap is 8ms", attempt, d)
+	for i, ms := range []time.Duration{2, 4, 8, 8, 8, 8} {
+		attempt, d := i+1, ms*time.Millisecond
+		if got := s.backoff(attempt); got < d/2 || got >= d {
+			t.Fatalf("attempt %d backs off %v, want [%v, %v)", attempt, got, d/2, d)
 		}
 	}
 }

@@ -159,11 +159,11 @@ type Report struct {
 // fabric access, no prediction, no message encoding happens here. One
 // Plan may serve any number of concurrent Runs.
 //
-// With Retry.Window > 1 the configuration and readback phases run
-// pipelined: up to Window sequence envelopes stay outstanding and
-// responses are re-ordered into plan order before the CMAC/transcript
-// absorbs them, so the verdict and H_Vrf are independent of the window
-// size and of any transport reordering.
+// Each phase and each single command is one call of the session's
+// engine. With Retry.Window > 1 up to Window sequence envelopes stay
+// outstanding and responses are re-ordered into plan order before the
+// CMAC/transcript absorbs them, so the verdict and H_Vrf are independent
+// of the window size and of any transport reordering.
 func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	start := time.Now()
 	defer func() {
@@ -202,8 +202,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// noteConfig records the per-packet effects of one delivered
 	// configuration step; absorbFrame does the same for one read-back
 	// frame, folding it into the MAC, the transcript and the golden
-	// comparison. Both are shared by the lockstep and windowed paths and
-	// are always invoked in plan order.
+	// comparison. Both are always invoked in plan order.
 	noteConfig := func(cs configStep) {
 		if opts.Timeline != nil {
 			opts.Timeline.Add("vrf-sw", timing.VrfConfigOverhead())
@@ -240,14 +239,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		return nil
 	}
 
-	windowed := sess.reliable() && opts.Retry.windowSize() > 1
-
-	// Capability negotiation. Hello goes out as the first envelope of the
-	// session — it pins the prover's sequence base, freeing every later
-	// phase to run windowed from its first packet — and only when the
-	// session opts into a capability the plan pre-encoded. A prover that
-	// answers anything but Hello_ack grants nothing; the run then
-	// degrades to the base protocol instead of failing.
+	// Capability negotiation. Hello goes out as the first command of the
+	// session, and only when the session opts into a capability the plan
+	// pre-encoded. A prover that answers anything but Hello_ack grants
+	// nothing; the run then degrades to the base protocol instead of
+	// failing.
 	var caps uint32
 	if opts.Compress || opts.Delta {
 		var wantCaps uint32
@@ -263,11 +259,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 				return nil, err
 			}
 		}
-		resp, err := sess.exchange(helloWire, op("Hello"), true)
+		resp, err := sess.call(helloWire, op("Hello"))
 		if err != nil {
 			return nil, err
 		}
-		if resp != nil && resp.Type == protocol.MsgHelloAck {
+		if resp.Type == protocol.MsgHelloAck {
 			caps = resp.Caps & wantCaps
 		}
 		if sp != nil {
@@ -278,44 +274,24 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	useCompress := opts.Compress && caps&protocol.CapCompress != 0
 	rep.Compressed = useCompress
 
-	// sendConfigs ships one pre-encoded packet sequence. The first packet
-	// of the session (sess.seq still zero, i.e. no Hello went out) must go
-	// lockstep: the prover pins its sequence base on the first envelope,
-	// so that one must not race a reordered burst.
+	// sendConfigs ships one pre-encoded packet sequence. The plain
+	// protocol does not answer configuration packets; the reliable
+	// transport acknowledges each one, so a dropped frame is re-sent
+	// instead of silently producing a mis-configured device and a false
+	// mismatch verdict.
 	sendConfigs := func(steps []configStep, format string, compressed bool) error {
-		note := func(cs configStep) {
+		return sess.exchange(len(steps), func(k int) ([]byte, opLabel) {
+			return steps[k].wire, opLabel{format, steps[k].first}
+		}, false, func(k int, resp *protocol.Message) error {
+			cs := steps[k]
+			if resp != nil && resp.Type != protocol.MsgAck {
+				return fmt.Errorf("verifier: %s answered with %v (%s)", opLabel{format, cs.first}, resp.Type, resp.Err)
+			}
 			noteConfig(cs)
 			if compressed {
 				rawB += cs.count * device.FrameWords * 4
 				wireB += len(cs.wire)
 			}
-		}
-		k0 := len(steps)
-		if windowed {
-			k0 = 0
-			if sess.seq == 0 && len(steps) > 0 {
-				k0 = 1
-			}
-		}
-		for _, cs := range steps[:k0] {
-			if err := sess.sendConfig(cs.wire, opLabel{format, cs.first}); err != nil {
-				return err
-			}
-			note(cs)
-		}
-		rest := steps[k0:]
-		if len(rest) == 0 {
-			return nil
-		}
-		cmds := make([]windowCmd, len(rest))
-		for k, cs := range rest {
-			cmds[k] = windowCmd{enc: cs.wire, op: opLabel{format, cs.first}}
-		}
-		return sess.runWindow(cmds, opts.Retry.windowSize(), func(k int, resp *protocol.Message) error {
-			if resp.Type != protocol.MsgAck {
-				return fmt.Errorf("verifier: %s answered with %v (%s)", cmds[k].op, resp.Type, resp.Err)
-			}
-			note(rest[k])
 			return nil
 		})
 	}
@@ -345,7 +321,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		case len(p.nonceSet) > limit:
 			rep.Delta.Fallback = "threshold"
 		default:
-			if err := p.deltaScan(sess, opts, rep, windowed, &scratch, &rawB, &wireB); err != nil {
+			if err := p.deltaScan(sess, rep, &scratch, &rawB, &wireB); err != nil {
 				return nil, err
 			}
 			if sp != nil {
@@ -400,7 +376,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// before reading back. The matching prediction was computed at plan
 	// build and sits in p.expected.
 	if p.appStepWire != nil {
-		resp, err := sess.exchange(p.appStepWire, op("App_step"), true)
+		resp, err := sess.call(p.appStepWire, op("App_step"))
 		if err != nil {
 			return nil, err
 		}
@@ -414,35 +390,18 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 
 	// Phase 2: full configuration readback in the plan's validated
 	// order, with the comparison folded in — the order is a bijection,
-	// so each frame is judged exactly once as it arrives (lockstep) or as
-	// the window delivers it back in plan order (pipelined).
-	if windowed {
-		cmds := make([]windowCmd, len(p.order))
-		for k, idx := range p.order {
-			cmds[k] = windowCmd{enc: p.readbacks[k], op: opLabel{"ICAP_readback(%d)", idx}}
+	// so each frame is judged exactly once as the engine delivers it back
+	// in plan order.
+	err = sess.exchange(len(p.order), func(k int) ([]byte, opLabel) {
+		return p.readbacks[k], opLabel{"ICAP_readback(%d)", p.order[k]}
+	}, true, func(k int, resp *protocol.Message) error {
+		if opts.Timeline != nil {
+			opts.Timeline.Add("vrf-sw", timing.VrfReadbackOverhead())
 		}
-		err := sess.runWindow(cmds, opts.Retry.windowSize(), func(k int, resp *protocol.Message) error {
-			if opts.Timeline != nil {
-				opts.Timeline.Add("vrf-sw", timing.VrfReadbackOverhead())
-			}
-			return absorbFrame(p.order[k], resp)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for k, idx := range p.order {
-			if opts.Timeline != nil {
-				opts.Timeline.Add("vrf-sw", timing.VrfReadbackOverhead())
-			}
-			resp, err := sess.exchange(p.readbacks[k], opLabel{"ICAP_readback(%d)", idx}, true)
-			if err != nil {
-				return nil, err
-			}
-			if err := absorbFrame(idx, resp); err != nil {
-				return nil, err
-			}
-		}
+		return absorbFrame(p.order[k], resp)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if sp != nil {
 		sp.Event(milestoneReadback, -1, 0,
@@ -453,7 +412,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 
 	// Phase 3: checksum.
 	if p.signatureMode {
-		resp, err := sess.exchange(p.checksumWire, op("Sig_checksum"), true)
+		resp, err := sess.call(p.checksumWire, op("Sig_checksum"))
 		if err != nil {
 			return nil, err
 		}
@@ -466,7 +425,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 				fmt.Sprintf("command: Sig_checksum  ->  signature %d bytes, valid=%v", len(resp.Sig), rep.MACOK))
 		}
 	} else {
-		resp, err := sess.exchange(p.checksumWire, op("MAC_checksum"), true)
+		resp, err := sess.call(p.checksumWire, op("MAC_checksum"))
 		if err != nil {
 			return nil, err
 		}
@@ -539,8 +498,10 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 // post-configuration readback. Frames outside the nonce set that differ
 // land in rep.Delta.Unexpected — the caller falls back to the full
 // overwrite when that list is non-empty.
-func (p *Plan) deltaScan(sess *session, opts RunOpts, rep *Report, windowed bool, scratch *frameScratch, rawB, wireB *int) error {
-	handle := func(k int, resp *protocol.Message) error {
+func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB, wireB *int) error {
+	return sess.exchange(len(p.scanSteps), func(k int) ([]byte, opLabel) {
+		return p.scanSteps[k].wire, opLabel{"Scan(%d..)", p.scanSteps[k].frames[0]}
+	}, true, func(k int, resp *protocol.Message) error {
 		ss := p.scanSteps[k]
 		if resp.Type != protocol.MsgScanData {
 			return fmt.Errorf("verifier: Scan(%d..) answered with %v (%s)", ss.frames[0], resp.Type, resp.Err)
@@ -576,24 +537,7 @@ func (p *Plan) deltaScan(sess *session, opts RunOpts, rep *Report, windowed bool
 			}
 		}
 		return nil
-	}
-	if windowed {
-		cmds := make([]windowCmd, len(p.scanSteps))
-		for k, ss := range p.scanSteps {
-			cmds[k] = windowCmd{enc: ss.wire, op: opLabel{"Scan(%d..)", ss.frames[0]}}
-		}
-		return sess.runWindow(cmds, opts.Retry.windowSize(), handle)
-	}
-	for k, ss := range p.scanSteps {
-		resp, err := sess.exchange(ss.wire, opLabel{"Scan(%d..)", ss.frames[0]}, true)
-		if err != nil {
-			return err
-		}
-		if err := handle(k, resp); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // recordRun publishes one completed run into the metric families: the

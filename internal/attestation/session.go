@@ -3,7 +3,6 @@ package attestation
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -17,8 +16,9 @@ import (
 // enabled (Timeout > 0) the Run wraps every command in a sequence
 // envelope (protocol.MsgSeqReq), waits up to Timeout for the matching
 // response, and re-sends up to MaxRetries times with exponential backoff
-// plus jitter. Re-sends are idempotent: the prover executes each sequence
-// number at most once and replays the cached response for duplicates.
+// plus jitter — the same schedule at every window size. Re-sends are
+// idempotent: the prover executes each sequence number at most once and
+// replays the cached response for duplicates.
 //
 // The zero value disables the reliable transport entirely; the Run then
 // speaks the paper's bare protocol and blocks on a lossy link.
@@ -28,13 +28,15 @@ type RetryPolicy struct {
 	Timeout time.Duration
 	// MaxRetries is the number of re-sends after the first attempt.
 	MaxRetries int
-	// Backoff is the sleep before the first re-send; it doubles each
-	// retry up to MaxBackoff. Defaults to 5ms / 250ms when unset.
+	// Backoff is the pause between a command's failed attempt (timeout,
+	// or a send error that leaves the link open) and its first re-send;
+	// it doubles each retry up to MaxBackoff, and each pause is jittered
+	// into [d/2, d). Defaults to 5ms / 250ms when unset.
 	Backoff, MaxBackoff time.Duration
 	// Seed drives the backoff jitter.
 	Seed int64
 	// Window is the maximum number of enveloped commands kept outstanding
-	// during the pipelined protocol phases (configuration and readback).
+	// by the exchange engine, which runs every phase and command of a Run.
 	// 0 or 1 reproduces the paper's lockstep exchange; larger values hide
 	// the link round-trip behind up to Window in-flight frames. Values
 	// beyond MaxWindow are clamped — the prover's reorder buffer and
@@ -121,7 +123,8 @@ type recvResult struct {
 	err error
 }
 
-// session drives the message exchanges of one Run. In plain mode it
+// session drives the message exchanges of one Run; every message goes
+// through its one engine, exchange (window.go). In plain mode it
 // reproduces the paper's lockstep protocol exactly; in reliable mode it
 // adds the envelope, response matching, timeouts and retries. Commands
 // arrive pre-encoded from the Plan, so the session never touches the
@@ -131,16 +134,21 @@ type session struct {
 	pol RetryPolicy
 	rep *Report
 
-	// resp and env are the session's reused decode targets and wire its
-	// reused request envelope: a lockstep exchange returns &resp, valid
-	// until the next exchange.
+	// resp is the plain protocol's reused decode target and env the
+	// reliable transport's for incoming envelopes; slots holds one reused
+	// envelope buffer and response per window position.
 	resp, env protocol.Message
-	wire      []byte
+	slots     []slot
+	// timer is the session's one retry timer, re-armed for the earliest
+	// deadline of whatever is outstanding.
+	timer *time.Timer
 
-	seq       uint32
+	seq uint32
+	// pinned: the prover has answered the session's first envelope, so
+	// its sequence base is fixed and a window may fill.
+	pinned    bool
 	rng       *rand.Rand
 	recvCh    chan recvResult
-	recvErr   error
 	quit      chan struct{}
 	closeOnce sync.Once
 }
@@ -160,15 +168,18 @@ func newSession(ep channel.Endpoint, pol RetryPolicy, rep *Report) *session {
 		}
 	}
 	s.rng = rand.New(rand.NewSource(pol.Seed))
+	s.slots = make([]slot, pol.windowSize())
+	s.timer = time.NewTimer(time.Hour)
+	s.stopTimer()
 	s.recvCh = make(chan recvResult, 64)
 	s.quit = make(chan struct{})
 	// The pump decouples the blocking Endpoint.Recv from the timeout
 	// select. It exits on the first receive error, which for every
-	// transport here means the connection is gone for good; the error is
-	// delivered once and remembered in recvErr. The quit select keeps a
-	// Run that returns early (transport error, protocol rejection) from
-	// leaking the pump: once recvCh fills, the send would otherwise block
-	// forever with nobody left to drain it.
+	// transport here means the connection is gone for good; the engine
+	// fails the Run on it. The quit select keeps a Run that returns early
+	// (transport error, protocol rejection) from leaking the pump: once
+	// recvCh fills, the send would otherwise block forever with nobody
+	// left to drain it.
 	go func() {
 		for {
 			raw, err := s.ep.Recv()
@@ -195,92 +206,13 @@ func (s *session) close() {
 	s.closeOnce.Do(func() { close(s.quit) })
 }
 
-// reliable reports whether the session wraps commands in envelopes.
-func (s *session) reliable() bool { return s.pol.Enabled() }
-
-// exchange ships one pre-encoded command and returns the prover's
-// response message, which the session owns and reuses on the next
-// exchange. wantResp is only consulted in plain mode, where ICAP_config
-// has no response; in reliable mode every command is acknowledged.
-func (s *session) exchange(enc []byte, op opLabel, wantResp bool) (*protocol.Message, error) {
-	if !s.reliable() {
-		if err := s.ep.Send(enc); err != nil {
-			return nil, &TransportError{Op: op.String(), Attempts: 1, Err: err}
-		}
-		if !wantResp {
-			return nil, nil
-		}
-		raw, err := s.ep.Recv()
-		if err != nil {
-			return nil, &TransportError{Op: op.String(), Attempts: 1, Err: err}
-		}
-		if err := protocol.DecodeInto(&s.resp, raw); err != nil {
-			return nil, &TransportError{Op: op.String(), Attempts: 1, Err: err}
-		}
-		return &s.resp, nil
-	}
-
-	s.seq++
-	env := protocol.Message{Type: protocol.MsgSeqReq, Seq: s.seq, Inner: enc}
-	wire, err := env.AppendEncode(s.wire[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.wire = wire
-	attempts := s.pol.MaxRetries + 1
-	var lastErr error = channel.ErrTimeout
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			s.noteRetry()
-			s.sleepBackoff(a)
-		}
-		if s.recvErr != nil {
-			// The connection is gone; further sends cannot be answered.
-			return nil, &TransportError{Op: op.String(), Attempts: a, Err: s.recvErr}
-		}
-		if err := s.ep.Send(wire); err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := s.await()
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if s.recvErr != nil || errors.Is(err, io.EOF) || errors.Is(err, channel.ErrClosed) || errors.Is(err, channel.ErrReset) {
-			return nil, &TransportError{Op: op.String(), Attempts: a + 1, Err: err}
-		}
-	}
-	return nil, &TransportError{Op: op.String(), Attempts: attempts, Err: lastErr}
-}
-
-// await waits for the response matching the current sequence number,
-// discarding (and counting) everything else: corrupted envelopes, stale
-// responses to earlier duplicates, unwrapped Error messages a prover
-// emits for undecodable input.
-func (s *session) await() (*protocol.Message, error) {
-	timer := time.NewTimer(s.pol.Timeout)
-	defer timer.Stop()
-	for {
+// stopTimer stops the retry timer and drains a tick that already fired,
+// so the next Reset starts clean.
+func (s *session) stopTimer() {
+	if !s.timer.Stop() {
 		select {
-		case r := <-s.recvCh:
-			if r.err != nil {
-				s.recvErr = r.err
-				return nil, r.err
-			}
-			env := &s.env
-			if err := protocol.DecodeInto(env, r.raw); err != nil || env.Type != protocol.MsgSeqResp || env.Seq != s.seq {
-				s.noteFault()
-				continue
-			}
-			if err := protocol.DecodeInto(&s.resp, env.Inner); err != nil {
-				s.noteFault()
-				continue
-			}
-			return &s.resp, nil
-		case <-timer.C:
-			mTimeouts.Inc()
-			return nil, channel.ErrTimeout
+		case <-s.timer.C:
+		default:
 		}
 	}
 }
@@ -299,10 +231,11 @@ func (s *session) noteFault() {
 	mTransportFaults.Inc()
 }
 
-// sleepBackoff sleeps before the attempt-th re-send: exponential from
-// Backoff, capped at MaxBackoff, with jitter in [d/2, d) so a fleet of
-// verifiers does not re-send in lockstep.
-func (s *session) sleepBackoff(attempt int) {
+// backoff is the pause before the re-send that follows attempt failed
+// attempts: exponential from Backoff, capped at MaxBackoff, with jitter
+// in [d/2, d) so a fleet of verifiers does not re-send in lockstep. It
+// draws the rng once.
+func (s *session) backoff(attempt int) time.Duration {
 	d := s.pol.Backoff
 	for i := 1; i < attempt && d < s.pol.MaxBackoff; i++ {
 		d *= 2
@@ -313,21 +246,5 @@ func (s *session) sleepBackoff(attempt int) {
 	if d > 1 {
 		d = d/2 + time.Duration(s.rng.Int63n(int64(d/2)))
 	}
-	time.Sleep(d)
-}
-
-// sendConfig ships one pre-encoded configuration message. In plain mode
-// it is fire-and-forget (the paper's protocol); in reliable mode the
-// prover acknowledges it, so a dropped frame is re-sent instead of
-// silently producing a mis-configured device and a false mismatch
-// verdict.
-func (s *session) sendConfig(enc []byte, op opLabel) error {
-	resp, err := s.exchange(enc, op, false)
-	if err != nil {
-		return err
-	}
-	if s.reliable() && resp.Type != protocol.MsgAck {
-		return fmt.Errorf("verifier: %s answered with %v (%s)", op, resp.Type, resp.Err)
-	}
-	return nil
+	return d
 }

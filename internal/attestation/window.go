@@ -8,146 +8,110 @@ import (
 	"sacha/internal/protocol"
 )
 
-// windowCmd is one pre-encoded command queued for a pipelined phase.
-type windowCmd struct {
-	enc []byte
-	op  opLabel
+// slot is one window position's reused state: the envelope it ships,
+// the response it holds until delivery, and its retry bookkeeping.
+type slot struct {
+	wire     []byte
+	resp     protocol.Message
+	op       opLabel
+	attempts int
+	// due is the response deadline, or, while backoff is set, the end of
+	// the pause before the next re-send.
+	due     time.Time
+	backoff bool
+	got     bool
+	lastErr error
 }
 
-// runWindow drives a sliding-window pipelined exchange of cmds over the
-// reliable transport: up to window sequence envelopes stay outstanding,
-// responses are matched by sequence number whatever order they arrive in,
-// and deliver is invoked strictly in cmds order — the correctness
-// invariant of the readback phase, where the CMAC and the transcript are
-// order-sensitive. Each outstanding sequence runs its own retry timer, so
-// a single dropped frame re-sends only that frame instead of stalling the
-// whole pipe.
+// exchange is the session's one engine: it ships n pre-encoded commands,
+// cmd(k) yielding the k-th with its step label, and hands each response
+// to deliver strictly in command order — the correctness invariant of
+// the readback phase, where the CMAC and the transcript are
+// order-sensitive. deliver must not retain a response: the engine
+// reuses its storage.
 //
-// The first envelope of a session must already have been exchanged in
-// lockstep before runWindow is used: the prover pins its sequence base on
-// the first envelope it sees, and a reordered opening burst could
-// otherwise pin the base past outstanding commands.
-func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, resp *protocol.Message) error) error {
-	if len(cmds) == 0 {
-		return nil
-	}
-	if window > MaxWindow {
-		window = MaxWindow
-	}
-	if window > len(cmds) {
-		window = len(cmds)
-	}
-	if window < 1 {
-		window = 1
-	}
-
-	type entry struct {
-		seq      uint32
-		wire     []byte
-		op       opLabel
-		attempts int
-		deadline time.Time
-		resp     *protocol.Message
-		got      bool
-		lastErr  error
-	}
-	entries := make([]entry, len(cmds))
-	pending := make(map[uint32]int, window)
-	maxAttempts := s.pol.MaxRetries + 1
-
-	// sendEntry ships (or re-ships) one envelope and arms its retry
-	// timer. A transient send failure is treated like a lost message: the
-	// entry's deadline is pulled in so the timer path re-sends it soon.
-	sendEntry := func(i int, resend bool) error {
-		e := &entries[i]
-		if e.attempts >= maxAttempts {
-			err := e.lastErr
-			if err == nil {
-				err = channel.ErrTimeout
+// Plain mode is the paper's protocol: send, then receive the answer,
+// one command at a time. Commands whose plain form has no answer
+// (ICAP_config; plainReply false) are delivered a nil response.
+//
+// Reliable mode keeps up to Retry.Window sequence envelopes outstanding
+// (window 1 is the paper's stop-and-wait exchange) and matches responses
+// by sequence number whatever order they arrive in. Every command is
+// acknowledged. A command whose response times out, or whose send fails,
+// is re-sent with the same sequence number after the jittered
+// exponential backoff, up to MaxRetries times; a lost frame re-sends
+// only that frame instead of stalling the whole pipe.
+func (s *session) exchange(n int, cmd func(k int) ([]byte, opLabel), plainReply bool, deliver func(k int, resp *protocol.Message) error) error {
+	if !s.pol.Enabled() {
+		for k := 0; k < n; k++ {
+			enc, op := cmd(k)
+			if err := s.ep.Send(enc); err != nil {
+				return &TransportError{Op: op.String(), Attempts: 1, Err: err}
 			}
-			return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: err}
-		}
-		e.attempts++
-		if resend {
-			s.noteRetry()
-		}
-		if err := s.ep.Send(e.wire); err != nil {
-			e.lastErr = err
-			if errors.Is(err, channel.ErrClosed) || errors.Is(err, channel.ErrReset) {
-				return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: err}
+			var resp *protocol.Message
+			if plainReply {
+				raw, err := s.ep.Recv()
+				if err == nil {
+					err = protocol.DecodeInto(&s.resp, raw)
+				}
+				if err != nil {
+					return &TransportError{Op: op.String(), Attempts: 1, Err: err}
+				}
+				resp = &s.resp
 			}
-			e.deadline = time.Now().Add(s.pol.Backoff)
-			return nil
+			if err := deliver(k, resp); err != nil {
+				return err
+			}
 		}
-		e.lastErr = channel.ErrTimeout
-		e.deadline = time.Now().Add(s.pol.Timeout)
 		return nil
 	}
 
-	timer := time.NewTimer(time.Hour)
-	stopTimer := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-	stopTimer()
-	defer stopTimer()
-
+	w := len(s.slots)
+	first := s.seq + 1 // command k travels as sequence first+k
 	next, done := 0, 0 // next command to send; next response to deliver
 	// The occupancy gauge tracks envelopes in flight across all
 	// concurrent runs: +1 when a command first ships, -1 when its
 	// response is delivered; the deferred settle drains whatever is
 	// still outstanding when the run exits (success or error).
 	defer func() { mWindowInflight.Add(int64(done - next)) }()
-	for done < len(cmds) {
-		for next < len(cmds) && next-done < window {
-			e := &entries[next]
+	for done < n {
+		// Fill the window. Until the prover has answered the session's
+		// first envelope only that one is in flight: the prover pins its
+		// sequence base on the first envelope it sees, and a reordered
+		// opening burst could pin it past outstanding commands.
+		for next < n && next-done < w && (s.pinned || next == done) {
+			e := &s.slots[next%w]
+			enc, op := cmd(next)
 			s.seq++
-			e.seq = s.seq
-			wire, err := protocol.WrapReq(e.seq, cmds[next].enc).Encode()
+			env := protocol.Message{Type: protocol.MsgSeqReq, Seq: s.seq, Inner: enc}
+			wire, err := env.AppendEncode(e.wire[:0])
 			if err != nil {
 				return err
 			}
-			e.wire = wire
-			e.op = cmds[next].op
-			pending[e.seq] = next
-			if err := sendEntry(next, false); err != nil {
+			e.wire, e.op, e.attempts, e.got = wire, op, 0, false
+			if err := s.send(e); err != nil {
 				return err
 			}
 			mWindowInflight.Inc()
 			mWindowCmds.Inc()
 			next++
 		}
-		if s.recvErr != nil {
-			e := &entries[done]
-			return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: s.recvErr}
-		}
 
-		// Arm the timer for the earliest per-sequence retry deadline.
-		var min time.Time
-		for i := done; i < next; i++ {
-			if entries[i].got {
-				continue
-			}
-			if min.IsZero() || entries[i].deadline.Before(min) {
-				min = entries[i].deadline
+		// Arm the timer for the earliest deadline still outstanding; the
+		// delivery cursor's own command always is.
+		due := s.slots[done%w].due
+		for i := done + 1; i < next; i++ {
+			if e := &s.slots[i%w]; !e.got && e.due.Before(due) {
+				due = e.due
 			}
 		}
-		wait := time.Until(min)
-		if wait < 0 {
-			wait = 0
-		}
-		timer.Reset(wait)
+		s.timer.Reset(max(time.Until(due), 0))
 
 		select {
 		case r := <-s.recvCh:
-			stopTimer()
+			s.stopTimer()
 			if r.err != nil {
-				s.recvErr = r.err
-				e := &entries[done]
+				e := &s.slots[done%w]
 				return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: r.err}
 			}
 			env := &s.env
@@ -155,44 +119,91 @@ func (s *session) runWindow(cmds []windowCmd, window int, deliver func(k int, re
 				s.noteFault()
 				continue
 			}
-			i, ok := pending[env.Seq]
-			if !ok {
-				// A stale duplicate of an already-delivered sequence, or
-				// garbage with a well-formed envelope.
+			// A batch's sequence numbers are contiguous, so the command a
+			// response answers is its offset from first. Anything outside
+			// the outstanding range, or already held, is a stale duplicate
+			// or garbage with a well-formed envelope.
+			k := env.Seq - first
+			if k < uint32(done) || k >= uint32(next) {
 				s.noteFault()
 				continue
 			}
-			inner, err := protocol.Decode(env.Inner)
-			if err != nil {
+			e := &s.slots[int(k)%w]
+			if e.got || protocol.DecodeInto(&e.resp, env.Inner) != nil {
 				s.noteFault()
 				continue
 			}
-			entries[i].resp = inner
-			entries[i].got = true
-			delete(pending, env.Seq)
-			// Reorder arrivals into plan order: deliver every response
-			// that is now contiguous with the delivery cursor.
-			for done < next && entries[done].got {
-				if err := deliver(done, entries[done].resp); err != nil {
+			e.got, s.pinned = true, true
+			// Reorder arrivals into command order: deliver every response
+			// now contiguous with the delivery cursor.
+			for done < next && s.slots[done%w].got {
+				if err := deliver(done, &s.slots[done%w].resp); err != nil {
 					return err
 				}
-				entries[done].resp = nil
 				done++
 				mWindowInflight.Dec()
 			}
 
-		case now := <-timer.C:
+		case now := <-s.timer.C:
 			for i := done; i < next; i++ {
-				e := &entries[i]
-				if e.got || e.deadline.After(now) {
+				e := &s.slots[i%w]
+				if e.got || e.due.After(now) {
+					continue
+				}
+				if e.backoff {
+					s.noteRetry()
+					if err := s.send(e); err != nil {
+						return err
+					}
 					continue
 				}
 				mTimeouts.Inc()
-				if err := sendEntry(i, true); err != nil {
+				if err := s.retryLater(e); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// send ships (or re-ships) one slot's envelope and arms its response
+// deadline. A send that fails without closing the link counts as a
+// failed attempt and backs off like a timeout.
+func (s *session) send(e *slot) error {
+	e.attempts++
+	e.backoff = false
+	e.lastErr = channel.ErrTimeout
+	if err := s.ep.Send(e.wire); err != nil {
+		e.lastErr = err
+		if errors.Is(err, channel.ErrClosed) || errors.Is(err, channel.ErrReset) {
+			return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: err}
+		}
+		return s.retryLater(e)
+	}
+	e.due = time.Now().Add(s.pol.Timeout)
+	return nil
+}
+
+// retryLater schedules a failed slot's re-send after the backoff, or
+// gives up once the retry budget is spent.
+func (s *session) retryLater(e *slot) error {
+	if e.attempts > s.pol.MaxRetries {
+		return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: e.lastErr}
+	}
+	e.backoff = true
+	e.due = time.Now().Add(s.backoff(e.attempts))
+	return nil
+}
+
+// call runs one command through the engine and returns its response,
+// which the session owns until its next exchange.
+func (s *session) call(enc []byte, op opLabel) (*protocol.Message, error) {
+	var resp *protocol.Message
+	err := s.exchange(1, func(int) ([]byte, opLabel) { return enc, op }, true,
+		func(_ int, r *protocol.Message) error {
+			resp = r
+			return nil
+		})
+	return resp, err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"sacha/internal/verifier"
 )
@@ -13,7 +14,15 @@ import (
 // process-wide per frame moved (configured + read back). What remains
 // is essentially the one response frame per response that changes owner
 // at InlineEndpoint.Send; requests are framed into a reused buffer.
+//
+// The reliable cases add the sequence envelope on both sides: the
+// prover's cached response image is the one further allocation per
+// message, and the verifier's engine reuses its envelope buffers,
+// decoded responses and retry timer.
 func TestSessionAllocsPerFrame(t *testing.T) {
+	reliable := verifier.RetryPolicy{Timeout: 5 * time.Second, MaxRetries: 3}
+	windowed := reliable
+	windowed.Window = 16
 	for _, tc := range []struct {
 		name  string
 		opts  verifier.Options
@@ -21,6 +30,8 @@ func TestSessionAllocsPerFrame(t *testing.T) {
 	}{
 		{"plain", verifier.Options{}, 1},
 		{"compress", verifier.Options{Compress: true}, 1},
+		{"reliable", verifier.Options{Retry: reliable}, 2.5},
+		{"windowed", verifier.Options{Retry: windowed}, 2.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := smallSystem(t, nil)

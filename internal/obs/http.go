@@ -51,6 +51,18 @@ func Handler(reg *Registry, sweep *SweepTracker, extra ...Route) http.Handler {
 	return mux
 }
 
+// Server timeouts of Serve. The header and request timeouts bound how
+// long a client may take to send its headers and its whole request, so
+// a peer that trickles bytes cannot hold a connection open; the idle
+// timeout closes idle keep-alive connections. There is deliberately no
+// WriteTimeout: a {"wait": true} sweep and /debug/pprof/profile
+// legitimately write their response later than any fixed bound.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve listens on addr and serves Handler(reg, sweep) in a background
 // goroutine. It returns the bound address (useful with ":0") and the
 // server, which the caller shuts down when done. Listen errors are
@@ -62,7 +74,9 @@ func Serve(addr string, reg *Registry, sweep *SweepTracker, extra ...Route) (*ht
 	}
 	srv := &http.Server{
 		Handler:           Handler(reg, sweep, extra...),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	go srv.Serve(ln)
 	return srv, ln.Addr(), nil

@@ -91,6 +91,11 @@ func TestServe(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("status = %d, want 200", resp.StatusCode)
 	}
+	// Every read is bounded; writes are not (long sweeps and profiles).
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 || srv.WriteTimeout != 0 {
+		t.Errorf("timeouts: header %v, read %v, idle %v, write %v; want bounded reads and no write bound",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
 	// A second listener on the same port must fail fast, synchronously.
 	if _, _, err := Serve(addr.String(), nil, nil); err == nil {
 		t.Error("Serve on an occupied port returned no error")

@@ -515,11 +515,15 @@ func Errorf(format string, args ...any) *Message {
 // seqCRC is the envelope checksum: CRC-32 (IEEE) over the big-endian
 // sequence number followed by the embedded message, so corruption of
 // either is detected at the transport layer — a flipped frame bit must
-// trigger a re-send, never silently poison the readback MAC.
+// trigger a re-send, never silently poison the readback MAC. The four
+// sequence bytes are folded in through the IEEE table directly: a byte
+// array handed to package crc32 escapes to the heap.
 func seqCRC(seq uint32, inner []byte) uint32 {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], seq)
-	return crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, inner)
+	crc := ^uint32(0)
+	for shift := 24; shift >= 0; shift -= 8 {
+		crc = crc32.IEEETable[byte(crc)^byte(seq>>shift)] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, inner)
 }
 
 // WrapReq wraps an encoded command in a request envelope.

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -64,6 +66,46 @@ func TestSeqCRCBindsSequenceNumber(t *testing.T) {
 	copy(spliced[1:5], b[1:5])
 	if _, err := Decode(spliced); err == nil {
 		t.Fatal("spliced sequence number accepted")
+	}
+}
+
+// TestSeqCRCMatchesIEEE pins the envelope checksum bit for bit to CRC-32
+// (IEEE) over the big-endian sequence number followed by the embedded
+// message, so envelopes on the wire keep their bytes.
+func TestSeqCRCMatchesIEEE(t *testing.T) {
+	inner, _ := Readback(4711).Encode()
+	for _, seq := range []uint32{0, 1, 2, 0xFF, 0x100, 0xDEADBEEF, 1 << 31, 0xFFFFFFFF} {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], seq)
+		want := crc32.ChecksumIEEE(append(hdr[:], inner...))
+		if got := seqCRC(seq, inner); got != want {
+			t.Fatalf("seqCRC(%#x) = %#08x, want %#08x", seq, got, want)
+		}
+	}
+}
+
+// TestSeqEnvelopeNoAlloc pins the reliable transport's codec at zero
+// allocations: an envelope encoded into a reused buffer and decoded into
+// a reused Message.
+func TestSeqEnvelopeNoAlloc(t *testing.T) {
+	inner, _ := Readback(4711).Encode()
+	var buf []byte
+	var back Message
+	seq := uint32(0)
+	roundTrip := func() {
+		seq++
+		env := Message{Type: MsgSeqReq, Seq: seq, Inner: inner}
+		var err error
+		if buf, err = env.AppendEncode(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeInto(&back, buf); err != nil || back.Seq != seq {
+			t.Fatalf("decode: seq %d, %v", back.Seq, err)
+		}
+	}
+	roundTrip() // size the buffers
+	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+		t.Fatalf("envelope encode+decode allocates %.1f objects, want 0", avg)
 	}
 }
 
