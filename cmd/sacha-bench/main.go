@@ -251,7 +251,7 @@ func measureDelta(geo *device.Geometry, fullPlan, deltaPlan *attestation.Plan, d
 		}
 
 		link := channel.NewDelayEndpoint(channel.NewInline(dev.Handler(), channel.SimConfig{}), delay)
-		opts := attestation.RunOpts{Key: key, Delta: true, DeltaWarm: warm, Compress: true,
+		opts := attestation.RunOpts{Key: key, DeltaWarm: warm,
 			Retry: attestation.RetryPolicy{Timeout: 4*delay + 250*time.Millisecond, MaxRetries: 5, Window: window}}
 		t0 := time.Now()
 		rep, err := deltaPlan.Run(link, opts)

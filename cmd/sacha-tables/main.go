@@ -158,7 +158,7 @@ func printTable3Live(w io.Writer, appName string) {
 // attestRecorded runs one seeded attestation of the small device with a
 // session span as its protocol event record. offset is the readback
 // order offset i.
-func attestRecorded(appName string, offset int) (*core.System, *verifier.Report, *span.Span) {
+func attestRecorded(appName string, offset int) (*core.System, *attestation.Report, *span.Span) {
 	app, err := apps.ByName(appName)
 	fatal(err)
 	sys, err := core.NewSystem(core.Config{

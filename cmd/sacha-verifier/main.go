@@ -17,10 +17,11 @@
 // -compress negotiates the run-length compressed wire transport per
 // session (a Hello capability bit; provers without it transparently get
 // the plain packets). -delta attests each prover twice: a full warm-up
-// attestation establishes the delta admissibility precondition
-// in-session, then the delta attestation scans the device and rewrites
-// only the nonce-register frames — same verdict, same H_Vrf, a fraction
-// of the configuration bytes.
+// attestation under a fresh nonce of its own establishes the delta
+// admissibility precondition in-session, then the delta attestation
+// under the target's nonce scans the device and rewrites only the
+// nonce-register frames — same verdict, same H_Vrf, a fraction of the
+// configuration bytes.
 //
 // -connect accepts a comma-separated list of provers; they are attested
 // through a worker pool of -concurrency connections. All targets share
@@ -56,6 +57,7 @@ import (
 	"sacha/internal/cliutil"
 	"sacha/internal/core"
 	"sacha/internal/device"
+	"sacha/internal/netlist"
 	"sacha/internal/obs"
 	"sacha/internal/obs/span"
 )
@@ -135,27 +137,12 @@ func main() {
 		*nonce = uint64(time.Now().UnixNano())
 	}
 
-	// The golden image carries the placed nonce register. Under
-	// per-device freshness it is built at a reference nonce and the plan
-	// is marked patchable: each worker below re-nonces its own copy with
-	// Plan.WithNonce — O(nonce column), not another O(fabric) build.
-	golden, dynFrames, err := core.BuildGolden(geo, app, *buildID, *nonce)
-	fatal(err)
-
-	// One plan for the whole sweep: the pre-encoded messages, the
-	// validated readback order and the masked (or predicted) comparison
-	// frames are shared read-only by every worker below.
-	plan, err := attestation.NewPlan(attestation.Spec{
-		Geo:            geo,
-		Golden:         golden,
-		DynFrames:      dynFrames,
-		Offset:         *offset,
-		AppSteps:       uint32(*steps),
-		ConfigBatch:    *batch,
-		Compress:       *compress,
-		Delta:          *delta,
-		PatchableNonce: policy == attestation.PerDevice,
-		NonceBits:      core.NonceBits,
+	plan, err := sweepPlan(geo, app, *buildID, *nonce, attestation.Spec{
+		Offset:      *offset,
+		AppSteps:    uint32(*steps),
+		ConfigBatch: *batch,
+		Compress:    *compress,
+		Delta:       *delta,
 	})
 	fatal(err)
 
@@ -193,7 +180,6 @@ func main() {
 			defer wg.Done()
 			for i := range jobs {
 				opts := runOptions(key, *plain, *timeout, *retries, *backoff, *window)
-				opts.Compress = *compress
 				sp := root.DeviceChild(addrs[i], uint64(i)+1)
 				if sp == nil && *trace {
 					// No obs collector: the trace still needs the session's
@@ -290,6 +276,23 @@ func printTrace(addr string, header bool, sp *span.Span) {
 	os.Stderr.Write(b.Bytes())
 }
 
+// sweepPlan builds the one plan of the whole sweep, with the plan-shaping
+// options of shape: the pre-encoded messages, the validated readback
+// order and the masked (or predicted) comparison frames are shared
+// read-only by every worker. The golden image carries the placed nonce
+// register at nonce, and the plan is always nonce-patchable: under
+// per-device freshness, and for the -delta warm-up, a worker re-nonces
+// its own copy with Plan.WithNonce — O(nonce column), not another
+// O(fabric) build.
+func sweepPlan(geo *device.Geometry, app *netlist.Design, buildID, nonce uint64, shape attestation.Spec) (*attestation.Plan, error) {
+	golden, dynFrames, err := core.BuildGolden(geo, app, buildID, nonce)
+	if err != nil {
+		return nil, err
+	}
+	shape.Geo, shape.Golden, shape.DynFrames, shape.PatchableNonce = geo, golden, dynFrames, true
+	return attestation.NewPlan(shape)
+}
+
 func runOptions(key [16]byte, plain bool, timeout time.Duration, retries int, backoff time.Duration, window int) attestation.RunOpts {
 	opts := attestation.RunOpts{Key: key}
 	if !plain {
@@ -336,7 +339,7 @@ func attestOne(addr string, plan *attestation.Plan, nonce uint64, policy attesta
 		}
 		plan = patched
 	}
-	run := func(o attestation.RunOpts) (*attestation.Report, error) {
+	run := func(plan *attestation.Plan, o attestation.RunOpts) (*attestation.Report, error) {
 		ep, err := channel.Dial(addr)
 		if err != nil {
 			// A prover we cannot even dial is the canonical unreachable case —
@@ -358,18 +361,24 @@ func attestOne(addr string, plan *attestation.Plan, nonce uint64, policy attesta
 		// The one-shot CLI has no cross-invocation trust ledger, so the
 		// §13 admissibility precondition is established in-session: a full
 		// attestation over a first connection, then — only if it accepted —
-		// the delta attestation over a second one.
-		warm := opts
-		warm.Delta, warm.DeltaWarm = false, false
-		wrep, err := run(warm)
+		// the delta attestation over a second one. The warm-up answers a
+		// challenge of its own: under the target's nonce both sessions
+		// would end in the same MAC, and the delta verdict would answer a
+		// challenge already answered.
+		warmPlan, err := plan.WithNonce(rand.Uint64())
+		if err != nil {
+			tg.err = err
+			return tg
+		}
+		wrep, err := run(warmPlan, opts)
 		if err != nil || !wrep.Accepted {
 			tg.rep, tg.err = wrep, err
 			tg.wall = time.Since(start)
 			return tg
 		}
-		opts.Delta, opts.DeltaWarm = true, true
+		opts.DeltaWarm = true
 	}
-	tg.rep, tg.err = run(opts)
+	tg.rep, tg.err = run(plan, opts)
 	tg.wall = time.Since(start)
 	return tg
 }

@@ -9,12 +9,12 @@ import (
 	"net"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/netlist"
 	"sacha/internal/prover"
-	"sacha/internal/verifier"
 )
 
 func main() {
@@ -65,9 +65,12 @@ func main() {
 	}
 	defer ep.Close()
 
-	v := verifier.New(geo, key)
 	start := time.Now()
-	rep, err := v.Attest(ep, golden, dynFrames, verifier.Options{Offset: 1234})
+	plan, err := attestation.NewPlan(attestation.Spec{Geo: geo, Golden: golden, DynFrames: dynFrames, Offset: 1234})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := plan.Run(ep, attestation.RunOpts{Key: key})
 	if err != nil {
 		log.Fatal(err)
 	}

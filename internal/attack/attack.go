@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/cmac"
 	"sacha/internal/core"
@@ -37,7 +38,7 @@ type Result struct {
 	Err error
 }
 
-func verdict(rep *verifier.Report, err error) (bool, string) {
+func verdict(rep *attestation.Report, err error) (bool, string) {
 	if err != nil {
 		return true, "protocol failure"
 	}

@@ -32,7 +32,7 @@ func SpecKey(spec Spec) [32]byte {
 	h := sha256.New()
 	if spec.Golden != nil {
 		if spec.PatchableNonce {
-			if d, err := fabric.NonceFreeDigest(spec.Golden, spec.nonceBits()); err == nil {
+			if d, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits); err == nil {
 				h.Write(d[:])
 			} else {
 				// Conservative fallback: an unusable template degrades to
@@ -50,8 +50,8 @@ func SpecKey(spec Spec) [32]byte {
 	if spec.Geo != nil {
 		geo = spec.Geo.Name
 	}
-	fmt.Fprintf(h, "|patch:%t:%d|geo:%s|off:%d|app:%d|sig:%t|batch:%d|comp:%t|delta:%t|dyn:",
-		spec.PatchableNonce, spec.nonceBits(), geo, spec.Offset, spec.AppSteps, spec.SignatureMode, spec.ConfigBatch,
+	fmt.Fprintf(h, "|patch:%t|geo:%s|off:%d|app:%d|sig:%t|batch:%d|comp:%t|delta:%t|dyn:",
+		spec.PatchableNonce, geo, spec.Offset, spec.AppSteps, spec.SignatureMode, spec.ConfigBatch,
 		spec.Compress, spec.Delta)
 	var buf [8]byte
 	for _, f := range spec.DynFrames {

@@ -13,6 +13,7 @@ import (
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/netlist"
+	"sacha/internal/protocol"
 	"sacha/internal/prover"
 )
 
@@ -109,7 +110,7 @@ func TestDeltaRunMatchesFullOverwrite(t *testing.T) {
 	}
 
 	// Second round: delta on A, full overwrite on B.
-	repA := mustRun(t, deltaPlan, devA.connect(t), attestation.RunOpts{Delta: true, DeltaWarm: true, Compress: true})
+	repA := mustRun(t, deltaPlan, devA.connect(t), attestation.RunOpts{DeltaWarm: true})
 	repB := mustRun(t, basePlan, devB.connect(t), attestation.RunOpts{})
 
 	if !repA.Accepted || !repB.Accepted {
@@ -145,7 +146,7 @@ func TestDeltaRunMatchesFullOverwrite(t *testing.T) {
 func TestDeltaColdFallsBack(t *testing.T) {
 	deltaPlan, _, dyn := buildDeltaPlans(t)
 	dev := newPersistentProver(t, deltaPlan.Geo())
-	rep := mustRun(t, deltaPlan, dev.connect(t), attestation.RunOpts{Delta: true})
+	rep := mustRun(t, deltaPlan, dev.connect(t), attestation.RunOpts{})
 	if !rep.Accepted {
 		t.Fatalf("cold fallback rejected: %+v", rep)
 	}
@@ -191,7 +192,7 @@ func TestDeltaDriftFallsBack(t *testing.T) {
 	}
 	dev.dev.Fabric.Mem.Frame(tampered)[3] ^= 1 << 7
 
-	rep := mustRun(t, deltaPlan, dev.connect(t), attestation.RunOpts{Delta: true, DeltaWarm: true})
+	rep := mustRun(t, deltaPlan, dev.connect(t), attestation.RunOpts{DeltaWarm: true})
 	if rep.Delta.Applied || rep.Delta.Fallback != "mismatch" {
 		t.Fatalf("drifted device did not fall back: %+v", rep.Delta)
 	}
@@ -206,19 +207,6 @@ func TestDeltaDriftFallsBack(t *testing.T) {
 	}
 	if !rep.Accepted {
 		t.Fatalf("fallback overwrite did not repair the drift: %+v", rep)
-	}
-}
-
-// TestDeltaRequiresDeltaSpec: RunOpts.Delta against a plan built without
-// Spec.Delta must fail loudly, not silently run a full overwrite.
-func TestDeltaRequiresDeltaSpec(t *testing.T) {
-	_, basePlan, _ := buildDeltaPlans(t)
-	dev := newPersistentProver(t, basePlan.Geo())
-	if _, err := basePlan.Run(dev.connect(t), attestation.RunOpts{Key: runKey, Delta: true}); err == nil {
-		t.Fatal("RunOpts.Delta accepted on a plan built without Spec.Delta")
-	}
-	if _, err := basePlan.Run(dev.connect(t), attestation.RunOpts{Key: runKey, Compress: true}); err == nil {
-		t.Fatal("RunOpts.Compress accepted on a plan built without Spec.Compress")
 	}
 }
 
@@ -258,7 +246,7 @@ func TestCompressedRunMatchesPlain(t *testing.T) {
 	}
 	devA := newPersistentProver(t, geo)
 	devB := newPersistentProver(t, geo)
-	repA := mustRun(t, compPlan, devA.connect(t), attestation.RunOpts{Compress: true})
+	repA := mustRun(t, compPlan, devA.connect(t), attestation.RunOpts{})
 	repB := mustRun(t, plainPlan, devB.connect(t), attestation.RunOpts{})
 	if !repA.Accepted || !repB.Accepted {
 		t.Fatalf("rejected: comp=%+v plain=%+v", repA, repB)
@@ -268,5 +256,56 @@ func TestCompressedRunMatchesPlain(t *testing.T) {
 	}
 	if !repA.Compressed || repB.Compressed {
 		t.Fatalf("negotiation: comp=%v plain=%v", repA.Compressed, repB.Compressed)
+	}
+}
+
+// TestPlanCapabilitiesDecideHello: a session speaks exactly the
+// capabilities its plan pre-encoded. A Compress+Delta plan opens every
+// Run with Hello(CapCompress|CapScan) and negotiates compression; a
+// plain plan sends no Hello, so its message count stays the paper's
+// configuration packets, readbacks and one checksum.
+func TestPlanCapabilitiesDecideHello(t *testing.T) {
+	deltaPlan, basePlan, _ := buildDeltaPlans(t)
+	// sent records the type and capability field of every command the
+	// verifier puts on the wire.
+	run := func(plan *attestation.Plan, dev *persistentProver) (*attestation.Report, []*protocol.Message) {
+		t.Helper()
+		var sent []*protocol.Message
+		tap := &channel.Tap{Inner: dev.connect(t), OnSend: func(m []byte) []byte {
+			dm, err := protocol.Decode(m)
+			if err != nil {
+				t.Errorf("verifier sent an undecodable command: %v", err)
+			}
+			sent = append(sent, dm)
+			return m
+		}}
+		return mustRun(t, plan, tap, attestation.RunOpts{}), sent
+	}
+
+	dev := newPersistentProver(t, deltaPlan.Geo())
+	for round := 0; round < 2; round++ {
+		rep, sent := run(deltaPlan, dev)
+		if len(sent) == 0 || sent[0].Type != protocol.MsgHello {
+			t.Fatalf("round %d: delta plan's first command is not Hello", round)
+		}
+		if want := protocol.CapCompress | protocol.CapScan; sent[0].Caps != want {
+			t.Fatalf("round %d: Hello caps %#x, want %#x", round, sent[0].Caps, want)
+		}
+		if !rep.Accepted || !rep.Compressed || !rep.Delta.Enabled {
+			t.Fatalf("round %d: accepted=%v compressed=%v delta=%+v", round, rep.Accepted, rep.Compressed, rep.Delta)
+		}
+	}
+
+	rep, sent := run(basePlan, newPersistentProver(t, basePlan.Geo()))
+	for _, m := range sent {
+		if m.Type == protocol.MsgHello {
+			t.Fatal("plain plan sent a Hello")
+		}
+	}
+	if want := basePlan.ConfigPackets() + basePlan.NumFrames() + 1; len(sent) != want {
+		t.Fatalf("plain plan sent %d commands, want %d", len(sent), want)
+	}
+	if !rep.Accepted || rep.Compressed || rep.Delta.Enabled {
+		t.Fatalf("plain plan: accepted=%v compressed=%v delta=%+v", rep.Accepted, rep.Compressed, rep.Delta)
 	}
 }

@@ -29,7 +29,6 @@ func diffSpec(t testing.TB, geo *device.Geometry, nonce uint64, offset, batch in
 		ConfigBatch:    batch,
 		AppSteps:       steps,
 		PatchableNonce: patchable,
-		NonceBits:      core.NonceBits,
 	}
 }
 

@@ -37,7 +37,6 @@ func fuzzPlan(t testing.TB) *attestation.Plan {
 			DynFrames:      dyn,
 			ConfigBatch:    3,
 			PatchableNonce: true,
-			NonceBits:      core.NonceBits,
 		})
 	})
 	if fuzzBase.err != nil {

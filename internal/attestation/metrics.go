@@ -38,7 +38,7 @@ var (
 	mFramesSkipped = obs.Default().Counter("sacha_config_frames_skipped_total",
 		"Dynamic frames proven bit-identical by the delta scan and not rewritten.")
 	mDeltaFallbacks = obs.Default().CounterVec("sacha_delta_fallbacks_total",
-		"Delta runs that fell back to the full overwrite, by reason (capability, cold, threshold, mismatch).", "reason")
+		"Delta runs that fell back to the full overwrite, by reason (capability, cold, mismatch).", "reason")
 
 	mCompressRawBytes = obs.Default().Counter("sacha_compress_raw_bytes_total",
 		"Uncompressed payload bytes moved through the compressed wire encodings, both directions.")

@@ -59,7 +59,7 @@ func (st *noncePatchState) templateBits() []fabric.NonceBitRef {
 // configuration packets are encoded; recordPatchStep fills in the step
 // skeleton as the packets are built.
 func (p *Plan) initNoncePatch(spec Spec) error {
-	refs, err := fabric.NonceTemplate(spec.Geo, spec.nonceBits())
+	refs, err := fabric.NonceTemplate(spec.Geo, fabric.NonceBits)
 	if err != nil {
 		return err
 	}

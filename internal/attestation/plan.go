@@ -88,39 +88,32 @@ type Spec struct {
 	// nonce in O(nonce column) instead of O(fabric), and SpecKey hashes
 	// the golden image with the nonce bits zeroed — so one cached plan
 	// serves every nonce of a device class. The golden image must hold a
-	// NonceBits-wide netlist.NonceRegister as the first design placed
-	// into fabric.NonceRegion (every core.System golden build does);
-	// NewPlan verifies the template against the built artifacts and
-	// rejects the spec otherwise.
+	// fabric.NonceBits-wide netlist.NonceRegister as the first design
+	// placed into fabric.NonceRegion (every core.System golden build
+	// does); NewPlan verifies the template against the built artifacts
+	// and rejects the spec otherwise.
 	PatchableNonce bool
-	// NonceBits is the placed nonce register width under PatchableNonce;
-	// 0 means 64 (core.NonceBits).
-	NonceBits int
 	// Compress additionally pre-encodes the configuration as compressed
-	// 16-frame batches (MsgICAPConfigBatchC) and lets Runs negotiate the
-	// compressed encodings via Hello. Sessions whose prover does not
-	// acknowledge the capability fall back to the plain packets; H_Vrf
-	// and the verdict are independent of the negotiation outcome.
+	// 16-frame batches (MsgICAPConfigBatchC), and every Run of the plan
+	// negotiates the compressed encodings via Hello. Sessions whose
+	// prover does not acknowledge the capability fall back to the plain
+	// packets; H_Vrf and the verdict are independent of the negotiation
+	// outcome.
 	Compress bool
 	// Delta precomputes the artifacts of the delta configuration mode:
 	// pre-encoded MsgScan probes over the dynamic frames, the raw
 	// expected scan readback, and rewrite packets covering exactly the
 	// nonce-register frames (the only frames that legitimately differ
-	// between a healthy device and a fresh golden image). Runs opt in
-	// per session via RunOpts.Delta. Delta mode requires AppSteps == 0:
-	// skipping a frame's rewrite also skips the flip-flop reset that
-	// CAPTURE-mode prediction assumes, so the two are incompatible by
-	// construction. The golden image must hold the placed nonce register
-	// (as under PatchableNonce) so the rewrite set is derivable.
+	// between a healthy device and a fresh golden image). Every Run of
+	// the plan negotiates the scan capability and runs delta when
+	// RunOpts.DeltaWarm asserts admissibility, falling back to the full
+	// overwrite otherwise (Report.Delta). Delta mode requires
+	// AppSteps == 0: skipping a frame's rewrite also skips the flip-flop
+	// reset that CAPTURE-mode prediction assumes, so the two are
+	// incompatible by construction. The golden image must hold the
+	// placed nonce register (as under PatchableNonce) so the rewrite set
+	// is derivable.
 	Delta bool
-}
-
-// nonceBits resolves the NonceBits default.
-func (s Spec) nonceBits() int {
-	if s.NonceBits == 0 {
-		return 64
-	}
-	return s.NonceBits
 }
 
 // configStep is one pre-encoded configuration packet.
@@ -446,7 +439,7 @@ func (p *Plan) initDelta(spec Spec) error {
 	// unconditionally — a delta run never encodes a packet at runtime.
 	refs := p.patch.templateBits()
 	if refs == nil {
-		if refs, err = fabric.NonceTemplate(spec.Geo, spec.nonceBits()); err != nil {
+		if refs, err = fabric.NonceTemplate(spec.Geo, fabric.NonceBits); err != nil {
 			return fmt.Errorf("attestation: delta mode needs the placed nonce register to derive its rewrite set: %w", err)
 		}
 	}

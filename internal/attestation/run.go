@@ -38,30 +38,14 @@ type RunOpts struct {
 	// sim.Timeline is not concurrency-safe: concurrent Runs must use
 	// distinct timelines (or nil).
 	Timeline *sim.Timeline
-	// Compress opts this session into the compressed wire encodings
-	// (requires a plan built with Spec.Compress). The capability is
-	// negotiated via Hello; a prover that does not grant it silently gets
-	// the plain packets. The verdict and H_Vrf are identical either way.
-	Compress bool
-	// Delta opts this session into the delta configuration mode (requires
-	// a plan built with Spec.Delta): scan the dynamic frames first,
-	// rewrite only the nonce-register frames when the device verifiably
-	// holds the previous golden configuration, and fall back to the full
-	// overwrite otherwise. The fallback decision is recorded in
-	// Report.Delta — a delta run never silently skips a frame it cannot
-	// prove clean.
-	Delta bool
-	// DeltaWarm asserts the delta admissibility precondition: the
-	// immediately preceding full-trust attestation of THIS device
-	// succeeded under the same key generation and golden class. The
-	// caller (fleet trust ledger, CLI warm-up run) owns that bookkeeping;
-	// a run with Delta set but DeltaWarm false falls back to the full
-	// overwrite with reason "cold".
+	// DeltaWarm asserts the delta admissibility precondition for a plan
+	// built with Spec.Delta: the immediately preceding full-trust
+	// attestation of THIS device succeeded under the same key generation
+	// and golden class. The caller (fleet trust ledger, CLI warm-up run)
+	// owns that bookkeeping; a delta plan's run without DeltaWarm falls
+	// back to the full overwrite with reason "cold". Ignored by plans
+	// built without Spec.Delta.
 	DeltaWarm bool
-	// DeltaMaxRewrite caps the frames the delta path may rewrite before
-	// falling back to the full overwrite ("threshold"). 0 means a quarter
-	// of the dynamic partition, floored at the nonce-frame count.
-	DeltaMaxRewrite int
 	// Span, if non-nil, is this session's causal span and its one
 	// protocol event record: Run records every A-action step (the Step
 	// kinds, with the action's modelled duration), every Fig. 8 protocol
@@ -97,16 +81,15 @@ func (p PhaseBreakdown) Sum() time.Duration {
 
 // DeltaReport records what the delta configuration mode did in one run.
 type DeltaReport struct {
-	// Enabled: the session requested delta mode.
+	// Enabled: the plan carries delta mode (Spec.Delta).
 	Enabled bool
 	// Applied: the rewrite-only path ran; false means the run fell back
 	// to the full overwrite for the reason below.
 	Applied bool
 	// Fallback names why the full overwrite ran instead: "capability"
 	// (prover did not grant the scan capability), "cold" (admissibility
-	// precondition not asserted), "threshold" (rewrite set over
-	// DeltaMaxRewrite), "mismatch" (the scan found frames outside the
-	// nonce set differing from golden). Empty when Applied.
+	// precondition not asserted), "mismatch" (the scan found frames
+	// outside the nonce set differing from golden). Empty when Applied.
 	Fallback string
 	// FramesScanned/FramesRewritten/FramesSkipped count the delta scan
 	// and its outcome. Skipped frames were proven bit-identical to the
@@ -157,7 +140,9 @@ type Report struct {
 // Run drives the full SACHa protocol of Fig. 9 against the prover at the
 // other end of ep, using only the plan's precomputed artifacts: no
 // fabric access, no prediction, no message encoding happens here. One
-// Plan may serve any number of concurrent Runs.
+// Plan may serve any number of concurrent Runs. The session speaks the
+// capabilities the plan pre-encoded (Spec.Compress, Spec.Delta) and
+// nothing else.
 //
 // Each phase and each single command is one call of the session's
 // engine. With Retry.Window > 1 up to Window sequence envelopes stay
@@ -175,12 +160,6 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	rep := &Report{}
 	if p.signatureMode && opts.SigVerifier == nil {
 		return nil, fmt.Errorf("verifier: signature mode without an enrolled public key")
-	}
-	if opts.Compress && p.configsC == nil {
-		return nil, fmt.Errorf("verifier: RunOpts.Compress requires a plan built with Spec.Compress")
-	}
-	if opts.Delta && p.scanExpected == nil {
-		return nil, fmt.Errorf("verifier: RunOpts.Delta requires a plan built with Spec.Delta")
 	}
 	sess := newSession(ep, opts.Retry, rep)
 	defer sess.close()
@@ -240,38 +219,24 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	}
 
 	// Capability negotiation. Hello goes out as the first command of the
-	// session, and only when the session opts into a capability the plan
-	// pre-encoded. A prover that answers anything but Hello_ack grants
-	// nothing; the run then degrades to the base protocol instead of
-	// failing.
+	// session, and only when the plan pre-encoded a capability. A prover
+	// that answers anything but Hello_ack grants nothing; the run then
+	// degrades to the base protocol instead of failing.
 	var caps uint32
-	if opts.Compress || opts.Delta {
-		var wantCaps uint32
-		if opts.Compress {
-			wantCaps |= protocol.CapCompress
-		}
-		if opts.Delta {
-			wantCaps |= protocol.CapScan
-		}
-		helloWire := p.helloWire
-		if wantCaps != p.helloCaps {
-			if helloWire, err = protocol.Hello(wantCaps).Encode(); err != nil {
-				return nil, err
-			}
-		}
-		resp, err := sess.call(helloWire, op("Hello"))
+	if p.helloWire != nil {
+		resp, err := sess.call(p.helloWire, op("Hello"))
 		if err != nil {
 			return nil, err
 		}
 		if resp.Type == protocol.MsgHelloAck {
-			caps = resp.Caps & wantCaps
+			caps = resp.Caps & p.helloCaps
 		}
 		if sp != nil {
 			sp.Event(milestoneHello, -1, 0,
-				fmt.Sprintf("command: Hello(caps=%#x)  ->  granted caps=%#x", wantCaps, caps))
+				fmt.Sprintf("command: Hello(caps=%#x)  ->  granted caps=%#x", p.helloCaps, caps))
 		}
 	}
-	useCompress := opts.Compress && caps&protocol.CapCompress != 0
+	useCompress := caps&protocol.CapCompress != 0
 	rep.Compressed = useCompress
 
 	// sendConfigs ships one pre-encoded packet sequence. The plain
@@ -304,22 +269,13 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// delta path never skips silently: any reason it cannot run lands in
 	// Report.Delta.Fallback and the full overwrite runs instead.
 	useDelta := false
-	if opts.Delta {
+	if p.scanSteps != nil {
 		rep.Delta.Enabled = true
-		limit := opts.DeltaMaxRewrite
-		if limit <= 0 {
-			limit = p.dynCount / 4
-			if limit < len(p.nonceSet) {
-				limit = len(p.nonceSet)
-			}
-		}
 		switch {
 		case caps&protocol.CapScan == 0:
 			rep.Delta.Fallback = "capability"
 		case !opts.DeltaWarm:
 			rep.Delta.Fallback = "cold"
-		case len(p.nonceSet) > limit:
-			rep.Delta.Fallback = "threshold"
 		default:
 			if err := p.deltaScan(sess, rep, &scratch, &rawB, &wireB); err != nil {
 				return nil, err

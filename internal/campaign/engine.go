@@ -27,7 +27,6 @@ import (
 	"sacha/internal/prover"
 	"sacha/internal/scrub"
 	"sacha/internal/store"
-	"sacha/internal/verifier"
 )
 
 // Handles on the dispatcher's sweep metric families (registration is
@@ -316,8 +315,8 @@ func stormRates(heavy bool) channel.FaultConfig {
 // verdicts come from scripted resets, which kill the connection
 // outright regardless of timing, so the generosity costs nothing
 // there.
-func retryPolicy(ev Event, id uint64) verifier.RetryPolicy {
-	return verifier.RetryPolicy{
+func retryPolicy(ev Event, id uint64) attestation.RetryPolicy {
+	return attestation.RetryPolicy{
 		Timeout:    250 * time.Millisecond,
 		MaxRetries: 12,
 		Backoff:    2 * time.Millisecond,

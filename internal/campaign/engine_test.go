@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"sacha/internal/attestation"
 	"sacha/internal/fleet"
-	"sacha/internal/verifier"
 )
 
 // runCampaign executes one event-bounded campaign and returns its report.
@@ -140,9 +140,9 @@ func TestNewRejectsInvalidScenario(t *testing.T) {
 // TestClassify pins the zero-false-verdicts expectation table.
 func TestClassify(t *testing.T) {
 	var e Engine
-	healthy := fleet.DeviceResult{DeviceID: 1, Report: &verifier.Report{Accepted: true}}
-	compromised := fleet.DeviceResult{DeviceID: 1, Report: &verifier.Report{}}
-	unreachable := fleet.DeviceResult{DeviceID: 1, Err: &verifier.TransportError{Op: "x", Attempts: 1, Err: context.DeadlineExceeded}}
+	healthy := fleet.DeviceResult{DeviceID: 1, Report: &attestation.Report{Accepted: true}}
+	compromised := fleet.DeviceResult{DeviceID: 1, Report: &attestation.Report{}}
+	unreachable := fleet.DeviceResult{DeviceID: 1, Err: &attestation.TransportError{Op: "x", Attempts: 1, Err: context.DeadlineExceeded}}
 	faulted := map[uint64]DeviceFault{1: {Device: 1}}
 	none := map[uint64]DeviceFault{}
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/verifier"
 )
 
@@ -20,7 +21,7 @@ import (
 // message, and the verifier's engine reuses its envelope buffers,
 // decoded responses and retry timer.
 func TestSessionAllocsPerFrame(t *testing.T) {
-	reliable := verifier.RetryPolicy{Timeout: 5 * time.Second, MaxRetries: 3}
+	reliable := attestation.RetryPolicy{Timeout: 5 * time.Second, MaxRetries: 3}
 	windowed := reliable
 	windowed.Window = 16
 	for _, tc := range []struct {

@@ -30,7 +30,7 @@ func BuildGolden(geo *device.Geometry, app *netlist.Design, buildID, nonce uint6
 	if _, err := fabric.PlaceDesign(im, fabric.AppRegion(geo), app); err != nil {
 		return nil, nil, fmt.Errorf("core: placing application: %w", err)
 	}
-	if _, err := fabric.PlaceDesign(im, fabric.NonceRegion(geo), netlist.NonceRegister(NonceBits, nonce)); err != nil {
+	if _, err := fabric.PlaceDesign(im, fabric.NonceRegion(geo), netlist.NonceRegister(fabric.NonceBits, nonce)); err != nil {
 		return nil, nil, fmt.Errorf("core: placing nonce: %w", err)
 	}
 

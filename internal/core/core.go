@@ -49,9 +49,6 @@ const (
 	KeyDynPUF
 )
 
-// NonceBits is the nonce register width (paper §6.1: 64 bits).
-const NonceBits = 64
-
 // Config assembles a System.
 type Config struct {
 	// Geo is the device geometry; defaults to the XC6VLX240T.
@@ -85,14 +82,20 @@ type Config struct {
 
 // System is a deployed prover plus its enrolled verifier.
 type System struct {
-	Geo      *device.Geometry
-	Device   *prover.Device
-	Verifier *verifier.Verifier
+	Geo    *device.Geometry
+	Device *prover.Device
+	// Key is the verifier's enrolled MAC key for this device (from the PUF
+	// enrollment database). It is a per-Run input, so rotating it does not
+	// invalidate plans.
+	Key [16]byte
 	// DB is the verifier-side PUF enrollment database.
 	DB *puf.Database
 	// ChannelTime accumulates wire and latency virtual time of the
 	// simulated link.
 	ChannelTime *sim.Timeline
+
+	sigVerifier *signature.Verifier // checks signature-mode responses; nil without EnableSignature
+	vrfTime     *sim.Timeline       // verifier-side software time
 
 	cfg         Config
 	app         *netlist.Design
@@ -128,6 +131,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Geo:         cfg.Geo,
 		DB:          puf.NewDatabase(),
 		ChannelTime: sim.NewTimeline(),
+		vrfTime:     sim.NewTimeline(),
 		cfg:         cfg,
 		app:         cfg.App,
 		appRegion:   fabric.AppRegion(cfg.Geo),
@@ -202,13 +206,11 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.Device = dev
 
-	s.Verifier = verifier.New(cfg.Geo, key)
+	s.Key = key
 	if signer != nil {
-		sv, err := signature.NewVerifier(signer.PublicKey())
-		if err != nil {
+		if s.sigVerifier, err = signature.NewVerifier(signer.PublicKey()); err != nil {
 			return nil, err
 		}
-		s.Verifier.SigVerifier = sv
 	}
 
 	// Pre-place the application once to expose its pin map (placement is
@@ -243,7 +245,7 @@ func (s *System) Golden(nonce uint64) (*fabric.Image, error) {
 			return nil, err
 		}
 	}
-	if _, err := fabric.PlaceDesign(im, s.nonceRegion, netlist.NonceRegister(NonceBits, nonce)); err != nil {
+	if _, err := fabric.PlaceDesign(im, s.nonceRegion, netlist.NonceRegister(fabric.NonceBits, nonce)); err != nil {
 		return nil, err
 	}
 	if len(s.cfg.ROM) > 0 {
@@ -284,7 +286,7 @@ func (s *System) RotateKey() error {
 	s.DB.Store(s.cfg.DeviceID, s.circuitID, enr.Key)
 	s.helper = enr.Helper.Offset
 	s.Device.SetKeySource(&prover.PUFKey{Phys: phys, Helper: enr.Helper, Rng: s.rng})
-	s.Verifier.Key = enr.Key
+	s.Key = enr.Key
 	// The shipped circuit's marker changes the golden image, so the
 	// memoized patchable golden (and, via ClassKey, any cached plans of
 	// the old generation) is stale.
@@ -315,7 +317,7 @@ type Enrollment struct {
 func (s *System) Enrollment() Enrollment {
 	return Enrollment{
 		Generation: s.circuitID,
-		Key:        s.Verifier.Key,
+		Key:        s.Key,
 		Helper:     append([]byte(nil), s.helper...),
 	}
 }
@@ -336,7 +338,7 @@ func (s *System) RestoreEnrollment(e Enrollment) error {
 	if len(e.Helper) != len(s.helper) {
 		return fmt.Errorf("core: stored helper data is %d bytes, this device's PUF needs %d", len(e.Helper), len(s.helper))
 	}
-	if e.Generation == s.circuitID && e.Key == s.Verifier.Key {
+	if e.Generation == s.circuitID && e.Key == s.Key {
 		return nil
 	}
 	helper := append([]byte(nil), e.Helper...)
@@ -344,7 +346,7 @@ func (s *System) RestoreEnrollment(e Enrollment) error {
 	s.DB.Store(s.cfg.DeviceID, s.circuitID, e.Key)
 	phys := &puf.Physical{DeviceID: s.cfg.DeviceID, CircuitID: s.circuitID, NoiseProb: s.cfg.PUFNoise}
 	s.Device.SetKeySource(&prover.PUFKey{Phys: phys, Helper: puf.HelperData{Offset: helper}, Rng: s.rng})
-	s.Verifier.Key = e.Key
+	s.Key = e.Key
 	s.helper = helper
 	s.patchGolden = nil
 	return nil
@@ -365,7 +367,7 @@ func (s *System) GoldenDigest() ([32]byte, error) {
 		}
 		s.patchGolden = golden
 	}
-	return fabric.NonceFreeDigest(s.patchGolden, NonceBits)
+	return fabric.NonceFreeDigest(s.patchGolden, fabric.NonceBits)
 }
 
 // KeyMode returns the system's key provisioning mode.
@@ -376,8 +378,10 @@ type AttestOptions struct {
 	// Nonce fixes the nonce; nil draws a fresh one.
 	Nonce *uint64
 	// Opts shapes the plan (Offset, Permutation, AppSteps,
-	// SignatureMode, ConfigBatch) and the run (Span, Retry, Compress,
-	// Delta); see verifier.Options.
+	// SignatureMode, ConfigBatch, Compress, Delta) and the run (Span,
+	// Retry, DeltaWarm); see verifier.Options. With a precomputed plan
+	// (AttestWithPlan, AttestPlanAgainst) the plan-shaping fields are
+	// ignored: the plan fixed them when it was built.
 	Opts verifier.Options
 	// TamperDevice, if non-nil, runs after configuration completes and
 	// before readback — the adversary's window.
@@ -395,11 +399,11 @@ type AttestOptions struct {
 // same class (see ClassKey) can be attested with the same plan, each
 // with its own per-session Run and enrolled key.
 func (s *System) Plan(nonce uint64, opts verifier.Options) (*attestation.Plan, error) {
-	golden, err := s.Golden(nonce)
+	spec, err := s.PlanSpec(nonce, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.Verifier.Plan(golden, s.DynFrames(), opts)
+	return attestation.NewPlan(spec)
 }
 
 // PlanSpec builds the golden image for a nonce and returns the
@@ -411,7 +415,7 @@ func (s *System) PlanSpec(nonce uint64, opts verifier.Options) (attestation.Spec
 	if err != nil {
 		return attestation.Spec{}, err
 	}
-	return s.Verifier.PlanSpec(golden, s.DynFrames(), opts), nil
+	return s.spec(golden, opts), nil
 }
 
 // PatchableSpec is PlanSpec with the nonce demoted to a per-session
@@ -428,10 +432,40 @@ func (s *System) PatchableSpec(opts verifier.Options) (attestation.Spec, error) 
 		}
 		s.patchGolden = golden
 	}
-	spec := s.Verifier.PlanSpec(s.patchGolden, s.DynFrames(), opts)
+	spec := s.spec(s.patchGolden, opts)
 	spec.PatchableNonce = true
-	spec.NonceBits = NonceBits
 	return spec, nil
+}
+
+// spec assembles the attestation.Spec of this system's golden image and
+// the plan-shaping fields of opts.
+func (s *System) spec(golden *fabric.Image, opts verifier.Options) attestation.Spec {
+	return attestation.Spec{
+		Geo:           s.Geo,
+		Golden:        golden,
+		DynFrames:     s.DynFrames(),
+		Offset:        opts.Offset,
+		Permutation:   opts.Permutation,
+		AppSteps:      opts.AppSteps,
+		SignatureMode: opts.SignatureMode,
+		ConfigBatch:   opts.ConfigBatch,
+		Compress:      opts.Compress,
+		Delta:         opts.Delta,
+	}
+}
+
+// runOpts assembles the attestation.RunOpts of one session: this
+// system's enrolled key, signature verifier and verifier timeline, plus
+// the per-run fields of opts.
+func (s *System) runOpts(opts verifier.Options) attestation.RunOpts {
+	return attestation.RunOpts{
+		Key:         s.Key,
+		SigVerifier: s.sigVerifier,
+		Retry:       opts.Retry,
+		Timeline:    s.vrfTime,
+		DeltaWarm:   opts.DeltaWarm,
+		Span:        opts.Span,
+	}
 }
 
 // PatchablePlan builds a nonce-patchable plan for this system's class:
@@ -448,7 +482,7 @@ func (s *System) PatchablePlan(opts verifier.Options) (*attestation.Plan, error)
 // prover-side handler — the adversary-experiment counterpart of
 // AttestWithPlan, used to replay captured transcripts against patched
 // (re-nonced) plans.
-func (s *System) AttestPlanAgainst(plan *attestation.Plan, h channel.Handler, opts AttestOptions) (*verifier.Report, error) {
+func (s *System) AttestPlanAgainst(plan *attestation.Plan, h channel.Handler, opts AttestOptions) (*attestation.Report, error) {
 	return s.runPlan(plan, h, opts)
 }
 
@@ -499,23 +533,23 @@ func (s *System) handler(opts AttestOptions) channel.Handler {
 
 // Attest runs one full attestation over a simulated lab channel and
 // returns the verifier's report.
-func (s *System) Attest(opts AttestOptions) (*verifier.Report, error) {
+func (s *System) Attest(opts AttestOptions) (*attestation.Report, error) {
 	return s.AttestAgainst(s.handler(opts), opts)
 }
 
 // AttestWithPlan runs one attestation using a precomputed shared plan —
 // the per-device path of a fleet sweep. The plan fixes the nonce (baked
-// into its golden image) and the plan-shaping options; opts contributes
-// only the per-run knobs (Retry, Span, adversary and channel
-// hooks).
-func (s *System) AttestWithPlan(plan *attestation.Plan, opts AttestOptions) (*verifier.Report, error) {
+// into its golden image) and the plan-shaping options, Compress and Delta
+// included; opts contributes only the per-run knobs (Retry, Span,
+// DeltaWarm, adversary and channel hooks).
+func (s *System) AttestWithPlan(plan *attestation.Plan, opts AttestOptions) (*attestation.Report, error) {
 	return s.runPlan(plan, s.handler(opts), opts)
 }
 
 // AttestAgainst runs the verifier against an arbitrary prover-side
 // handler — the hook the adversary experiments use to substitute
 // impersonators, proxies and replayers for the genuine device.
-func (s *System) AttestAgainst(h channel.Handler, opts AttestOptions) (*verifier.Report, error) {
+func (s *System) AttestAgainst(h channel.Handler, opts AttestOptions) (*attestation.Report, error) {
 	nonce := s.rng.Uint64()
 	if opts.Nonce != nil {
 		nonce = *opts.Nonce
@@ -529,7 +563,7 @@ func (s *System) AttestAgainst(h channel.Handler, opts AttestOptions) (*verifier
 
 // runPlan runs one per-session Run over the simulated lab link, with the
 // prover handler inline on the verifier's side of it.
-func (s *System) runPlan(plan *attestation.Plan, h channel.Handler, opts AttestOptions) (*verifier.Report, error) {
+func (s *System) runPlan(plan *attestation.Plan, h channel.Handler, opts AttestOptions) (*attestation.Report, error) {
 	lat := s.cfg.LabLatency
 	if lat == 0 {
 		lat = timing.LabCommandLatency
@@ -553,7 +587,7 @@ func (s *System) runPlan(plan *attestation.Plan, h channel.Handler, opts AttestO
 	if opts.WrapVerifierChannel != nil {
 		vep = opts.WrapVerifierChannel(vep)
 	}
-	rep, err := s.Verifier.RunPlan(vep, plan, opts.Opts)
+	rep, err := plan.Run(vep, s.runOpts(opts.Opts))
 	vep.Close()
 	link.Close()
 	if hErr := link.Err(); hErr != nil {
@@ -565,12 +599,12 @@ func (s *System) runPlan(plan *attestation.Plan, h channel.Handler, opts AttestO
 // VirtualDuration sums the virtual time of channel, prover and verifier —
 // the end-to-end protocol duration in the simulated lab.
 func (s *System) VirtualDuration() time.Duration {
-	return s.ChannelTime.Total() + s.Device.Timeline.Total() + s.Verifier.Timeline.Total()
+	return s.ChannelTime.Total() + s.Device.Timeline.Total() + s.vrfTime.Total()
 }
 
 // ResetTimelines clears all virtual-time accounting.
 func (s *System) ResetTimelines() {
 	s.ChannelTime.Reset()
 	s.Device.Timeline.Reset()
-	s.Verifier.Timeline.Reset()
+	s.vrfTime.Reset()
 }

@@ -101,7 +101,7 @@ func TestKeyRotation(t *testing.T) {
 	if err != nil || !rep.Accepted {
 		t.Fatalf("initial circuit: %v", err)
 	}
-	oldKey := sys.Verifier.Key
+	oldKey := sys.Key
 	g1, _ := sys.Golden(5)
 
 	if err := sys.RotateKey(); err != nil {
@@ -121,7 +121,7 @@ func TestKeyRotation(t *testing.T) {
 		t.Fatal("rotation did not change the golden bitstream")
 	}
 	// A verifier still holding the old key must reject the device.
-	sys.Verifier.Key = oldKey
+	sys.Key = oldKey
 	rep, err = sys.Attest(AttestOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +531,7 @@ func TestTamperWindowKeepsConfiguredFFState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := fabric.NonceTemplate(sys.Geo, NonceBits)
+	refs, err := fabric.NonceTemplate(sys.Geo, fabric.NonceBits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/fleet"
@@ -15,7 +16,6 @@ import (
 	"sacha/internal/fleet/registry"
 	"sacha/internal/netlist"
 	"sacha/internal/obs"
-	"sacha/internal/verifier"
 )
 
 // TestSweepCancellationLeaksNothing cancels a fleet sweep mid-flight
@@ -58,7 +58,7 @@ func TestSweepCancellationLeaksNothing(t *testing.T) {
 			cancel()
 		}
 		var o core.AttestOptions
-		o.Opts.Retry = verifier.RetryPolicy{
+		o.Opts.Retry = attestation.RetryPolicy{
 			Timeout:    100 * time.Millisecond,
 			MaxRetries: 4,
 			Backoff:    2 * time.Millisecond,

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
-	"sacha/internal/verifier"
 )
 
 // TestFaultMatrix sweeps every recoverable fault kind across every
@@ -64,7 +64,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Parallel()
 					r := newRig(t)
 					ep := r.serveSim(t, cfg)
-					rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: matrixPolicy()})
+					rep, err := r.attest(ep, attestation.RunOpts{Retry: matrixPolicy()})
 					if err != nil {
 						t.Fatalf("single %v fault exceeded the retry budget: %v", k, err)
 					}
@@ -100,11 +100,11 @@ func TestFaultMatrixReset(t *testing.T) {
 			ep := r.serveSim(t, channel.FaultConfig{Script: []channel.FaultOp{
 				{Dir: channel.DirSend, Index: ph.index, Kind: channel.FaultReset},
 			}})
-			rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: matrixPolicy()})
+			rep, err := r.attest(ep, attestation.RunOpts{Retry: matrixPolicy()})
 			if err == nil {
 				t.Fatalf("reset produced a verdict: %+v", rep)
 			}
-			if !verifier.IsTransport(err) {
+			if !attestation.IsTransport(err) {
 				t.Fatalf("got %v, want TransportError", err)
 			}
 			if !errors.Is(err, channel.ErrReset) {
@@ -116,8 +116,8 @@ func TestFaultMatrixReset(t *testing.T) {
 
 // matrixPolicy keeps the sweep fast: the simulated channel has no real
 // latency, so a short timeout re-sends quickly after a dropped message.
-func matrixPolicy() verifier.RetryPolicy {
-	return verifier.RetryPolicy{
+func matrixPolicy() attestation.RetryPolicy {
+	return attestation.RetryPolicy{
 		Timeout:    25 * time.Millisecond,
 		MaxRetries: 5,
 		Backoff:    time.Millisecond,

@@ -5,12 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
-	"sacha/internal/verifier"
 )
 
 // windowedPolicy is matrixPolicy with an 8-deep pipeline.
-func windowedPolicy() verifier.RetryPolicy {
+func windowedPolicy() attestation.RetryPolicy {
 	p := matrixPolicy()
 	p.Window = 8
 	return p
@@ -33,7 +33,7 @@ func TestFaultMatrixWindowed(t *testing.T) {
 	// must reproduce bit-for-bit.
 	base := newRig(t)
 	baseEP := base.serveSim(t, channel.FaultConfig{})
-	baseRep, err := base.vrf.Attest(baseEP, base.golden, base.dyn, verifier.Options{Retry: matrixPolicy()})
+	baseRep, err := base.attest(baseEP, attestation.RunOpts{Retry: matrixPolicy()})
 	if err != nil {
 		t.Fatalf("lockstep baseline: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestFaultMatrixWindowed(t *testing.T) {
 					t.Parallel()
 					r := newRig(t)
 					ep := r.serveSim(t, cfg)
-					rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: windowedPolicy()})
+					rep, err := r.attest(ep, attestation.RunOpts{Retry: windowedPolicy()})
 					if err != nil {
 						t.Fatalf("windowed run under single %v fault failed: %v", k, err)
 					}
@@ -109,7 +109,7 @@ func TestWindowedTCP(t *testing.T) {
 	ep := dialFaulty(t, addr, channel.FaultConfig{})
 	pol := retryPolicy()
 	pol.Window = 16
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: pol})
+	rep, err := r.attest(ep, attestation.RunOpts{Retry: pol})
 	if err != nil {
 		t.Fatalf("windowed TCP attestation: %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"sacha/internal/channel"
 	"sacha/internal/obs"
 	"sacha/internal/obs/span"
-	"sacha/internal/verifier"
 )
 
 // TestPhaseBreakdownAccountsForElapsed runs full attestations (lockstep
@@ -23,9 +22,9 @@ func TestPhaseBreakdownAccountsForElapsed(t *testing.T) {
 	for _, window := range []int{1, 8} {
 		r := newRig(t)
 		ep := r.serveSim(t, channel.FaultConfig{})
-		opts := verifier.Options{Retry: retryPolicy()}
+		opts := attestation.RunOpts{Retry: retryPolicy()}
 		opts.Retry.Window = window
-		rep, err := r.vrf.Attest(ep, r.golden, r.dyn, opts)
+		rep, err := r.attest(ep, opts)
 		if err != nil {
 			t.Fatalf("window %d: attest: %v", window, err)
 		}
@@ -52,7 +51,7 @@ func TestPhaseBreakdownAccountsForElapsed(t *testing.T) {
 func TestRunPopulatesMetricFamilies(t *testing.T) {
 	r := newRig(t)
 	ep := r.serveSim(t, channel.FaultConfig{})
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: retryPolicy()})
+	rep, err := r.attest(ep, attestation.RunOpts{Retry: retryPolicy()})
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}
@@ -87,7 +86,7 @@ func TestSpanKindsSeeWholeRun(t *testing.T) {
 	r := newRig(t)
 	ep := r.serveSim(t, channel.FaultConfig{})
 	sp := span.NewCollector(1).StartTrace(1, "attestation")
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: retryPolicy(), Span: sp})
+	rep, err := r.attest(ep, attestation.RunOpts{Retry: retryPolicy(), Span: sp})
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}

@@ -11,13 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
-	"sacha/internal/fabric"
 	"sacha/internal/netlist"
 	"sacha/internal/prover"
-	"sacha/internal/verifier"
 )
 
 const (
@@ -28,14 +27,13 @@ const (
 var rigKey = prover.RegisterKey{3, 1, 4, 1, 5}
 
 // rig is one prover/verifier pairing over a tiny device: a powered-on
-// device holding the booted static partition, the golden image the
-// verifier expects, and the dynamic frame list to configure.
+// device holding the booted static partition, the verifier's plan for
+// the golden image it expects, and the dynamic frame list to configure.
 type rig struct {
-	geo    *device.Geometry
-	dev    *prover.Device
-	vrf    *verifier.Verifier
-	golden *fabric.Image
-	dyn    []int
+	geo  *device.Geometry
+	dev  *prover.Device
+	plan *attestation.Plan
+	dyn  []int
 }
 
 func newRig(t testing.TB) *rig {
@@ -56,14 +54,24 @@ func newRig(t testing.TB) *rig {
 	if err := dev.PowerOn(); err != nil {
 		t.Fatalf("power-on: %v", err)
 	}
-	var key [16]byte = rigKey
-	return &rig{geo: geo, dev: dev, vrf: verifier.New(geo, key), golden: golden, dyn: dyn}
+	plan, err := attestation.NewPlan(attestation.Spec{Geo: geo, Golden: golden, DynFrames: dyn})
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	return &rig{geo: geo, dev: dev, plan: plan, dyn: dyn}
+}
+
+// attest runs one attestation of the rig's plan over ep under the
+// enrolled key.
+func (r *rig) attest(ep channel.Endpoint, opts attestation.RunOpts) (*attestation.Report, error) {
+	opts.Key = rigKey
+	return r.plan.Run(ep, opts)
 }
 
 // retryPolicy is the reliable-transport configuration used by the e2e
 // runs: short timeouts tuned for loopback latency.
-func retryPolicy() verifier.RetryPolicy {
-	return verifier.RetryPolicy{
+func retryPolicy() attestation.RetryPolicy {
+	return attestation.RetryPolicy{
 		Timeout:    30 * time.Millisecond,
 		MaxRetries: 8,
 		Backoff:    time.Millisecond,

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
-	"sacha/internal/verifier"
 )
 
 // TestTCPCleanLink is the baseline: the bare paper protocol (no retry
@@ -15,7 +15,7 @@ func TestTCPCleanLink(t *testing.T) {
 	r := newRig(t)
 	addr := r.serveTCP(t)
 	ep := dialFaulty(t, addr, channel.FaultConfig{})
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{})
+	rep, err := r.attest(ep, attestation.RunOpts{})
 	if err != nil {
 		t.Fatalf("attest: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestTCPLossyLinkAccepted(t *testing.T) {
 	r := newRig(t)
 	addr := r.serveTCP(t)
 	ep := dialFaulty(t, addr, channel.FaultConfig{Seed: 11, DropProb: 0.10, CorruptProb: 0.01})
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: retryPolicy()})
+	rep, err := r.attest(ep, attestation.RunOpts{Retry: retryPolicy()})
 	if err != nil {
 		t.Fatalf("attest over lossy link: %v", err)
 	}
@@ -63,11 +63,11 @@ func TestTCPLossyLinkRetriesDisabled(t *testing.T) {
 	ep := dialFaulty(t, addr, channel.FaultConfig{Seed: 11, DropProb: 0.10, CorruptProb: 0.01})
 	pol := retryPolicy()
 	pol.MaxRetries = 0
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: pol})
+	rep, err := r.attest(ep, attestation.RunOpts{Retry: pol})
 	if err == nil {
 		t.Fatalf("lossy link with retries disabled produced a verdict: %+v", rep)
 	}
-	if !verifier.IsTransport(err) {
+	if !attestation.IsTransport(err) {
 		t.Fatalf("got %v, want TransportError", err)
 	}
 }
@@ -83,11 +83,11 @@ func TestTCPMidProtocolReset(t *testing.T) {
 	ep := dialFaulty(t, addr, channel.FaultConfig{Script: []channel.FaultOp{
 		{Dir: channel.DirSend, Index: resetAt, Kind: channel.FaultReset},
 	}})
-	rep, err := r.vrf.Attest(ep, r.golden, r.dyn, verifier.Options{Retry: retryPolicy()})
+	rep, err := r.attest(ep, attestation.RunOpts{Retry: retryPolicy()})
 	if err == nil {
 		t.Fatalf("reset mid-protocol produced a verdict: %+v", rep)
 	}
-	if !verifier.IsTransport(err) {
+	if !attestation.IsTransport(err) {
 		t.Fatalf("got %v, want TransportError", err)
 	}
 	if !errors.Is(err, channel.ErrReset) {
@@ -97,7 +97,7 @@ func TestTCPMidProtocolReset(t *testing.T) {
 	// The device power-cycles state per session only on PowerOn; a fresh
 	// connection must still attest clean after the torn-down one.
 	ep2 := dialFaulty(t, addr, channel.FaultConfig{})
-	rep2, err := r.vrf.Attest(ep2, r.golden, r.dyn, verifier.Options{Retry: retryPolicy()})
+	rep2, err := r.attest(ep2, attestation.RunOpts{Retry: retryPolicy()})
 	if err != nil {
 		t.Fatalf("re-attest after reset: %v", err)
 	}

@@ -6,6 +6,11 @@ import (
 	"sacha/internal/device"
 )
 
+// NonceBits is the width of the placed nonce register (paper §6.1: 64
+// bits): the width every golden build places and every nonce template,
+// patch and nonce-free digest assumes.
+const NonceBits = 64
+
 // NonceBitRef locates one bit of the placed nonce register inside the
 // full-device frame array: the FF init bit that carries the nonce value
 // through configuration, and the FF capture bit where readback exposes

@@ -33,6 +33,7 @@ import (
 	"sacha/internal/fleet/registry"
 	"sacha/internal/obs"
 	"sacha/internal/obs/span"
+	"sacha/internal/verifier"
 )
 
 // Fleet-sweep metric families: live progress (in-flight and completed
@@ -254,6 +255,9 @@ func (d *Dispatcher) buildPlans(st *sweepState, classShard map[string]int) {
 	cfg := st.cfg
 	patchable := cfg.Freshness != attestation.PerSweep
 	nonce := st.sweepNonce
+	// The sweep's Compress/Delta are the only plan-shaping options a
+	// sweep sets; every other field keeps its paper default.
+	opts := verifier.Options{Compress: cfg.Compress, Delta: cfg.Delta}
 	st.plans = make(map[string]planEntry)
 	for i, sys := range st.systems {
 		key := st.classes[i]
@@ -264,9 +268,9 @@ func (d *Dispatcher) buildPlans(st *sweepState, classShard map[string]int) {
 		var spec attestation.Spec
 		var err error
 		if patchable {
-			spec, err = sys.PatchableSpec(cfg.PlanOpts)
+			spec, err = sys.PatchableSpec(opts)
 		} else {
-			spec, err = sys.PlanSpec(nonce, cfg.PlanOpts)
+			spec, err = sys.PlanSpec(nonce, opts)
 		}
 		if err != nil {
 			st.plans[key] = planEntry{err: err}
@@ -323,16 +327,6 @@ func (d *Dispatcher) Sweep(ctx context.Context, reg registry.Registry, cfg fleet
 	}
 	if err := validate(st); err != nil {
 		return nil, err
-	}
-	// Sweep-level Compress/Delta are plan-shaping: fold them into the
-	// options every shard builds (and cache-keys) its class plans with.
-	// Per-device sessions still opt in individually in attestOne — the
-	// plan merely carries the pre-encoded artifacts.
-	if cfg.Compress {
-		st.cfg.PlanOpts.Compress = true
-	}
-	if cfg.Delta {
-		st.cfg.PlanOpts.Delta = true
 	}
 	workers := cfg.Concurrency
 	if workers < 1 {
@@ -634,20 +628,14 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 	if err := ctx.Err(); err != nil {
 		return fleet.DeviceResult{DeviceID: id, Err: err}
 	}
-	if cfg.Compress {
-		o.Opts.Compress = true
-	}
 	if cfg.Delta {
-		// The session runs delta only when the ledger warrants it: the
-		// device's immediately preceding full-trust attestation succeeded
-		// under exactly this class (key generation + golden build). A
-		// RotateKey sweep advanced the class above, so every first session
-		// after a rotation is cold by construction.
-		o.Opts.Delta = true
+		// The class plan carries the delta artifacts; the session runs
+		// delta only when the ledger warrants it: the device's immediately
+		// preceding full-trust attestation succeeded under exactly this
+		// class (key generation + golden build). A RotateKey sweep advanced
+		// the class above, so every first session after a rotation is cold
+		// by construction.
 		o.Opts.DeltaWarm = cfg.Trust.Warm(id, class)
-		if o.Opts.DeltaMaxRewrite == 0 {
-			o.Opts.DeltaMaxRewrite = cfg.PlanOpts.DeltaMaxRewrite
-		}
 	}
 	entry := st.plans[class]
 	if entry.err != nil {

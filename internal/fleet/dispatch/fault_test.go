@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
@@ -29,8 +30,8 @@ func tinyFactory(id uint64) (*core.System, error) {
 
 // sweepRetry is the reliable-transport policy fleet sweeps use when a
 // member's link is wrapped in the fault injector.
-func sweepRetry() verifier.RetryPolicy {
-	return verifier.RetryPolicy{
+func sweepRetry() attestation.RetryPolicy {
+	return attestation.RetryPolicy{
 		Timeout:    25 * time.Millisecond,
 		MaxRetries: 3,
 		Backoff:    time.Millisecond,
@@ -95,7 +96,7 @@ func TestUnreachableVsCompromised(t *testing.T) {
 		t.Fatalf("healthy = %v", rep.Healthy)
 	}
 	for _, r := range rep.Results {
-		if r.DeviceID == unreachable && !verifier.IsTransport(r.Err) {
+		if r.DeviceID == unreachable && !attestation.IsTransport(r.Err) {
 			t.Fatalf("unreachable member's error is not typed: %v", r.Err)
 		}
 	}
@@ -119,7 +120,7 @@ func TestPerDeviceTimeoutIsUnreachable(t *testing.T) {
 				return core.AttestOptions{}
 			}
 			return core.AttestOptions{
-				Opts: verifier.Options{Retry: verifier.RetryPolicy{
+				Opts: verifier.Options{Retry: attestation.RetryPolicy{
 					Timeout: 2500 * time.Millisecond, MaxRetries: 3, Backoff: time.Millisecond,
 				}},
 				WrapVerifierChannel: func(ep channel.Endpoint) channel.Endpoint {

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"testing"
 
+	"sacha/internal/attestation"
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/fleet"
@@ -188,7 +189,7 @@ func TestWindowedSweep(t *testing.T) {
 	d, reg := oneShard(t, 3, smallFactory)
 	nonce := uint64(0xFEED)
 	rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 3, Nonce: &nonce}, func(uint64) core.AttestOptions {
-		pol := verifier.DefaultRetryPolicy()
+		pol := attestation.DefaultRetryPolicy()
 		pol.Window = 8
 		return core.AttestOptions{Opts: verifier.Options{Retry: pol}}
 	})

@@ -24,7 +24,6 @@ import (
 	"sacha/internal/fleet/registry"
 	"sacha/internal/obs"
 	"sacha/internal/obs/span"
-	"sacha/internal/verifier"
 )
 
 // NoncePolicyError reports a SweepConfig whose pinned Nonce contradicts
@@ -87,7 +86,7 @@ type DeviceResult struct {
 	// Class is the device's core.System.ClassKey — the plan-sharing
 	// group the per-class health tallies aggregate over.
 	Class   string
-	Report  *verifier.Report
+	Report  *attestation.Report
 	Err     error
 	Elapsed time.Duration
 	// PlanPatched reports that this device was attested through a
@@ -112,7 +111,7 @@ func (r DeviceResult) Healthy() bool {
 // reset, or the per-device deadline expired. An unreachable device has
 // no verdict — it is neither healthy nor compromised.
 func (r DeviceResult) Unreachable() bool {
-	return r.Err != nil && (verifier.IsTransport(r.Err) ||
+	return r.Err != nil && (attestation.IsTransport(r.Err) ||
 		errors.Is(r.Err, context.DeadlineExceeded) || errors.Is(r.Err, context.Canceled))
 }
 
@@ -199,8 +198,8 @@ type Report struct {
 	// DeltaApplied counts devices whose configuration phase ran the
 	// rewrite-only delta path; DeltaFallbacks counts delta-enabled
 	// sessions that fell back to the full overwrite (cold trust,
-	// capability, threshold or observed drift — the per-device reports
-	// carry the reason).
+	// capability or observed drift — the per-device reports carry the
+	// reason).
 	DeltaApplied, DeltaFallbacks int
 	// DeltaUnexpected lists devices whose delta scan observed drift
 	// outside the nonce frames — configuration that changed under a
@@ -245,16 +244,6 @@ type SweepConfig struct {
 	// the sweep, which rebuilds each class's plan once). RotateKey
 	// requires every member to use core.KeyDynPUF.
 	Freshness attestation.FreshnessPolicy
-	// PlanOpts are the fleet-wide plan-shaping options (Offset,
-	// Permutation, AppSteps, SignatureMode, ConfigBatch). Every sweep
-	// builds one attestation.Plan per device class (same geometry,
-	// application, build, key mode, ROM — see core.System.ClassKey)
-	// before the worker pool starts and shares it read-only across the
-	// concurrent per-device Runs, so per-device AttestOptions contribute
-	// only their per-run knobs (Retry, Trace, adversary and channel
-	// hooks). The golden-image work is O(classes × fabric), not
-	// O(fleet × fabric).
-	PlanOpts verifier.Options
 	// Tracker, if non-nil, follows the sweep live: per-device
 	// pending/running/done states with verdicts, served by the verifier
 	// CLI and sacha-fleetd as the /debug/sweep snapshot.
@@ -270,6 +259,15 @@ type SweepConfig struct {
 	// Compress opts every session of the sweep into the compressed wire
 	// encodings (plan-level Spec.Compress plus per-session negotiation).
 	// Verdicts and H_Vrf are unchanged; only wire bytes shrink.
+	//
+	// Compress and Delta are the sweep's only plan-shaping options. Every
+	// sweep builds one attestation.Plan per device class (same geometry,
+	// application, build, key mode, ROM — see core.System.ClassKey)
+	// before the worker pool starts and shares it read-only across the
+	// concurrent per-device Runs, so per-device AttestOptions contribute
+	// only their per-run knobs (Retry, Span, adversary and channel
+	// hooks). The golden-image work is O(classes × fabric), not
+	// O(fleet × fabric).
 	Compress bool
 	// Delta opts the sweep into delta configuration: devices the Trust
 	// ledger marks warm for their current class are scanned and get only

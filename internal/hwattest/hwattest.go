@@ -17,10 +17,10 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"sacha/internal/attestation"
 	"sacha/internal/cmac"
 	"sacha/internal/core"
 	"sacha/internal/cpu"
-	"sacha/internal/verifier"
 )
 
 // Module is the attestation core inside the FPGA's dynamic partition:
@@ -80,7 +80,7 @@ func (v *SoftwareVerifier) Expected(nonce uint64) ([16]byte, error) {
 type Report struct {
 	// FPGA is the SACHa self-attestation report (nil if skipped because
 	// the FPGA stage already failed to run).
-	FPGA *verifier.Report
+	FPGA *attestation.Report
 	// FPGATrusted is the stage-1 verdict.
 	FPGATrusted bool
 	// SoftwareOK is the stage-2 verdict.

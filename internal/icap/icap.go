@@ -263,9 +263,18 @@ func (p *Port) advanceFAR(current int) {
 // startReadback queues count words of FDRO data: one pad frame first,
 // then configuration frames starting at the FAR (with capture bits
 // carrying live flip-flop state).
+//
+// A read may not ask for more than one whole-device readback (pad frame
+// plus every frame), nor push the undrained queue past that size: the
+// type-2 count field reaches 0x7FFFFFF words, and the FAR wraps, so an
+// unbounded count would read the device over and over into memory.
 func (p *Port) startReadback(count int) (err error) {
 	if p.cmd != CmdRCFG {
 		return fmt.Errorf("icap: FDRO read without RCFG command")
+	}
+	if limit := p.maxReadbackWords(); len(p.rdQueue)+count > limit {
+		return fmt.Errorf("icap: FDRO read of %d words with %d queued exceeds one whole-device readback (%d words)",
+			count, len(p.rdQueue), limit)
 	}
 	// Frames are read back whole, straight into the queue's tail, which
 	// is then cut to count words. A failed readback queues nothing, so a
@@ -292,6 +301,12 @@ func (p *Port) startReadback(count int) (err error) {
 	}
 	p.rdQueue = p.rdQueue[:end]
 	return nil
+}
+
+// maxReadbackWords is the most FDRO data the port holds at once: one
+// whole-device readback, the pad frame plus every frame of the device.
+func (p *Port) maxReadbackWords() int {
+	return (p.fab.Geo.NumFrames() + 1) * device.FrameWords
 }
 
 // Read drains n words from the readback queue, one per ICAP cycle, into

@@ -43,9 +43,9 @@ type SweepOutcome struct {
 	Worker int
 	// Delta outcome of the session, filled when the sweep ran in delta
 	// mode: DeltaApplied reports the rewrite-only path ran,
-	// DeltaFallback names the reason it did not ("cold", "mismatch",
-	// "threshold", ...), FramesRewritten counts the frames the applied
-	// delta actually rewrote.
+	// DeltaFallback names the reason it did not ("capability", "cold"
+	// or "mismatch"), FramesRewritten counts the frames the applied delta
+	// actually rewrote.
 	DeltaApplied    bool
 	DeltaFallback   string
 	FramesRewritten int

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sacha/internal/attestation"
 	"sacha/internal/bitstream"
 	"sacha/internal/channel"
 	"sacha/internal/device"
@@ -14,16 +15,17 @@ import (
 )
 
 // testPolicy is a fast retry policy for the simulated link.
-func testPolicy() RetryPolicy {
-	return RetryPolicy{Timeout: 25 * time.Millisecond, MaxRetries: 5,
+func testPolicy() attestation.RetryPolicy {
+	return attestation.RetryPolicy{Timeout: 25 * time.Millisecond, MaxRetries: 5,
 		Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 1}
 }
 
 // faultyProverSession boots a real TinyLX prover, serves it on a SimPair
 // and returns the verifier-side endpoint wrapped in the fault injector,
-// plus everything needed to attest it. TinyLX keeps the full-device
-// bijective readback (112 frames) fast enough to run under retries.
-func faultyProverSession(t *testing.T, cfg channel.FaultConfig) (*Verifier, channel.Endpoint, *fabric.Image, []int) {
+// plus the enrolled key and the spec to attest it with. TinyLX keeps the
+// full-device bijective readback (112 frames) fast enough to run under
+// retries.
+func faultyProverSession(t *testing.T, cfg channel.FaultConfig) ([16]byte, channel.Endpoint, attestation.Spec) {
 	t.Helper()
 	geo := device.TinyLX()
 	statFrames := fabric.StatRegion(geo).Frames()
@@ -51,8 +53,7 @@ func faultyProverSession(t *testing.T, cfg channel.FaultConfig) (*Verifier, chan
 	// (which is exactly what the test configures).
 	golden := fabric.NewImage(geo)
 	fabric.FillStatic(golden, statFrames, 1)
-	var k [16]byte = key
-	return New(geo, k), faulty, golden, fabric.DynRegion(geo).Frames()
+	return key, faulty, attestation.Spec{Geo: geo, Golden: golden, DynFrames: fabric.DynRegion(geo).Frames()}
 }
 
 // faultIndexes computes the message-index layout of one full TinyLX
@@ -67,10 +68,10 @@ func faultIndexes() (cfgMid, rb0, rb1, rb2, checksum int) {
 
 // attestFull runs a full-device attestation — every dynamic frame
 // configured, every frame read back in the validated bijective order.
-func attestFull(t *testing.T, cfg channel.FaultConfig, pol RetryPolicy) (*Report, error) {
+func attestFull(t *testing.T, cfg channel.FaultConfig, pol attestation.RetryPolicy) (*Report, error) {
 	t.Helper()
-	v, ep, golden, dyn := faultyProverSession(t, cfg)
-	return v.Attest(ep, golden, dyn, Options{Retry: pol})
+	key, ep, spec := faultyProverSession(t, cfg)
+	return attest(ep, spec, attestation.RunOpts{Key: key, Retry: pol})
 }
 
 // requireMACOK asserts the protocol completed with a clean MAC and at
@@ -155,18 +156,18 @@ func TestRetryRecoversFromDuplicatedCommand(t *testing.T) {
 func TestRetryBudgetExhaustionIsTyped(t *testing.T) {
 	// A dead link (every message dropped) must exhaust the budget and
 	// surface as a TransportError wrapping a timeout — never as a verdict.
-	pol := RetryPolicy{Timeout: 10 * time.Millisecond, MaxRetries: 2, Backoff: time.Millisecond}
+	pol := attestation.RetryPolicy{Timeout: 10 * time.Millisecond, MaxRetries: 2, Backoff: time.Millisecond}
 	rep, err := attestFull(t, channel.FaultConfig{DropProb: 1}, pol)
 	if rep != nil && err == nil {
 		t.Fatal("dead link produced a verdict")
 	}
-	if !IsTransport(err) {
+	if !attestation.IsTransport(err) {
 		t.Fatalf("got %v, want TransportError", err)
 	}
 	if !errors.Is(err, channel.ErrTimeout) {
 		t.Fatalf("cause %v, want ErrTimeout", err)
 	}
-	var te *TransportError
+	var te *attestation.TransportError
 	errors.As(err, &te)
 	if te.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", te.Attempts)
@@ -177,11 +178,11 @@ func TestRetriesDisabledFailsFast(t *testing.T) {
 	// MaxRetries 0: one attempt per message; a single dropped command must
 	// fail the attestation with a typed transport error.
 	_, rb0, _, _, _ := faultIndexes()
-	pol := RetryPolicy{Timeout: 20 * time.Millisecond, MaxRetries: 0, Backoff: time.Millisecond}
+	pol := attestation.RetryPolicy{Timeout: 20 * time.Millisecond, MaxRetries: 0, Backoff: time.Millisecond}
 	_, err := attestFull(t, channel.FaultConfig{Script: []channel.FaultOp{
 		{Dir: channel.DirSend, Index: rb0, Kind: channel.FaultDrop},
 	}}, pol)
-	if !IsTransport(err) {
+	if !attestation.IsTransport(err) {
 		t.Fatalf("got %v, want TransportError", err)
 	}
 }
@@ -191,7 +192,7 @@ func TestConnectionResetIsTyped(t *testing.T) {
 	_, err := attestFull(t, channel.FaultConfig{Script: []channel.FaultOp{
 		{Dir: channel.DirSend, Index: cfgMid, Kind: channel.FaultReset},
 	}}, testPolicy())
-	if !IsTransport(err) {
+	if !attestation.IsTransport(err) {
 		t.Fatalf("got %v, want TransportError", err)
 	}
 	if !errors.Is(err, channel.ErrReset) {
@@ -216,17 +217,17 @@ func TestLossyLotterySurvived(t *testing.T) {
 }
 
 func TestTransportErrorFormatting(t *testing.T) {
-	te := &TransportError{Op: "ICAP_readback(17)", Attempts: 3, Err: channel.ErrTimeout}
+	te := &attestation.TransportError{Op: "ICAP_readback(17)", Attempts: 3, Err: channel.ErrTimeout}
 	msg := te.Error()
 	for _, want := range []string{"ICAP_readback(17)", "3", "timeout"} {
 		if !contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}
 	}
-	if !IsTransport(fmt.Errorf("wrapped: %w", te)) {
+	if !attestation.IsTransport(fmt.Errorf("wrapped: %w", te)) {
 		t.Fatal("IsTransport fails through wrapping")
 	}
-	if IsTransport(errors.New("plain")) {
+	if attestation.IsTransport(errors.New("plain")) {
 		t.Fatal("IsTransport false positive")
 	}
 }

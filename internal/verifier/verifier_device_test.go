@@ -12,6 +12,7 @@ import (
 	"sacha/internal/netlist"
 	"sacha/internal/obs/span"
 	"sacha/internal/prover"
+	"sacha/internal/sim"
 )
 
 // realDevice provisions a prover and the matching golden image without
@@ -44,17 +45,15 @@ func realDevice(t *testing.T) (*prover.Device, *fabric.Image, []int, [16]byte) {
 
 func TestAttestRealDeviceEndToEnd(t *testing.T) {
 	dev, golden, dyn, key := realDevice(t)
-	v := New(dev.Geo, key)
+	vrfTime := sim.NewTimeline()
 	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
 	done := make(chan error, 1)
 	go func() { done <- dev.Serve(prvEP) }()
 
 	sp := span.NewCollector(1).StartTrace(1, "attestation")
-	rep, err := v.Attest(vrfEP, golden, dyn, Options{
-		Offset:      99,
-		ConfigBatch: 2,
-		Span:        sp,
-	})
+	rep, err := attest(vrfEP,
+		attestation.Spec{Geo: dev.Geo, Golden: golden, DynFrames: dyn, Offset: 99, ConfigBatch: 2},
+		attestation.RunOpts{Key: key, Span: sp, Timeline: vrfTime})
 	vrfEP.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -79,18 +78,19 @@ func TestAttestRealDeviceEndToEnd(t *testing.T) {
 		t.Errorf("event log readbacks: %d", got)
 	}
 	// Verifier-side software time accrued for every command.
-	if v.Timeline.Tag("vrf-sw") == 0 {
+	if vrfTime.Tag("vrf-sw") == 0 {
 		t.Error("verifier timeline not charged")
 	}
 }
 
 func TestAttestRealDeviceCapture(t *testing.T) {
 	dev, golden, dyn, key := realDevice(t)
-	v := New(dev.Geo, key)
 	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
 	go dev.Serve(prvEP)
 	defer vrfEP.Close()
-	rep, err := v.Attest(vrfEP, golden, dyn, Options{AppSteps: 9})
+	rep, err := attest(vrfEP,
+		attestation.Spec{Geo: dev.Geo, Golden: golden, DynFrames: dyn, AppSteps: 9},
+		attestation.RunOpts{Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,9 @@ func TestAttestRealDeviceCapture(t *testing.T) {
 
 func TestAttestEmptyDynFramesRejected(t *testing.T) {
 	geo := device.SmallLX()
-	v := New(geo, [16]byte{})
 	a, _ := channel.SimPair(channel.SimConfig{})
 	defer a.Close()
-	if _, err := v.Attest(a, fabric.NewImage(geo), nil, Options{}); err == nil {
+	if _, err := attest(a, attestation.Spec{Geo: geo, Golden: fabric.NewImage(geo)}, attestation.RunOpts{}); err == nil {
 		t.Fatal("empty dynamic frame list accepted")
 	}
 }

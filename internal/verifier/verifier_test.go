@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sacha/internal/attestation"
 	"sacha/internal/channel"
 	"sacha/internal/cmac"
 	"sacha/internal/device"
@@ -46,18 +47,30 @@ func serveScript(t *testing.T, handler func(m *protocol.Message) (*protocol.Mess
 	return vrfEP
 }
 
+// attest builds the plan for spec and runs one session of it over ep.
+func attest(ep channel.Endpoint, spec attestation.Spec, opts attestation.RunOpts) (*Report, error) {
+	plan, err := attestation.NewPlan(spec)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Run(ep, opts)
+}
+
+// zeroSpec is the full-device TinyLX spec of the scripted-prover tests:
+// the all-zero golden image, every dynamic frame configured, every frame
+// read back in the default (bijective) order.
+func zeroSpec() attestation.Spec {
+	geo := device.TinyLX()
+	return attestation.Spec{Geo: geo, Golden: fabric.NewImage(geo), DynFrames: fabric.DynRegion(geo).Frames()}
+}
+
 // attestAgainst runs a full-device TinyLX attestation against the
-// scripted prover: every dynamic frame configured, every frame read back
-// in the default (bijective) order.
+// scripted prover under the all-zero key.
 func attestAgainst(t *testing.T, handler func(m *protocol.Message) (*protocol.Message, bool)) (*Report, error) {
 	t.Helper()
-	geo := device.TinyLX()
-	v := New(geo, [16]byte{})
-	golden := fabric.NewImage(geo)
-	dyn := fabric.DynRegion(geo).Frames()
 	ep := serveScript(t, handler)
 	defer ep.Close()
-	return v.Attest(ep, golden, dyn, Options{})
+	return attest(ep, zeroSpec(), attestation.RunOpts{})
 }
 
 func TestWrongFrameIndexRejected(t *testing.T) {
@@ -139,13 +152,10 @@ func macOverZeroFrames(n int) [16]byte {
 	return m.Sum()
 }
 
-// rejectedPermutation asserts that Attest refuses the permutation at
-// plan construction — before a single message crosses the channel.
+// rejectedPermutation asserts that the permutation is refused at plan
+// construction — before a single message crosses the channel.
 func rejectedPermutation(t *testing.T, perm []int, wantSub string) {
 	t.Helper()
-	geo := device.TinyLX()
-	v := New(geo, [16]byte{})
-	golden := fabric.NewImage(geo)
 	sent := make(chan struct{}, 1)
 	ep := serveScript(t, func(m *protocol.Message) (*protocol.Message, bool) {
 		select {
@@ -155,7 +165,9 @@ func rejectedPermutation(t *testing.T, perm []int, wantSub string) {
 		return nil, true
 	})
 	defer ep.Close()
-	_, err := v.Attest(ep, golden, fabric.DynRegion(geo).Frames(), Options{Permutation: perm})
+	spec := zeroSpec()
+	spec.Permutation = perm
+	_, err := attest(ep, spec, attestation.RunOpts{})
 	if err == nil {
 		t.Fatal("non-bijective permutation accepted")
 	}
@@ -196,13 +208,11 @@ func TestPermutationMustStayInRange(t *testing.T) {
 }
 
 func TestSignatureModeWithoutKeyRejected(t *testing.T) {
-	geo := device.TinyLX()
-	v := New(geo, [16]byte{}) // no SigVerifier
-	golden := fabric.NewImage(geo)
 	ep := serveScript(t, func(m *protocol.Message) (*protocol.Message, bool) { return nil, false })
 	defer ep.Close()
-	_, err := v.Attest(ep, golden, fabric.DynRegion(geo).Frames(),
-		Options{SignatureMode: true})
+	spec := zeroSpec()
+	spec.SignatureMode = true
+	_, err := attest(ep, spec, attestation.RunOpts{}) // no SigVerifier
 	if err == nil {
 		t.Fatal("signature mode without enrolled key accepted")
 	}
