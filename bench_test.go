@@ -483,8 +483,8 @@ func BenchmarkPlaceAndDecode(b *testing.B) {
 
 // newTinyAttestRig builds the TinyLX plan and a fresh prover/link factory
 // for the transport benchmarks: each call of the returned dial function
-// boots one honest device, serves it over a simulated pair and wraps the
-// verifier side in a DelayEndpoint with the given one-way latency.
+// boots one honest device, serves it inline on a simulated link and
+// wraps that link in a DelayEndpoint with the given one-way latency.
 func newTinyAttestRig(b *testing.B, delay time.Duration) (*attestation.Plan, prover.RegisterKey, func() channel.Endpoint) {
 	b.Helper()
 	geo := device.TinyLX()

@@ -9,7 +9,8 @@
 // in-process prover over a channel.DelayEndpoint with the given one-way
 // latency: window 1 is the paper's lockstep exchange (one round trip per
 // frame), larger windows pipeline the configuration and readback phases.
-// The plan section reports a cold attestation.NewPlan build against a
+// Each run records its wall time and the process CPU time it cost. The
+// plan section reports a cold attestation.NewPlan build against a
 // PlanCache hit for the same spec.
 package main
 
@@ -21,6 +22,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"sacha/internal/attestation"
@@ -41,6 +43,7 @@ type phaseResult struct {
 type runResult struct {
 	Window       int         `json:"window"`
 	WallNS       int64       `json:"wall_ns"`
+	CPUNS        int64       `json:"cpu_ns"`
 	Frames       int         `json:"frames"`
 	FramesPerSec float64     `json:"frames_per_sec"`
 	NSPerFrame   float64     `json:"ns_per_frame"`
@@ -139,12 +142,12 @@ func main() {
 
 	if *benchDelta {
 		dspec := spec
-		dspec.Delta, dspec.Compress = true, true
+		dspec.Delta, dspec.Compress, dspec.PatchableNonce = true, true, true
 		dplan, err := attestation.NewPlan(dspec)
 		fatal(err)
 		for _, run := range report.Runs {
 			for _, scenario := range []string{"warm-healthy", "cold", "tampered-4"} {
-				dr := measureDelta(geo, plan, dplan, dyn, key, buildID, run.Window, *delay, *iters, scenario, run.Phases.ConfigNS)
+				dr := measureDelta(geo, dplan, dyn, key, buildID, run.Window, *delay, *iters, scenario, run.Phases.ConfigNS)
 				report.Delta = append(report.Delta, dr)
 				if scenario == "warm-healthy" && *minSpeedup > 0 && dr.ConfigSpeedup < *minSpeedup {
 					fatal(fmt.Errorf("warm-healthy delta config phase only %.2fx faster than the full overwrite at window %d (bar: %.1fx)",
@@ -183,14 +186,15 @@ func measure(geo *device.Geometry, plan *attestation.Plan, key prover.RegisterKe
 			MaxRetries: 5,
 			Window:     window,
 		}
-		t0 := time.Now()
+		t0, cpu0 := time.Now(), cpuTime()
 		rep, err := plan.Run(link, opts)
-		wall := time.Since(t0)
+		wall, cpu := time.Since(t0), cpuTime()-cpu0
 		link.Close()
 		fatal(err)
 
 		if res.WallNS == 0 || wall.Nanoseconds() < res.WallNS {
 			res.WallNS = wall.Nanoseconds()
+			res.CPUNS = cpu.Nanoseconds()
 			res.Frames = rep.FramesRead
 			res.Retries = rep.Retries
 			res.Accepted = rep.Accepted
@@ -207,58 +211,12 @@ func measure(geo *device.Geometry, plan *attestation.Plan, key prover.RegisterKe
 	return res
 }
 
-// measureDelta runs iters delta attestations at one window size against
-// a device prepared per scenario: warm-healthy re-attests a device that
-// just passed a full attestation, cold attests a fresh device without
-// the admissibility assertion, tampered-4 flips one bit in each of four
-// non-nonce dynamic frames of a warm device. The warm-up attestation
-// runs over an undelayed link — it models the PREVIOUS sweep, not part
-// of the measured session.
-func measureDelta(geo *device.Geometry, fullPlan, deltaPlan *attestation.Plan, dyn []int, key prover.RegisterKey, buildID uint64, window int, delay time.Duration, iters int, scenario string, baselineConfNS int64) deltaRun {
+// measureDelta runs iters delta attestations at one window size (see
+// deltaSession) and reports the best wall time.
+func measureDelta(geo *device.Geometry, deltaPlan *attestation.Plan, dyn []int, key prover.RegisterKey, buildID uint64, window int, delay time.Duration, iters int, scenario string, baselineConfNS int64) deltaRun {
 	res := deltaRun{Scenario: scenario, Window: window, BaselineConfNS: baselineConfNS}
-	inRewriteSet := map[int]bool{}
-	for _, f := range deltaPlan.DeltaRewriteFrames() {
-		inRewriteSet[f] = true
-	}
 	for it := 0; it < iters; it++ {
-		dev, err := prover.New(prover.Config{Geo: geo, BootMem: core.BuildBootMem(geo, buildID), Key: key})
-		fatal(err)
-		fatal(dev.PowerOn())
-
-		warm := scenario != "cold"
-		if warm {
-			vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
-			rep, err := fullPlan.Run(vrfEP, attestation.RunOpts{Key: key,
-				Retry: attestation.RetryPolicy{Timeout: time.Second, MaxRetries: 3, Window: attestation.MaxWindow}})
-			fatal(err)
-			if !rep.Accepted {
-				fatal(fmt.Errorf("delta warm-up attestation rejected"))
-			}
-			vrfEP.Close()
-		}
-		if strings.HasPrefix(scenario, "tampered") {
-			flips := 4
-			for _, f := range dyn {
-				if flips == 0 {
-					break
-				}
-				if inRewriteSet[f] {
-					continue
-				}
-				dev.Fabric.Mem.Frame(f)[1] ^= 1 << 11
-				flips--
-			}
-		}
-
-		link := channel.NewDelayEndpoint(channel.NewInline(dev.Handler(), channel.SimConfig{}), delay)
-		opts := attestation.RunOpts{Key: key, DeltaWarm: warm,
-			Retry: attestation.RetryPolicy{Timeout: 4*delay + 250*time.Millisecond, MaxRetries: 5, Window: window}}
-		t0 := time.Now()
-		rep, err := deltaPlan.Run(link, opts)
-		wall := time.Since(t0)
-		link.Close()
-		fatal(err)
-
+		_, rep, wall := deltaSession(geo, deltaPlan, dyn, key, buildID, window, delay, scenario)
 		if res.WallNS == 0 || wall.Nanoseconds() < res.WallNS {
 			res.WallNS = wall.Nanoseconds()
 			res.ConfigNS = rep.Phases.Config.Nanoseconds()
@@ -274,6 +232,69 @@ func measureDelta(geo *device.Geometry, fullPlan, deltaPlan *attestation.Plan, d
 		res.ConfigSpeedup = float64(res.BaselineConfNS) / float64(res.ConfigNS)
 	}
 	return res
+}
+
+// deltaSession runs one delta attestation of the patchable deltaPlan
+// over a delayed link against a fresh device prepared per scenario:
+// warm-healthy re-attests a device that just passed a full attestation,
+// cold attests a fresh device without the admissibility assertion,
+// tampered-4 flips one bit in each of four non-nonce dynamic frames of a
+// warm device. The warm-up (warm; nil when cold) models the previous
+// sweep over an undelayed link: the plan's cold fallback under a nonce
+// of its own, as sacha-verifier -delta runs it, since under the measured
+// nonce both sessions would end in the same MAC.
+func deltaSession(geo *device.Geometry, deltaPlan *attestation.Plan, dyn []int, key prover.RegisterKey, buildID uint64, window int, delay time.Duration, scenario string) (warm, rep *attestation.Report, wall time.Duration) {
+	dev, err := prover.New(prover.Config{Geo: geo, BootMem: core.BuildBootMem(geo, buildID), Key: key})
+	fatal(err)
+	fatal(dev.PowerOn())
+
+	if scenario != "cold" {
+		nonce, _ := deltaPlan.Nonce()
+		warmPlan, err := deltaPlan.WithNonce(^nonce)
+		fatal(err)
+		vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
+		warm, err = warmPlan.Run(vrfEP, attestation.RunOpts{Key: key,
+			Retry: attestation.RetryPolicy{Timeout: time.Second, MaxRetries: 3, Window: attestation.MaxWindow}})
+		fatal(err)
+		if !warm.Accepted {
+			fatal(fmt.Errorf("delta warm-up attestation rejected"))
+		}
+		vrfEP.Close()
+	}
+	if strings.HasPrefix(scenario, "tampered") {
+		inRewriteSet := map[int]bool{}
+		for _, f := range deltaPlan.DeltaRewriteFrames() {
+			inRewriteSet[f] = true
+		}
+		flips := 4
+		for _, f := range dyn {
+			if flips == 0 {
+				break
+			}
+			if inRewriteSet[f] {
+				continue
+			}
+			dev.Fabric.Mem.Frame(f)[1] ^= 1 << 11
+			flips--
+		}
+	}
+
+	link := channel.NewDelayEndpoint(channel.NewInline(dev.Handler(), channel.SimConfig{}), delay)
+	opts := attestation.RunOpts{Key: key, DeltaWarm: warm != nil,
+		Retry: attestation.RetryPolicy{Timeout: 4*delay + 250*time.Millisecond, MaxRetries: 5, Window: window}}
+	t0 := time.Now()
+	rep, err = deltaPlan.Run(link, opts)
+	wall = time.Since(t0)
+	link.Close()
+	fatal(err)
+	return warm, rep, wall
+}
+
+// cpuTime is the process's user+system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func fatal(err error) {

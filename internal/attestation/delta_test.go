@@ -22,12 +22,10 @@ import (
 // opens a fresh transport session against the same fabric state.
 type persistentProver struct {
 	dev *prover.Device
-	// vrf and served are the current session's verifier endpoint and a
-	// channel closed once its Serve returns. A device serves one session
-	// at a time, so connect ends the previous session before it starts
-	// the next.
-	vrf    channel.Endpoint
-	served chan struct{}
+	// vrf is the current session's verifier endpoint. A device serves
+	// one session at a time, so connect ends the previous session before
+	// it starts the next.
+	vrf channel.Endpoint
 }
 
 func newPersistentProver(t testing.TB, geo *device.Geometry) *persistentProver {
@@ -50,15 +48,9 @@ func (p *persistentProver) connect(t testing.TB) channel.Endpoint {
 	t.Helper()
 	if p.vrf != nil {
 		p.vrf.Close()
-		<-p.served
 	}
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		p.dev.Serve(prvEP)
-	}()
-	p.vrf, p.served = vrfEP, served
+	vrfEP := channel.NewInline(p.dev.Handler(), channel.SimConfig{})
+	p.vrf = vrfEP
 	t.Cleanup(func() { vrfEP.Close() })
 	return vrfEP
 }

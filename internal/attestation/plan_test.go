@@ -160,7 +160,7 @@ func TestPlanDoesNotAliasInputs(t *testing.T) {
 
 func TestBackoffBounds(t *testing.T) {
 	// Backoff doubles, caps at MaxBackoff and jitters within [d/2, d).
-	// Construct the session directly: newSession would start a recv pump.
+	// Construct the session directly: backoff needs no endpoint.
 	s := &session{pol: RetryPolicy{Timeout: time.Second, Backoff: 2 * time.Millisecond,
 		MaxBackoff: 8 * time.Millisecond, Seed: 7}, rng: rand.New(rand.NewSource(7))}
 	for i, ms := range []time.Duration{2, 4, 8, 8, 8, 8} {

@@ -162,7 +162,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		return nil, fmt.Errorf("verifier: signature mode without an enrolled public key")
 	}
 	sess := newSession(ep, opts.Retry, rep)
-	defer sess.close()
+	defer sess.release()
 
 	// rawB/wireB account the compressed payloads moved this run, on both
 	// directions; the ratio lands in the compression histogram.

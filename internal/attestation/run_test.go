@@ -5,6 +5,7 @@ package attestation_test
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -35,8 +36,7 @@ func newProver(t testing.TB, geo *device.Geometry) channel.Endpoint {
 	if err := dev.PowerOn(); err != nil {
 		t.Fatal(err)
 	}
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go dev.Serve(prvEP)
+	vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
 	t.Cleanup(func() { vrfEP.Close() })
 	return vrfEP
 }
@@ -176,26 +176,20 @@ func TestTransportErrorNamesFailingStep(t *testing.T) {
 		{"reliable", attestation.RetryPolicy{Timeout: time.Second}, "ICAP_config(%d)", protocol.MsgICAPConfig},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
 			frame := make(chan uint32, 1)
-			go func() {
-				// Swallow commands until the first tc.stopAt, then hang up.
-				for {
-					raw, err := prvEP.Recv()
-					if err != nil {
-						return
-					}
-					m, err := protocol.Decode(raw)
-					if err == nil && m.Type == protocol.MsgSeqReq {
-						m, err = protocol.Decode(m.Inner)
-					}
-					if err == nil && m.Type == tc.stopAt {
-						frame <- m.FrameIndex
-						prvEP.Close()
-						return
-					}
+			// Swallow commands until the first tc.stopAt, then hang up.
+			vrfEP := channel.NewInline(func(raw []byte) ([][]byte, error) {
+				m, err := protocol.Decode(raw)
+				if err == nil && m.Type == protocol.MsgSeqReq {
+					m, err = protocol.Decode(m.Inner)
 				}
-			}()
+				if err == nil && m.Type == tc.stopAt {
+					frame <- m.FrameIndex
+					return nil, io.EOF
+				}
+				return nil, nil
+			}, channel.SimConfig{})
+			defer vrfEP.Close()
 			_, err := plan.Run(vrfEP, attestation.RunOpts{Key: key, Retry: tc.retry})
 			if !attestation.IsTransport(err) {
 				t.Fatalf("run against a peer that hangs up: %v, want a transport error", err)

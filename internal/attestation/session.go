@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"sacha/internal/channel"
@@ -118,43 +117,38 @@ func (o opLabel) String() string {
 	return fmt.Sprintf(o.format, o.arg)
 }
 
-type recvResult struct {
-	raw []byte
-	err error
-}
-
 // session drives the message exchanges of one Run; every message goes
 // through its one engine, exchange (window.go). In plain mode it
 // reproduces the paper's lockstep protocol exactly; in reliable mode it
-// adds the envelope, response matching, timeouts and retries. Commands
-// arrive pre-encoded from the Plan, so the session never touches the
-// message structs it ships.
+// adds the envelope, response matching, timeouts and retries, waiting
+// for responses and retry deadlines alike in one deadline receive.
+// Commands arrive pre-encoded from the Plan, so the session never
+// touches the message structs it ships.
 type session struct {
 	ep  channel.Endpoint
 	pol RetryPolicy
 	rep *Report
+
+	// rx is ep's deadline receive in reliable mode; release, which every
+	// Run defers, frees what channel.WithRecvUntil needed for it.
+	rx      channel.UntilEndpoint
+	release func()
 
 	// resp is the plain protocol's reused decode target and env the
 	// reliable transport's for incoming envelopes; slots holds one reused
 	// envelope buffer and response per window position.
 	resp, env protocol.Message
 	slots     []slot
-	// timer is the session's one retry timer, re-armed for the earliest
-	// deadline of whatever is outstanding.
-	timer *time.Timer
 
 	seq uint32
 	// pinned: the prover has answered the session's first envelope, so
 	// its sequence base is fixed and a window may fill.
-	pinned    bool
-	rng       *rand.Rand
-	recvCh    chan recvResult
-	quit      chan struct{}
-	closeOnce sync.Once
+	pinned bool
+	rng    *rand.Rand
 }
 
 func newSession(ep channel.Endpoint, pol RetryPolicy, rep *Report) *session {
-	s := &session{ep: ep, pol: pol, rep: rep}
+	s := &session{ep: ep, pol: pol, rep: rep, release: func() {}}
 	if !pol.Enabled() {
 		return s
 	}
@@ -169,52 +163,8 @@ func newSession(ep channel.Endpoint, pol RetryPolicy, rep *Report) *session {
 	}
 	s.rng = rand.New(rand.NewSource(pol.Seed))
 	s.slots = make([]slot, pol.windowSize())
-	s.timer = time.NewTimer(time.Hour)
-	s.stopTimer()
-	s.recvCh = make(chan recvResult, 64)
-	s.quit = make(chan struct{})
-	// The pump decouples the blocking Endpoint.Recv from the timeout
-	// select. It exits on the first receive error, which for every
-	// transport here means the connection is gone for good; the engine
-	// fails the Run on it. The quit select keeps a Run that returns early
-	// (transport error, protocol rejection) from leaking the pump: once
-	// recvCh fills, the send would otherwise block forever with nobody
-	// left to drain it.
-	go func() {
-		for {
-			raw, err := s.ep.Recv()
-			select {
-			case s.recvCh <- recvResult{raw: raw, err: err}:
-			case <-s.quit:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
+	s.rx, s.release = channel.WithRecvUntil(ep)
 	return s
-}
-
-// close releases the receive pump. It is idempotent and safe on plain
-// (pump-less) sessions; every Run must defer it so an early return cannot
-// strand the pump on a full recvCh.
-func (s *session) close() {
-	if s.quit == nil {
-		return
-	}
-	s.closeOnce.Do(func() { close(s.quit) })
-}
-
-// stopTimer stops the retry timer and drains a tick that already fired,
-// so the next Reset starts clean.
-func (s *session) stopTimer() {
-	if !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
-	}
 }
 
 // noteRetry counts one message re-send in the per-run report and the

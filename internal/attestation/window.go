@@ -97,54 +97,22 @@ func (s *session) exchange(n int, cmd func(k int) ([]byte, opLabel), plainReply 
 			next++
 		}
 
-		// Arm the timer for the earliest deadline still outstanding; the
-		// delivery cursor's own command always is.
+		// Wait for a response until the earliest deadline still
+		// outstanding; the delivery cursor's own command always is.
 		due := s.slots[done%w].due
 		for i := done + 1; i < next; i++ {
 			if e := &s.slots[i%w]; !e.got && e.due.Before(due) {
 				due = e.due
 			}
 		}
-		s.timer.Reset(max(time.Until(due), 0))
-
-		select {
-		case r := <-s.recvCh:
-			s.stopTimer()
-			if r.err != nil {
+		raw, err := s.rx.RecvUntil(due)
+		if err != nil {
+			// A timeout before the deadline is the link's own failure.
+			now := time.Now()
+			if !errors.Is(err, channel.ErrTimeout) || now.Before(due) {
 				e := &s.slots[done%w]
-				return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: r.err}
+				return &TransportError{Op: e.op.String(), Attempts: e.attempts, Err: err}
 			}
-			env := &s.env
-			if err := protocol.DecodeInto(env, r.raw); err != nil || env.Type != protocol.MsgSeqResp {
-				s.noteFault()
-				continue
-			}
-			// A batch's sequence numbers are contiguous, so the command a
-			// response answers is its offset from first. Anything outside
-			// the outstanding range, or already held, is a stale duplicate
-			// or garbage with a well-formed envelope.
-			k := env.Seq - first
-			if k < uint32(done) || k >= uint32(next) {
-				s.noteFault()
-				continue
-			}
-			e := &s.slots[int(k)%w]
-			if e.got || protocol.DecodeInto(&e.resp, env.Inner) != nil {
-				s.noteFault()
-				continue
-			}
-			e.got, s.pinned = true, true
-			// Reorder arrivals into command order: deliver every response
-			// now contiguous with the delivery cursor.
-			for done < next && s.slots[done%w].got {
-				if err := deliver(done, &s.slots[done%w].resp); err != nil {
-					return err
-				}
-				done++
-				mWindowInflight.Dec()
-			}
-
-		case now := <-s.timer.C:
 			for i := done; i < next; i++ {
 				e := &s.slots[i%w]
 				if e.got || e.due.After(now) {
@@ -162,6 +130,36 @@ func (s *session) exchange(n int, cmd func(k int) ([]byte, opLabel), plainReply 
 					return err
 				}
 			}
+			continue
+		}
+		env := &s.env
+		if err := protocol.DecodeInto(env, raw); err != nil || env.Type != protocol.MsgSeqResp {
+			s.noteFault()
+			continue
+		}
+		// A batch's sequence numbers are contiguous, so the command a
+		// response answers is its offset from first. Anything outside
+		// the outstanding range, or already held, is a stale duplicate
+		// or garbage with a well-formed envelope.
+		k := env.Seq - first
+		if k < uint32(done) || k >= uint32(next) {
+			s.noteFault()
+			continue
+		}
+		e := &s.slots[int(k)%w]
+		if e.got || protocol.DecodeInto(&e.resp, env.Inner) != nil {
+			s.noteFault()
+			continue
+		}
+		e.got, s.pinned = true, true
+		// Reorder arrivals into command order: deliver every response
+		// now contiguous with the delivery cursor.
+		for done < next && s.slots[done%w].got {
+			if err := deliver(done, &s.slots[done%w].resp); err != nil {
+				return err
+			}
+			done++
+			mWindowInflight.Dec()
 		}
 	}
 	return nil

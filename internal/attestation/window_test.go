@@ -30,8 +30,7 @@ func newProverBuild(t testing.TB, geo *device.Geometry, buildID uint64, wrap fun
 	if err := dev.PowerOn(); err != nil {
 		t.Fatal(err)
 	}
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go dev.Serve(prvEP)
+	vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
 	var ep channel.Endpoint = vrfEP
 	if wrap != nil {
 		ep = wrap(vrfEP)
@@ -145,41 +144,42 @@ func TestWindowIgnoredWithoutReliableTransport(t *testing.T) {
 	}
 }
 
-// TestSessionPumpNoLeak: a Run that fails early (retry budget exhausted)
-// while the peer floods the link used to strand the receive pump forever
-// on a full recvCh. The deferred session close must release it; the
-// goroutine count has to return to baseline.
+// TestSessionPumpNoLeak: a Run over an endpoint with no deadline
+// receive of its own gets WithRecvUntil's receive goroutine. A Run that
+// fails early (retry budget exhausted) while the peer floods the link
+// must not strand that goroutine on its full buffer: the deferred
+// session close releases it, and the goroutine count has to return to
+// baseline once the link is closed.
 func TestSessionPumpNoLeak(t *testing.T) {
 	plan := buildPlan(t, 0)
 	var key [16]byte = runKey
 	base := runtime.NumGoroutine()
+	junk := make([][]byte, 500)
+	for j := range junk {
+		junk[j] = []byte{0xFF, 0xEE}
+	}
 	for i := 0; i < 4; i++ {
-		vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-		// Flood the verifier with undecodable junk — far more than the
-		// 64-slot receive buffer. SimPair queues are unbounded, so this
-		// goroutine always terminates on its own.
-		go func() {
-			for j := 0; j < 500; j++ {
-				if prvEP.Send([]byte{0xFF, 0xEE}) != nil {
-					return
-				}
-			}
-		}()
-		_, err := plan.Run(vrfEP, attestation.RunOpts{Key: key, Retry: attestation.RetryPolicy{
+		// Answer every command with undecodable junk — far more than
+		// the 64-slot receive buffer.
+		link := channel.NewInline(func([]byte) ([][]byte, error) { return junk, nil }, channel.SimConfig{})
+		_, err := plan.Run(recvOnly{link}, attestation.RunOpts{Key: key, Retry: attestation.RetryPolicy{
 			Timeout: 10 * time.Millisecond, MaxRetries: 1, Backoff: time.Millisecond, Window: 8,
 		}})
 		if err == nil {
 			t.Fatal("junk-flooded run succeeded")
 		}
-		vrfEP.Close()
-		prvEP.Close()
+		link.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base+1 {
+		if runtime.NumGoroutine() <= base {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d at start, %d after runs", base, runtime.NumGoroutine())
 }
+
+// recvOnly hides every method but the Endpoint ones, as a caller's
+// wrapper does.
+type recvOnly struct{ channel.Endpoint }

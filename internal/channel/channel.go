@@ -1,9 +1,9 @@
 // Package channel provides the message transports between verifier and
 // prover: an in-process simulated link with virtual-time accounting (the
-// lab network of the paper's measurements), either as a pair of
-// endpoints or with the prover as a Handler run inline on the sender's
-// goroutine, and a TCP transport for real deployments, plus a tap for
-// adversary-in-the-middle experiments.
+// lab network of the paper's measurements), with the prover as a Handler
+// run inline on the sender's goroutine, a constant-latency wrapper for
+// it, and a TCP transport for real deployments, plus a fault injector
+// and a tap for adversary-in-the-middle experiments.
 package channel
 
 import (
@@ -19,11 +19,10 @@ import (
 // Endpoint is one end of a duplex message channel.
 //
 // Ownership: Send must not retain msg after it returns, so a caller may
-// reuse its encode buffer for the next message (SimEndpoint marshals
-// into a fresh frame, InlineEndpoint hands it to a Handler that does not
-// retain it, DelayEndpoint and FaultEndpoint copy what they hold, TCP
-// writes synchronously). Recv hands ownership of the returned
-// slice to the caller.
+// reuse its encode buffer for the next message (InlineEndpoint hands it
+// to a Handler that does not retain it, DelayEndpoint forwards it at
+// once, FaultEndpoint copies what it holds, TCP writes synchronously).
+// Recv hands ownership of the returned slice to the caller.
 type Endpoint interface {
 	// Send transmits one message to the peer.
 	Send(msg []byte) error
@@ -38,42 +37,48 @@ type SimConfig struct {
 	// Timeline, if non-nil, accumulates virtual time: "wire" for Gigabit
 	// line time and "latency" for the per-message stack/switch latency.
 	Timeline *sim.Timeline
-	// MessageLatency is charged per message sent by the A endpoint (the
-	// command initiator — the verifier); it models the per-command
-	// software and switch overhead that makes the paper's measured
-	// 28.5 s so much larger than the theoretical 1.443 s.
+	// MessageLatency is charged per message the command initiator (the
+	// verifier) sends; it models the per-command software and switch
+	// overhead that makes the paper's measured 28.5 s so much larger
+	// than the theoretical 1.443 s.
 	MessageLatency time.Duration
 	// Ethernet, when true, carries every message inside an Ethernet II
 	// frame with a real FCS: senders marshal, receivers verify the CRC
 	// and strip the header — the ETH-core path of Fig. 10.
 	Ethernet bool
-	// AddrA and AddrB are the endpoint MAC addresses in Ethernet mode
-	// (A is the first endpoint returned by SimPair).
+	// AddrA and AddrB are the MAC addresses of the initiator's and the
+	// handler's end in Ethernet mode.
 	AddrA, AddrB ethsim.MAC
 }
 
-// queue is an unbounded FIFO usable across goroutines. It pops by head
-// index and reuses its backing array, so a steady push/pop stream does
-// not reallocate.
-type queue[T any] struct {
+// delivery is one queued message, or the error that ends the stream;
+// it may be taken once its due time has passed (a zero due: at once).
+type delivery struct {
+	msg []byte
+	err error
+	due time.Time
+}
+
+// queue is an unbounded FIFO of deliveries with one consumer. It pops by
+// head index and reuses its backing array, so a steady push/pop stream
+// does not reallocate. The consumer waits on wake, which every push and
+// close signal, and on its own reusable timer: no goroutine.
+type queue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []T
+	items  []delivery
 	head   int // items[head:] are queued
 	closed bool
+	wake   chan struct{}
+	timer  *time.Timer // the consumer's
 }
 
-func newQueue[T any]() *queue[T] {
-	q := &queue[T]{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
+func newQueue() *queue { return &queue{wake: make(chan struct{}, 1)} }
 
-// push appends v; it reports false once the queue is closed.
-func (q *queue[T]) push(v T) bool {
+// push appends d; it reports false once the queue is closed.
+func (q *queue) push(d delivery) bool {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
+		q.mu.Unlock()
 		return false
 	}
 	if q.head > 0 && len(q.items) == cap(q.items) {
@@ -83,99 +88,81 @@ func (q *queue[T]) push(v T) bool {
 		clear(q.items[n:])
 		q.items, q.head = q.items[:n], 0
 	}
-	q.items = append(q.items, v)
-	q.cond.Signal()
+	q.items = append(q.items, d)
+	q.mu.Unlock()
+	q.signal()
 	return true
 }
 
-// pop blocks until an item is queued and returns it; it reports false
-// once the queue is closed and drained.
-func (q *queue[T]) pop() (T, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
-		q.cond.Wait()
+func (q *queue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
-	var zero T
-	if q.head == len(q.items) {
-		return zero, false
-	}
-	v := q.items[q.head]
-	q.items[q.head] = zero // drop the reference for the GC
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
-	return v, true
 }
 
-func (q *queue[T]) close() {
+// pop returns the head's message and error once the head is due. While
+// nothing is due it waits for a push or close, but not past t (zero: no
+// deadline), and returns ErrTimeout then; a delivery already due is
+// returned even after t. A closed queue drains, then returns io.EOF.
+func (q *queue) pop(t time.Time) ([]byte, error) {
+	for {
+		q.mu.Lock()
+		var wait time.Time // the head's due time; zero while empty
+		if q.head < len(q.items) {
+			d := q.items[q.head]
+			if d.due.IsZero() || !time.Now().Before(d.due) {
+				q.items[q.head] = delivery{} // drop the reference for the GC
+				q.head++
+				if q.head == len(q.items) {
+					q.items, q.head = q.items[:0], 0
+				}
+				q.mu.Unlock()
+				return d.msg, d.err
+			}
+			wait = d.due
+		} else if q.closed {
+			q.mu.Unlock()
+			return nil, io.EOF
+		}
+		q.mu.Unlock()
+		if !t.IsZero() {
+			if !time.Now().Before(t) {
+				return nil, ErrTimeout
+			}
+			if wait.IsZero() || t.Before(wait) {
+				wait = t
+			}
+		}
+		if wait.IsZero() {
+			<-q.wake
+			continue
+		}
+		if q.timer == nil {
+			q.timer = time.NewTimer(time.Until(wait))
+		} else {
+			q.timer.Reset(time.Until(wait))
+		}
+		select {
+		case <-q.wake:
+			if !q.timer.Stop() {
+				// Fired meanwhile: drop the tick so the next Reset
+				// starts clean (a no-op where Stop already did).
+				select {
+				case <-q.timer.C:
+				default:
+				}
+			}
+		case <-q.timer.C:
+		}
+	}
+}
+
+func (q *queue) close() {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.closed = true
-	q.cond.Broadcast()
-}
-
-// SimEndpoint is one end of an in-process simulated link.
-type SimEndpoint struct {
-	out, in   *queue[[]byte]
-	cfg       SimConfig
-	mu        *sync.Mutex // guards cfg.Timeline, shared by the pair
-	src, dst  ethsim.MAC  // Ethernet-mode addressing
-	initiator bool        // charges the per-command latency
-}
-
-// SimPair returns two connected endpoints. The first endpoint is the
-// command initiator and carries the per-command latency.
-func SimPair(cfg SimConfig) (a, b *SimEndpoint) {
-	q1, q2 := newQueue[[]byte](), newQueue[[]byte]()
-	mu := &sync.Mutex{}
-	a = &SimEndpoint{out: q1, in: q2, cfg: cfg, mu: mu, src: cfg.AddrA, dst: cfg.AddrB, initiator: true}
-	b = &SimEndpoint{out: q2, in: q1, cfg: cfg, mu: mu, src: cfg.AddrB, dst: cfg.AddrA}
-	return a, b
-}
-
-// Send transmits a message, charging wire time and message latency to the
-// timeline. In Ethernet mode the payload travels inside a framed packet
-// with a real FCS.
-func (e *SimEndpoint) Send(msg []byte) error {
-	if e.cfg.Timeline != nil {
-		e.mu.Lock()
-		e.cfg.Timeline.Add("wire", ethsim.WireTime(len(msg)))
-		if e.cfg.MessageLatency > 0 && e.initiator {
-			e.cfg.Timeline.Add("latency", e.cfg.MessageLatency)
-		}
-		e.mu.Unlock()
-	}
-	var wire []byte
-	if e.cfg.Ethernet {
-		var err error
-		if wire, err = marshal(nil, e.dst, e.src, msg); err != nil {
-			return err
-		}
-	} else {
-		wire = make([]byte, len(msg))
-		copy(wire, msg)
-	}
-	if !e.out.push(wire) {
-		return fmt.Errorf("channel: send on closed channel: %w", ErrClosed)
-	}
-	return nil
-}
-
-// Recv returns the next message from the peer. In Ethernet mode the FCS
-// is verified and frames for other destinations or ethertypes rejected;
-// the returned payload is a view into the received frame, which the
-// sender's Marshal allocated and the queue handed over.
-func (e *SimEndpoint) Recv() ([]byte, error) {
-	raw, ok := e.in.pop()
-	if !ok {
-		return nil, io.EOF
-	}
-	if !e.cfg.Ethernet {
-		return raw, nil
-	}
-	return unframe(raw, e.src)
+	q.mu.Unlock()
+	q.signal()
 }
 
 // marshal appends msg to dst inside an Ethernet II frame with its FCS.
@@ -205,13 +192,6 @@ func unframe(raw []byte, self ethsim.MAC) ([]byte, error) {
 	return frame.Payload, nil
 }
 
-// Close shuts down both directions.
-func (e *SimEndpoint) Close() error {
-	e.out.close()
-	e.in.close()
-	return nil
-}
-
 // Tap wraps an endpoint and lets an adversary observe or rewrite traffic.
 // A nil hook passes messages through unchanged; returning nil from OnSend
 // drops the message.
@@ -234,9 +214,12 @@ func (t *Tap) Send(msg []byte) error {
 
 // Recv passes the received message through the OnRecv hook. Messages the
 // hook drops (nil) are skipped.
-func (t *Tap) Recv() ([]byte, error) {
+func (t *Tap) Recv() ([]byte, error) { return t.RecvUntil(time.Time{}) }
+
+// RecvUntil is Recv with the deadline passed through to Inner.
+func (t *Tap) RecvUntil(dl time.Time) ([]byte, error) {
 	for {
-		msg, err := t.Inner.Recv()
+		msg, err := recvUntil(t.Inner, dl)
 		if err != nil {
 			return nil, err
 		}

@@ -14,16 +14,37 @@ import (
 	"sacha/internal/sim"
 )
 
-func TestSimPairDelivery(t *testing.T) {
-	a, b := SimPair(SimConfig{})
+// peer is a Handler that keeps a copy of every request it is handed and,
+// with echo set, answers each with the request itself.
+type peer struct {
+	got  [][]byte
+	echo bool
+}
+
+func (p *peer) handle(req []byte) ([][]byte, error) {
+	p.got = append(p.got, bytes.Clone(req))
+	if p.echo {
+		return [][]byte{req}, nil
+	}
+	return nil, nil
+}
+
+// TestInlineRequestsInOrder: the handler sees the requests in the order
+// they were sent, and its answers come back in the same order.
+func TestInlineRequestsInOrder(t *testing.T) {
+	p := &peer{echo: true}
+	ep := NewInline(p.handle, SimConfig{})
 	msgs := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
 	for _, m := range msgs {
-		if err := a.Send(m); err != nil {
+		if err := ep.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range msgs {
-		got, err := b.Recv()
+	for i, want := range msgs {
+		if !bytes.Equal(p.got[i], want) {
+			t.Fatalf("handler saw %q, want %q", p.got[i], want)
+		}
+		got, err := ep.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,36 +52,33 @@ func TestSimPairDelivery(t *testing.T) {
 			t.Fatalf("got %q want %q", got, want)
 		}
 	}
-	// Reverse direction.
-	if err := b.Send([]byte("pong")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := a.Recv(); string(got) != "pong" {
-		t.Fatal("reverse direction broken")
-	}
 }
 
-func TestSimPairCloseEOF(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	a.Send([]byte("last"))
-	a.Close()
-	if got, err := b.Recv(); err != nil || string(got) != "last" {
+// TestInlineCloseDrainsThenEOF: responses queued before Close still
+// arrive; then Recv reports io.EOF and Send refuses.
+func TestInlineCloseDrainsThenEOF(t *testing.T) {
+	ep := NewInline((&peer{echo: true}).handle, SimConfig{})
+	ep.Send([]byte("last"))
+	ep.Close()
+	if got, err := ep.Recv(); err != nil || string(got) != "last" {
 		t.Fatalf("pending message lost: %q %v", got, err)
 	}
-	if _, err := b.Recv(); err != io.EOF {
+	if _, err := ep.Recv(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
-	if err := b.Send([]byte("x")); err == nil {
+	if err := ep.Send([]byte("x")); err == nil {
 		t.Fatal("send on closed channel accepted")
 	}
 }
 
-func TestSimPairNoAliasing(t *testing.T) {
-	a, b := SimPair(SimConfig{})
+// TestInlineNoAliasing: a response the handler built from the request
+// does not alias the sender's buffer.
+func TestInlineNoAliasing(t *testing.T) {
+	ep := NewInline((&peer{echo: true}).handle, SimConfig{})
 	buf := []byte("mutate-me")
-	a.Send(buf)
+	ep.Send(buf)
 	buf[0] = 'X'
-	got, _ := b.Recv()
+	got, _ := ep.Recv()
 	if string(got) != "mutate-me" {
 		t.Fatal("Send aliases caller buffer")
 	}
@@ -71,16 +89,16 @@ func TestSimPairNoAliasing(t *testing.T) {
 // without a standing backlog — never grows it.
 func TestQueueCapacityBounded(t *testing.T) {
 	for _, backlog := range []int{0, 3} {
-		q := newQueue[int]()
+		q := newQueue()
 		for i := 0; i < backlog; i++ {
-			q.push(i)
+			q.push(delivery{msg: []byte{byte(i)}})
 		}
 		for i := 0; i < 10000; i++ {
-			if !q.push(backlog + i) {
+			if !q.push(delivery{msg: []byte{byte(backlog + i)}}) {
 				t.Fatal("push on an open queue refused")
 			}
-			if v, ok := q.pop(); !ok || v != i {
-				t.Fatalf("pop %d = %d, %v; want FIFO order", i, v, ok)
+			if v, err := q.pop(time.Time{}); err != nil || v[0] != byte(i) {
+				t.Fatalf("pop %d = %v, %v; want FIFO order", i, v, err)
 			}
 		}
 		if c := cap(q.items); c > 2*backlog+8 {
@@ -93,14 +111,14 @@ func TestQueueCapacityBounded(t *testing.T) {
 // blocked on an empty queue with io.EOF, and a later send reports
 // ErrClosed.
 func TestQueueCloseWakesBlockedPop(t *testing.T) {
-	a, b := SimPair(SimConfig{})
+	ep := NewInline((&peer{}).handle, SimConfig{})
 	got := make(chan error, 1)
 	go func() {
-		_, err := b.Recv()
+		_, err := ep.Recv()
 		got <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let Recv block
-	a.Close()
+	ep.Close()
 	select {
 	case err := <-got:
 		if err != io.EOF {
@@ -109,52 +127,78 @@ func TestQueueCloseWakesBlockedPop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("close did not wake the blocked Recv")
 	}
-	if err := b.Send([]byte("x")); !errors.Is(err, ErrClosed) {
+	if err := ep.Send([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v, want ErrClosed", err)
 	}
 }
 
-func TestSimPairTimelineAccounting(t *testing.T) {
+// TestQueueDueAndDeadline: a delivery is held until its due time, a pop
+// on a queue with nothing due returns ErrTimeout at its deadline, and a
+// delivery already due is handed over even past the deadline.
+func TestQueueDueAndDeadline(t *testing.T) {
+	q := newQueue()
+	start := time.Now()
+	if _, err := q.pop(start.Add(5 * time.Millisecond)); err != ErrTimeout {
+		t.Fatalf("pop on an empty queue: %v, want ErrTimeout", err)
+	}
+	if d := time.Since(start); d < 5*time.Millisecond {
+		t.Fatalf("ErrTimeout after %v, before the deadline", d)
+	}
+	due := time.Now().Add(20 * time.Millisecond)
+	q.push(delivery{msg: []byte("late"), due: due})
+	if _, err := q.pop(time.Now().Add(5 * time.Millisecond)); err != ErrTimeout {
+		t.Fatalf("pop before the due time: %v, want ErrTimeout", err)
+	}
+	msg, err := q.pop(time.Time{})
+	if err != nil || string(msg) != "late" || time.Now().Before(due) {
+		t.Fatalf("pop = %q %v at %v before due", msg, err, due.Sub(time.Now()))
+	}
+	q.push(delivery{msg: []byte("ready")})
+	if msg, err := q.pop(start); err != nil || string(msg) != "ready" {
+		t.Fatalf("pop past the deadline with a delivery due: %q %v", msg, err)
+	}
+}
+
+// TestInlineTimelineAccounting: the link charges wire time for every
+// message both ways and MessageLatency once per request.
+func TestInlineTimelineAccounting(t *testing.T) {
 	tl := sim.NewTimeline()
-	a, b := SimPair(SimConfig{Timeline: tl, MessageLatency: 100 * time.Microsecond})
-	a.Send(make([]byte, 328))
-	b.Send(make([]byte, 17))
+	ep := NewInline(func([]byte) ([][]byte, error) { return [][]byte{make([]byte, 17)}, nil },
+		SimConfig{Timeline: tl, MessageLatency: 100 * time.Microsecond})
+	ep.Send(make([]byte, 328))
 	// wire: WireBytes(328)=366, WireBytes(17)=55 → (366+55)*8 ns.
 	wantWire := time.Duration((366+55)*8) * time.Nanosecond
 	if got := tl.Tag("wire"); got != wantWire {
 		t.Fatalf("wire = %v, want %v", got, wantWire)
 	}
-	// Latency is per command: only the initiator (a) charges it.
+	// Latency is per command: only the request charges it.
 	if got := tl.Tag("latency"); got != 100*time.Microsecond {
 		t.Fatalf("latency = %v", got)
 	}
 }
 
-func TestSimPairConcurrent(t *testing.T) {
+// TestInlineConcurrentSendRecv: one goroutine sends while another
+// receives, as under a Recv-only wrapper's adapter; every echo arrives in
+// order and the timeline is charged.
+func TestInlineConcurrentSendRecv(t *testing.T) {
 	tl := sim.NewTimeline()
-	a, b := SimPair(SimConfig{Timeline: tl, MessageLatency: time.Microsecond})
+	ep := NewInline((&peer{echo: true}).handle, SimConfig{Timeline: tl, MessageLatency: time.Microsecond})
 	const n = 500
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			msg, err := b.Recv()
-			if err != nil {
-				t.Errorf("recv: %v", err)
+			got, err := ep.Recv()
+			if want := fmt.Sprintf("msg-%d", i); err != nil || string(got) != want {
+				t.Errorf("echo %d: %q %v", i, got, err)
 				return
 			}
-			b.Send(msg) // echo
 		}
 	}()
 	for i := 0; i < n; i++ {
-		want := []byte(fmt.Sprintf("msg-%d", i))
-		if err := a.Send(want); err != nil {
+		if err := ep.Send([]byte(fmt.Sprintf("msg-%d", i))); err != nil {
 			t.Fatal(err)
-		}
-		got, err := a.Recv()
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("echo %d: %q %v", i, got, err)
 		}
 	}
 	wg.Wait()
@@ -164,9 +208,9 @@ func TestSimPairConcurrent(t *testing.T) {
 }
 
 func TestTapRewriteAndDrop(t *testing.T) {
-	a, b := SimPair(SimConfig{})
+	p := &peer{echo: true}
 	tap := &Tap{
-		Inner: a,
+		Inner: NewInline(p.handle, SimConfig{}),
 		OnSend: func(m []byte) []byte {
 			if string(m) == "drop" {
 				return nil
@@ -176,14 +220,14 @@ func TestTapRewriteAndDrop(t *testing.T) {
 	}
 	tap.Send([]byte("drop"))
 	tap.Send([]byte("hello"))
-	got, _ := b.Recv()
-	if string(got) != "mitm:hello" {
-		t.Fatalf("got %q", got)
+	if len(p.got) != 1 || string(p.got[0]) != "mitm:hello" {
+		t.Fatalf("got %q", p.got)
 	}
+	tap.Inner.Recv()
 
 	// OnRecv dropping skips to the next message.
 	recvTap := &Tap{
-		Inner: b,
+		Inner: NewInline(p.handle, SimConfig{}),
 		OnRecv: func(m []byte) []byte {
 			if string(m) == "skip" {
 				return nil
@@ -191,8 +235,8 @@ func TestTapRewriteAndDrop(t *testing.T) {
 			return m
 		},
 	}
-	a.Send([]byte("skip"))
-	a.Send([]byte("keep"))
+	recvTap.Send([]byte("skip"))
+	recvTap.Send([]byte("keep"))
 	got, err := recvTap.Recv()
 	if err != nil || string(got) != "keep" {
 		t.Fatalf("got %q %v", got, err)
@@ -206,58 +250,55 @@ func TestEthernetFraming(t *testing.T) {
 		AddrA:    [6]byte{2, 0, 0, 0, 0, 0xA},
 		AddrB:    [6]byte{2, 0, 0, 0, 0, 0xB},
 	}
-	a, b := SimPair(cfg)
-	if err := a.Send([]byte("framed payload")); err != nil {
+	ep := NewInline(func(req []byte) ([][]byte, error) {
+		if string(req) != "framed payload" {
+			return nil, fmt.Errorf("payload %q", req)
+		}
+		return [][]byte{[]byte("pong")}, nil
+	}, cfg)
+	if err := ep.Send([]byte("framed payload")); err != nil {
 		t.Fatal(err)
-	}
-	got, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "framed payload" {
-		t.Fatalf("payload %q", got)
 	}
 	// Reverse direction too.
-	b.Send([]byte("pong"))
-	if got, _ := a.Recv(); string(got) != "pong" {
-		t.Fatal("reverse framing broken")
+	if got, err := ep.Recv(); err != nil || string(got) != "pong" {
+		t.Fatalf("reverse framing broken: %q %v (handler: %v)", got, err, ep.Err())
 	}
 }
 
 func TestEthernetFCSDetectsCorruption(t *testing.T) {
 	cfg := SimConfig{Ethernet: true, AddrA: [6]byte{1}, AddrB: [6]byte{2}}
-	a, b := SimPair(cfg)
+	ep := NewInline((&peer{}).handle, cfg)
 	// A bit flips on the wire: build the frame exactly as the endpoint
 	// does, corrupt it, and inject it into the raw queue.
-	frame := &ethsim.Frame{Dst: a.dst, Src: a.src, EtherType: ethsim.EtherTypeSACHa, Payload: []byte("hello")}
+	frame := &ethsim.Frame{Dst: cfg.AddrA, Src: cfg.AddrB, EtherType: ethsim.EtherTypeSACHa, Payload: []byte("hello")}
 	wire, err := frame.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	wire[len(wire)/2] ^= 0x01
-	if !a.out.push(wire) {
+	if !ep.in.push(delivery{msg: wire}) {
 		t.Fatal("push on an open queue refused")
 	}
-	if _, err := b.Recv(); err == nil {
+	if _, err := ep.Recv(); err == nil {
 		t.Fatal("corrupted frame passed the FCS check")
 	}
 }
 
 func TestEthernetRejectsForeignFrames(t *testing.T) {
 	cfg := SimConfig{Ethernet: true, AddrA: [6]byte{1}, AddrB: [6]byte{2}}
-	a, b := SimPair(cfg)
+	ep := NewInline((&peer{}).handle, cfg)
 	// Wrong ethertype.
-	f := &ethsim.Frame{Dst: b.src, Src: a.src, EtherType: 0x0800, Payload: []byte("ip?")}
+	f := &ethsim.Frame{Dst: cfg.AddrA, Src: cfg.AddrB, EtherType: 0x0800, Payload: []byte("ip?")}
 	wire, _ := f.Marshal()
-	a.out.push(wire)
-	if _, err := b.Recv(); err == nil {
+	ep.in.push(delivery{msg: wire})
+	if _, err := ep.Recv(); err == nil {
 		t.Fatal("foreign ethertype accepted")
 	}
 	// Wrong destination.
-	f = &ethsim.Frame{Dst: [6]byte{9, 9, 9, 9, 9, 9}, Src: a.src, EtherType: ethsim.EtherTypeSACHa}
+	f = &ethsim.Frame{Dst: [6]byte{9, 9, 9, 9, 9, 9}, Src: cfg.AddrB, EtherType: ethsim.EtherTypeSACHa}
 	wire, _ = f.Marshal()
-	a.out.push(wire)
-	if _, err := b.Recv(); err == nil {
+	ep.in.push(delivery{msg: wire})
+	if _, err := ep.Recv(); err == nil {
 		t.Fatal("misaddressed frame accepted")
 	}
 }

@@ -1,7 +1,9 @@
 package channel
 
 import (
+	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -11,25 +13,11 @@ import (
 // sent back-to-back age concurrently, so a windowed exchange completes in
 // roughly one round trip — not n of them. (FaultDelay would serialise.)
 func TestDelayEndpointPipelinesConcurrently(t *testing.T) {
-	a, b := SimPair(SimConfig{})
 	const oneWay = 30 * time.Millisecond
-	d := NewDelayEndpoint(a, oneWay)
+	d := NewDelayEndpoint(NewInline((&peer{echo: true}).handle, SimConfig{}), oneWay)
 	defer d.Close()
 
 	const n = 8
-	// Echo peer: answers every request immediately.
-	go func() {
-		for {
-			msg, err := b.Recv()
-			if err != nil {
-				return
-			}
-			if b.Send(msg) != nil {
-				return
-			}
-		}
-	}()
-
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if err := d.Send([]byte{byte(i)}); err != nil {
@@ -62,22 +50,9 @@ func TestDelayEndpointPipelinesConcurrently(t *testing.T) {
 // lockstep caller pays the full round trip per exchange, which is exactly
 // the cost the windowed session is designed to hide.
 func TestDelayEndpointLockstepPaysRoundTrips(t *testing.T) {
-	a, b := SimPair(SimConfig{})
 	const oneWay = 10 * time.Millisecond
-	d := NewDelayEndpoint(a, oneWay)
+	d := NewDelayEndpoint(NewInline((&peer{echo: true}).handle, SimConfig{}), oneWay)
 	defer d.Close()
-
-	go func() {
-		for {
-			msg, err := b.Recv()
-			if err != nil {
-				return
-			}
-			if b.Send(msg) != nil {
-				return
-			}
-		}
-	}()
 
 	const n = 4
 	start := time.Now()
@@ -95,10 +70,10 @@ func TestDelayEndpointLockstepPaysRoundTrips(t *testing.T) {
 }
 
 // TestDelayEndpointClose: a closed wrapper delivers EOF to receivers and
-// rejects senders, and the peer sees the underlying close.
+// rejects senders, and the wrapped link is closed too.
 func TestDelayEndpointClose(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	d := NewDelayEndpoint(a, time.Millisecond)
+	inner := NewInline((&peer{echo: true}).handle, SimConfig{})
+	d := NewDelayEndpoint(inner, time.Millisecond)
 	done := make(chan error, 1)
 	go func() {
 		_, err := d.Recv()
@@ -117,26 +92,104 @@ func TestDelayEndpointClose(t *testing.T) {
 	if err := d.Send([]byte{1}); err == nil {
 		t.Fatal("Send after close succeeded")
 	}
-	if _, err := b.Recv(); err != io.EOF {
-		t.Fatalf("peer Recv after close: %v, want EOF", err)
+	if err := inner.Send([]byte{1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("wrapped link after close: %v, want ErrClosed", err)
 	}
 }
 
-// TestDelayEndpointDeliversError: an inner receive error (peer closed)
-// propagates through the delay queue.
+// TestDelayEndpointDeliversError: the wrapped link failing (its handler
+// errs) reaches the receiver through the delay queue, after the
+// responses queued before it.
 func TestDelayEndpointDeliversError(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	d := NewDelayEndpoint(a, time.Millisecond)
+	calls := 0
+	d := NewDelayEndpoint(NewInline(func(req []byte) ([][]byte, error) {
+		if calls++; calls > 1 {
+			return nil, errors.New("prover gone")
+		}
+		return [][]byte{{42}}, nil
+	}, SimConfig{}), time.Millisecond)
 	defer d.Close()
-	if err := b.Send([]byte{42}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := d.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b.Close()
 	msg, err := d.Recv()
 	if err != nil || len(msg) != 1 {
 		t.Fatalf("first Recv: %v %v", msg, err)
 	}
 	if _, err := d.Recv(); err == nil {
 		t.Fatal("peer-close did not surface")
+	}
+}
+
+// TestDelayEndpointRecvUntil: a deadline before the response's due time
+// returns ErrTimeout, the response still arrives one round trip after
+// its request, and a Send on another goroutine wakes a blocked Recv.
+func TestDelayEndpointRecvUntil(t *testing.T) {
+	const oneWay = 10 * time.Millisecond
+	d := NewDelayEndpoint(NewInline((&peer{echo: true}).handle, SimConfig{}), oneWay)
+	defer d.Close()
+	start := time.Now()
+	d.Send([]byte("a"))
+	if _, err := d.RecvUntil(start.Add(oneWay)); err != ErrTimeout {
+		t.Fatalf("RecvUntil before the round trip: %v, want ErrTimeout", err)
+	}
+	msg, err := d.RecvUntil(start.Add(time.Second))
+	if err != nil || string(msg) != "a" {
+		t.Fatalf("RecvUntil: %q %v", msg, err)
+	}
+	if rtt := time.Since(start); rtt < 2*oneWay {
+		t.Fatalf("response after %v, under the %v round trip", rtt, 2*oneWay)
+	}
+
+	got := make(chan []byte)
+	go func() {
+		msg, _ := d.Recv()
+		got <- msg
+	}()
+	time.Sleep(5 * time.Millisecond) // let Recv block on the empty queue
+	d.Send([]byte("b"))
+	select {
+	case msg := <-got:
+		if string(msg) != "b" {
+			t.Fatalf("woken Recv got %q", msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a Send did not wake the blocked Recv")
+	}
+}
+
+// recvOnly hides every method but the Endpoint ones, as a caller's
+// wrapper does.
+type recvOnly struct{ Endpoint }
+
+// TestWithRecvUntilAdapter: a Recv-only endpoint gets a deadline
+// receive from one goroutine, which is gone once the caller released
+// the adapter and closed the endpoint; a native one comes back as is.
+func TestWithRecvUntilAdapter(t *testing.T) {
+	d := NewDelayEndpoint(NewInline((&peer{echo: true}).handle, SimConfig{}), 5*time.Millisecond)
+	if u, _ := WithRecvUntil(&Tap{Inner: d}); u.(*Tap).Inner != d {
+		t.Fatal("a Tap around a DelayEndpoint was adapted")
+	}
+	before := runtime.NumGoroutine()
+	u, release := WithRecvUntil(recvOnly{d})
+	if _, ok := u.(*recvPump); !ok {
+		t.Fatalf("a Recv-only endpoint came back as %T", u)
+	}
+	if _, err := u.RecvUntil(time.Now().Add(time.Millisecond)); err != ErrTimeout {
+		t.Fatalf("RecvUntil with nothing sent: %v, want ErrTimeout", err)
+	}
+	u.Send([]byte("x"))
+	if msg, err := u.RecvUntil(time.Now().Add(time.Second)); err != nil || string(msg) != "x" {
+		t.Fatalf("RecvUntil: %q %v", msg, err)
+	}
+	release()
+	u.Close()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines after release and Close, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -315,7 +315,11 @@ func (f *FaultEndpoint) Send(msg []byte) error {
 
 // Recv returns the next message from the peer, after the fault injector
 // had its way with it.
-func (f *FaultEndpoint) Recv() ([]byte, error) {
+func (f *FaultEndpoint) Recv() ([]byte, error) { return f.RecvUntil(time.Time{}) }
+
+// RecvUntil is Recv with the deadline passed through to the wrapped
+// endpoint.
+func (f *FaultEndpoint) RecvUntil(t time.Time) ([]byte, error) {
 	f.recvMu.Lock()
 	defer f.recvMu.Unlock()
 	for {
@@ -327,7 +331,7 @@ func (f *FaultEndpoint) Recv() ([]byte, error) {
 			f.pending = f.pending[1:]
 			return msg, nil
 		}
-		raw, err := f.inner.Recv()
+		raw, err := recvUntil(f.inner, t)
 		if err != nil {
 			return nil, err
 		}

@@ -11,12 +11,11 @@ import (
 // observed by the fake clock and the call returns without wall-time
 // cost, so a campaign can storm delays without wall-clock races.
 func TestFaultDelayInjectedClock(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	defer a.Close()
-	defer b.Close()
+	ep := NewInline((&peer{echo: true}).handle, SimConfig{})
+	defer ep.Close()
 
 	var slept []time.Duration
-	fe := NewFault(a, FaultConfig{
+	fe := NewFault(ep, FaultConfig{
 		Delay: 250 * time.Millisecond,
 		Sleep: func(d time.Duration) { slept = append(slept, d) },
 		Script: []FaultOp{
@@ -28,12 +27,6 @@ func TestFaultDelayInjectedClock(t *testing.T) {
 	start := time.Now()
 	if err := fe.Send([]byte{1}); err != nil {
 		t.Fatalf("Send: %v", err)
-	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatalf("peer Recv: %v", err)
-	}
-	if err := b.Send([]byte{2}); err != nil {
-		t.Fatalf("peer Send: %v", err)
 	}
 	if _, err := fe.Recv(); err != nil {
 		t.Fatalf("Recv: %v", err)
@@ -60,10 +53,9 @@ func TestFaultDelayInjectedClock(t *testing.T) {
 // campaign scheduler's reproducibility contract.
 func TestFaultInjectedSource(t *testing.T) {
 	run := func(src rand.Source) FaultStats {
-		a, b := SimPair(SimConfig{})
-		defer a.Close()
-		defer b.Close()
-		fe := NewFault(a, FaultConfig{
+		ep := NewInline((&peer{}).handle, SimConfig{})
+		defer ep.Close()
+		fe := NewFault(ep, FaultConfig{
 			Source:      src,
 			DropProb:    0.3,
 			CorruptProb: 0.3,
@@ -71,13 +63,6 @@ func TestFaultInjectedSource(t *testing.T) {
 			// ignored when Source is set.
 			Seed: 0x5EED,
 		})
-		go func() {
-			for {
-				if _, err := b.Recv(); err != nil {
-					return
-				}
-			}
-		}()
 		for i := 0; i < 64; i++ {
 			if err := fe.Send([]byte{byte(i), 0xAB}); err != nil {
 				t.Errorf("Send %d: %v", i, err)

@@ -23,15 +23,15 @@ func collect(t *testing.T, ep Endpoint, n int) [][]byte {
 }
 
 func TestFaultScriptDrop(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 1, Kind: FaultDrop}}})
+	p := &peer{}
+	f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 1, Kind: FaultDrop}}})
 	for i := 0; i < 3; i++ {
 		if err := f.Send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := collect(t, b, 2)
-	if got[0][0] != 0 || got[1][0] != 2 {
+	got := p.got
+	if len(got) != 2 || got[0][0] != 0 || got[1][0] != 2 {
 		t.Fatalf("got %v, want messages 0 and 2", got)
 	}
 	if st := f.Stats(); st.Dropped != 1 || st.Sent != 3 {
@@ -40,13 +40,13 @@ func TestFaultScriptDrop(t *testing.T) {
 }
 
 func TestFaultScriptDuplicate(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultDuplicate}}})
+	p := &peer{}
+	f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultDuplicate}}})
 	if err := f.Send([]byte("dup")); err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, b, 2)
-	if !bytes.Equal(got[0], got[1]) || string(got[0]) != "dup" {
+	got := p.got
+	if len(got) != 2 || !bytes.Equal(got[0], got[1]) || string(got[0]) != "dup" {
 		t.Fatalf("got %q %q", got[0], got[1])
 	}
 	if st := f.Stats(); st.Duplicated != 1 {
@@ -55,12 +55,12 @@ func TestFaultScriptDuplicate(t *testing.T) {
 }
 
 func TestFaultScriptReorder(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultReorder}}})
+	p := &peer{}
+	f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultReorder}}})
 	f.Send([]byte("first"))
 	f.Send([]byte("second"))
-	got := collect(t, b, 2)
-	if string(got[0]) != "second" || string(got[1]) != "first" {
+	got := p.got
+	if len(got) != 2 || string(got[0]) != "second" || string(got[1]) != "first" {
 		t.Fatalf("got %q %q, want reorder", got[0], got[1])
 	}
 	if st := f.Stats(); st.Reordered != 1 {
@@ -69,11 +69,11 @@ func TestFaultScriptReorder(t *testing.T) {
 }
 
 func TestFaultScriptCorrupt(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultCorrupt}}})
+	p := &peer{}
+	f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultCorrupt}}})
 	orig := []byte("payload")
 	f.Send(orig)
-	got := collect(t, b, 1)[0]
+	got := p.got[0]
 	if bytes.Equal(got, orig) {
 		t.Fatal("corruption did not change the message")
 	}
@@ -90,8 +90,9 @@ func TestFaultScriptCorrupt(t *testing.T) {
 }
 
 func TestFaultScriptResetOnSend(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 1, Kind: FaultReset}}})
+	p := &peer{}
+	inner := NewInline(p.handle, SimConfig{})
+	f := NewFault(inner, FaultConfig{Script: []FaultOp{{Dir: DirSend, Index: 1, Kind: FaultReset}}})
 	if err := f.Send([]byte("ok")); err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +106,22 @@ func TestFaultScriptResetOnSend(t *testing.T) {
 	if _, err := f.Recv(); !errors.Is(err, ErrReset) {
 		t.Fatalf("post-reset recv: %v", err)
 	}
-	// The peer sees the closed link.
-	collect(t, b, 1)
-	if _, err := b.Recv(); err == nil {
-		t.Fatal("peer did not observe the reset")
+	// The link under the injector is closed, after the one message.
+	if len(p.got) != 1 || string(p.got[0]) != "ok" {
+		t.Fatalf("peer got %q, want only the pre-reset message", p.got)
+	}
+	if err := inner.Send([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("inner link after the reset: %v, want ErrClosed", err)
 	}
 }
 
 func TestFaultRecvSideFaults(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(b, FaultConfig{Script: []FaultOp{
+	f := NewFault(NewInline((&peer{echo: true}).handle, SimConfig{}), FaultConfig{Script: []FaultOp{
 		{Dir: DirRecv, Index: 0, Kind: FaultDrop},
 		{Dir: DirRecv, Index: 2, Kind: FaultDuplicate},
 	}})
 	for i := 0; i < 3; i++ {
-		a.Send([]byte{byte(i)})
+		f.Send([]byte{byte(i)})
 	}
 	got := collect(t, f, 3)
 	want := []byte{1, 2, 2} // 0 dropped, 2 duplicated
@@ -134,10 +136,9 @@ func TestFaultRecvSideFaults(t *testing.T) {
 }
 
 func TestFaultRecvReorderReleases(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(b, FaultConfig{Script: []FaultOp{{Dir: DirRecv, Index: 0, Kind: FaultReorder}}})
-	a.Send([]byte("held"))
-	a.Send([]byte("pass"))
+	f := NewFault(NewInline((&peer{echo: true}).handle, SimConfig{}), FaultConfig{Script: []FaultOp{{Dir: DirRecv, Index: 0, Kind: FaultReorder}}})
+	f.Send([]byte("held"))
+	f.Send([]byte("pass"))
 	got := collect(t, f, 2)
 	if string(got[0]) != "pass" || string(got[1]) != "held" {
 		t.Fatalf("got %q %q", got[0], got[1])
@@ -145,8 +146,8 @@ func TestFaultRecvReorderReleases(t *testing.T) {
 }
 
 func TestFaultDelayInjectsLatency(t *testing.T) {
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{
+	p := &peer{}
+	f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{
 		Delay:  20 * time.Millisecond,
 		Script: []FaultOp{{Dir: DirSend, Index: 0, Kind: FaultDelay}},
 	})
@@ -155,7 +156,9 @@ func TestFaultDelayInjectsLatency(t *testing.T) {
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("send returned after %v, want >= 20ms delay", d)
 	}
-	collect(t, b, 1)
+	if len(p.got) != 1 {
+		t.Fatalf("peer got %d messages, want the delayed one", len(p.got))
+	}
 	if st := f.Stats(); st.Delayed != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -163,8 +166,8 @@ func TestFaultDelayInjectsLatency(t *testing.T) {
 
 func TestFaultSeededLotteryDeterministic(t *testing.T) {
 	run := func() (FaultStats, []string) {
-		a, b := SimPair(SimConfig{})
-		f := NewFault(a, FaultConfig{Seed: 7, DropProb: 0.3, DupProb: 0.2})
+		p := &peer{}
+		f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{Seed: 7, DropProb: 0.3, DupProb: 0.2})
 		delivered := 0
 		for i := 0; i < 100; i++ {
 			if err := f.Send([]byte(fmt.Sprintf("m%02d", i))); err != nil {
@@ -173,12 +176,11 @@ func TestFaultSeededLotteryDeterministic(t *testing.T) {
 		}
 		st := f.Stats()
 		delivered = st.Sent - st.Dropped + st.Duplicated
+		if len(p.got) != delivered {
+			t.Fatalf("peer got %d messages, stats say %d", len(p.got), delivered)
+		}
 		var msgs []string
-		for i := 0; i < delivered; i++ {
-			m, err := b.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, m := range p.got {
 			msgs = append(msgs, string(m))
 		}
 		return st, msgs
@@ -203,14 +205,13 @@ func TestFaultSeededLotteryDeterministic(t *testing.T) {
 
 func TestFaultPassThroughUnchanged(t *testing.T) {
 	// A zero config must behave like the bare endpoint.
-	a, b := SimPair(SimConfig{})
-	f := NewFault(a, FaultConfig{})
+	p := &peer{echo: true}
+	f := NewFault(NewInline(p.handle, SimConfig{}), FaultConfig{})
 	f.Send([]byte("clean"))
-	if got := collect(t, b, 1); string(got[0]) != "clean" {
-		t.Fatalf("got %q", got[0])
+	if string(p.got[0]) != "clean" {
+		t.Fatalf("got %q", p.got[0])
 	}
-	b.Send([]byte("back"))
-	if got := collect(t, f, 1); string(got[0]) != "back" {
+	if got := collect(t, f, 1); string(got[0]) != "clean" {
 		t.Fatalf("got %q", got[0])
 	}
 	if st := f.Stats(); st.Dropped+st.Duplicated+st.Corrupted+st.Reordered+st.Delayed+st.Resets != 0 {

@@ -2,9 +2,9 @@ package channel
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sync"
+	"time"
 
 	"sacha/internal/ethsim"
 )
@@ -17,21 +17,21 @@ type Handler func(req []byte) ([][]byte, error)
 // InlineEndpoint is the command initiator's end of a simulated link whose
 // far end is a Handler: Send runs the handler on the calling goroutine
 // and queues its responses for Recv, so no second goroutine and no
-// cross-goroutine handoff is needed per message. The link is otherwise
-// SimPair's: the same Timeline charges and, in Ethernet mode, every
-// message framed with a real FCS and verified (FCS, ethertype,
-// destination) on the receiving side.
+// cross-goroutine handoff is needed per message. The link charges the
+// Timeline wire time per message both ways and MessageLatency per
+// request; in Ethernet mode every message is framed with a real FCS and
+// verified (FCS, ethertype, destination) on the receiving side.
 //
-// Recv blocks on an empty queue only until a later Send or Close, so a
-// receive pump on another goroutine (DelayEndpoint, the reliable
-// session) works unchanged; a lockstep caller that sends and then
-// receives never waits. A handler error, or a request the handler's side
-// cannot unframe or answer, closes the link: the error is kept for Err,
-// queued responses drain, then Recv returns io.EOF and Send ErrClosed.
+// Responses are queued before Send returns, so a receive after a Send
+// pops without waiting; on an empty queue it waits for its deadline, or
+// a Send or Close on another goroutine. A handler error, or a request
+// the handler's side cannot unframe or answer, closes the link: the
+// error is kept for Err, queued responses drain, then Recv returns
+// io.EOF and Send ErrClosed.
 type InlineEndpoint struct {
 	h   Handler
 	cfg SimConfig
-	in  *queue[[]byte]
+	in  *queue
 
 	// mu is held across the handler call: it serialises the handler,
 	// whose device is single-threaded, and lets Close wait for a call in
@@ -45,7 +45,7 @@ type InlineEndpoint struct {
 // NewInline returns the initiator endpoint of a simulated link served by
 // h. cfg.AddrA addresses this endpoint, cfg.AddrB the handler.
 func NewInline(h Handler, cfg SimConfig) *InlineEndpoint {
-	return &InlineEndpoint{h: h, cfg: cfg, in: newQueue[[]byte]()}
+	return &InlineEndpoint{h: h, cfg: cfg, in: newQueue()}
 }
 
 // Send charges wire time and message latency for the request, delivers
@@ -92,7 +92,7 @@ func (e *InlineEndpoint) Send(msg []byte) error {
 			e.fail(err)
 			return nil
 		}
-		e.in.push(wire)
+		e.in.push(delivery{msg: wire})
 	}
 	return nil
 }
@@ -106,13 +106,13 @@ func (e *InlineEndpoint) fail(err error) {
 // Recv returns the next queued response. In Ethernet mode the FCS is
 // verified and frames for other destinations or ethertypes rejected; the
 // payload is a view into the frame Send allocated for it.
-func (e *InlineEndpoint) Recv() ([]byte, error) {
-	raw, ok := e.in.pop()
-	if !ok {
-		return nil, io.EOF
-	}
-	if !e.cfg.Ethernet {
-		return raw, nil
+func (e *InlineEndpoint) Recv() ([]byte, error) { return e.RecvUntil(time.Time{}) }
+
+// RecvUntil is Recv bounded by t.
+func (e *InlineEndpoint) RecvUntil(t time.Time) ([]byte, error) {
+	raw, err := e.in.pop(t)
+	if err != nil || !e.cfg.Ethernet {
+		return raw, err
 	}
 	return unframe(raw, e.cfg.AddrA)
 }

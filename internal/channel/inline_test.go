@@ -76,39 +76,30 @@ func TestInlineDelivery(t *testing.T) {
 	}
 }
 
-// TestInlineTimelineMatchesSimPair: the inline link charges exactly what
-// a SimPair charges for the same exchange — wire time per message in
-// both directions, latency per initiator message.
-func TestInlineTimelineMatchesSimPair(t *testing.T) {
+// TestInlineTimelineCharges: in Ethernet mode too, the link charges
+// wire time per message in both directions — the payload's wire size,
+// not the frame's — and latency per request.
+func TestInlineTimelineCharges(t *testing.T) {
 	reqs := [][]byte{bytes.Repeat([]byte{2}, 328), {0}, {1, 7}, {3}}
 	cfg := inlineEth
 	cfg.MessageLatency = 100 * time.Microsecond
-
 	cfg.Timeline = sim.NewTimeline()
-	a, b := SimPair(cfg)
+	want := sim.NewTimeline()
 	h := echoN()
-	for _, r := range reqs {
-		a.Send(r)
-		req, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resps, _ := h(req)
-		for _, resp := range resps {
-			b.Send(resp)
-		}
-	}
-	pair := cfg.Timeline
-
-	cfg.Timeline = sim.NewTimeline()
 	ep := NewInline(echoN(), cfg)
 	for _, r := range reqs {
+		want.Add("wire", ethsim.WireTime(len(r)))
+		want.Add("latency", cfg.MessageLatency)
+		resps, _ := h(r)
+		for _, resp := range resps {
+			want.Add("wire", ethsim.WireTime(len(resp)))
+		}
 		if err := ep.Send(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := cfg.Timeline.String(), pair.String(); got != want {
-		t.Fatalf("inline timeline %q, SimPair %q", got, want)
+	if got, want := cfg.Timeline.String(), want.String(); got != want {
+		t.Fatalf("inline timeline %q, want %q", got, want)
 	}
 	if got := cfg.Timeline.Tag("latency"); got != time.Duration(len(reqs))*cfg.MessageLatency {
 		t.Fatalf("latency = %v, want one charge per request", got)
@@ -238,8 +229,9 @@ func TestInlineCloseWaitsForHandler(t *testing.T) {
 	}
 }
 
-// TestInlineUnderDelayEndpoint: the DelayEndpoint's pumps drive the
-// inline link from their own goroutines.
+// TestInlineUnderDelayEndpoint: the DelayEndpoint drives the inline
+// link from the caller's goroutine, in Ethernet mode, and hands every
+// response over in order.
 func TestInlineUnderDelayEndpoint(t *testing.T) {
 	d := NewDelayEndpoint(NewInline(echoN(), inlineEth), time.Millisecond)
 	defer d.Close()

@@ -16,12 +16,17 @@ import (
 const maxTCPMessage = 1 << 20
 
 // TCPEndpoint adapts a net.Conn into an Endpoint with length-prefixed
-// messages (big-endian uint32 length + payload).
+// messages (big-endian uint32 length + payload). A message a RecvUntil
+// deadline cuts short is resumed by the next receive.
 type TCPEndpoint struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
 	closed atomic.Bool
+
+	hdr [4]byte
+	msg []byte // the body being read; nil while reading the header
+	got int    // bytes of hdr, then of msg, read so far
 }
 
 // NewTCP wraps an established connection.
@@ -81,32 +86,54 @@ func (e *TCPEndpoint) Send(msg []byte) error {
 }
 
 // Recv reads one length-prefixed message.
-func (e *TCPEndpoint) Recv() ([]byte, error) {
+func (e *TCPEndpoint) Recv() ([]byte, error) { return e.RecvUntil(time.Time{}) }
+
+// RecvUntil reads one length-prefixed message, bounded by t.
+func (e *TCPEndpoint) RecvUntil(t time.Time) ([]byte, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(e.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
+	// Only a closed connection refuses a deadline, and the read below
+	// reports that (a pipe whose peer hung up as io.EOF).
+	_ = e.conn.SetReadDeadline(t)
+	if e.msg == nil {
+		if err := e.fill(e.hdr[:]); err != nil {
+			return nil, e.mapNetErr(err)
+		}
+		n := binary.BigEndian.Uint32(e.hdr[:])
+		if n == 0 {
+			// No protocol message is empty (every message carries at least a
+			// type byte); an all-zero header means a desynchronised or
+			// malicious peer.
+			return nil, ErrZeroLength
+		}
+		if n > maxTCPMessage {
+			return nil, fmt.Errorf("channel: message of %d bytes exceeds limit", n)
+		}
+		e.msg = make([]byte, n)
+	}
+	if err := e.fill(e.msg); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, e.mapNetErr(err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		// No protocol message is empty (every message carries at least a
-		// type byte); an all-zero header means a desynchronised or
-		// malicious peer.
-		return nil, ErrZeroLength
-	}
-	if n > maxTCPMessage {
-		return nil, fmt.Errorf("channel: message of %d bytes exceeds limit", n)
-	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(e.r, msg); err != nil {
-		return nil, e.mapNetErr(err)
-	}
+	msg := e.msg
+	e.msg = nil
 	return msg, nil
+}
+
+// fill reads into buf until it is full, keeping progress in e.got
+// across a failed call.
+func (e *TCPEndpoint) fill(buf []byte) error {
+	for e.got < len(buf) {
+		n, err := e.r.Read(buf[e.got:])
+		if e.got += n; err != nil && e.got < len(buf) {
+			return err
+		}
+	}
+	e.got = 0
+	return nil
 }
 
 // Close closes the connection. Later Send/Recv calls return ErrClosed.
@@ -143,10 +170,7 @@ func (e *DeadlineEndpoint) Send(msg []byte) error {
 // Recv returns one message, bounded by RecvTimeout.
 func (e *DeadlineEndpoint) Recv() ([]byte, error) {
 	if e.RecvTimeout > 0 {
-		if err := e.Inner.conn.SetReadDeadline(time.Now().Add(e.RecvTimeout)); err != nil {
-			return nil, e.Inner.mapNetErr(err)
-		}
-		defer e.Inner.conn.SetReadDeadline(time.Time{})
+		return e.Inner.RecvUntil(time.Now().Add(e.RecvTimeout))
 	}
 	return e.Inner.Recv()
 }

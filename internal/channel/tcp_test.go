@@ -167,3 +167,44 @@ func TestFaultResetOverTCP(t *testing.T) {
 		t.Fatal("peer did not observe connection teardown")
 	}
 }
+
+// TestTCPRecvUntilResumes: a deadline that expires part-way through a
+// message leaves the stream in step — the peer writes one message in two
+// halves with a pause longer than the deadline, the first RecvUntil
+// times out, and the next returns the whole message. Cut in the length
+// header and in the body.
+func TestTCPRecvUntilResumes(t *testing.T) {
+	body := []byte("one message, written in two halves")
+	wire := append([]byte{0, 0, 0, byte(len(body))}, body...)
+	for _, cut := range []int{2, 4 + len(body)/2} {
+		c1, c2 := net.Pipe()
+		ep := NewTCP(c1)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := c2.Write(wire[:cut])
+			if err == nil {
+				time.Sleep(60 * time.Millisecond)
+				_, err = c2.Write(wire[cut:])
+			}
+			errc <- err
+		}()
+		if _, err := ep.RecvUntil(time.Now().Add(20 * time.Millisecond)); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("cut at %d: first RecvUntil: %v, want ErrTimeout", cut, err)
+		}
+		msg, err := ep.RecvUntil(time.Now().Add(2 * time.Second))
+		if err != nil || string(msg) != string(body) {
+			t.Fatalf("cut at %d: resumed RecvUntil: %q %v", cut, msg, err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		// The deadline is disarmed for a plain Recv.
+		go c2.Write(wire)
+		time.Sleep(30 * time.Millisecond)
+		if msg, err := ep.Recv(); err != nil || string(msg) != string(body) {
+			t.Fatalf("cut at %d: Recv after RecvUntil: %q %v", cut, msg, err)
+		}
+		ep.Close()
+		c2.Close()
+	}
+}

@@ -55,9 +55,11 @@ func TestProverErrorEndsSession(t *testing.T) {
 	}
 }
 
-// TestSessionsSpawnNoGoroutine: a plain-mode session runs the prover
-// inline on the verifier's goroutine — 20 sessions never raise the
-// goroutine count above where it started, during or after.
+// TestSessionsSpawnNoGoroutine: a simulated session runs the prover
+// inline on the verifier's goroutine — 20 plain-mode sessions never raise
+// the goroutine count above where it started, during or after, and
+// neither does a window-16 reliable session over the delay link, whose
+// engine waits for responses and retry deadlines on that goroutine too.
 func TestSessionsSpawnNoGoroutine(t *testing.T) {
 	sys, err := NewSystem(Config{Geo: device.TinyLX(), LabLatency: -1, Seed: 1})
 	if err != nil {
@@ -84,5 +86,62 @@ func TestSessionsSpawnNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); peak > before || after != before {
 		t.Fatalf("goroutines: %d before, peak %d during, %d after 20 sessions; want no change", before, peak, after)
+	}
+
+	delayed := AttestOptions{
+		Opts: verifier.Options{Retry: attestation.RetryPolicy{Timeout: time.Second, MaxRetries: 3, Window: 16}},
+		WrapVerifierChannel: func(ep channel.Endpoint) channel.Endpoint {
+			return &channel.Tap{Inner: channel.NewDelayEndpoint(ep, 200*time.Microsecond), OnSend: sample, OnRecv: sample}
+		},
+	}
+	rep, err := sys.AttestWithPlan(plan, delayed)
+	if err != nil || !rep.Accepted {
+		t.Fatalf("window-16 session over the delay link: accepted=%v err=%v", rep != nil && rep.Accepted, err)
+	}
+	if after := runtime.NumGoroutine(); peak > before || after != before {
+		t.Fatalf("goroutines: %d before, peak %d during, %d after the delayed session; want no change", before, peak, after)
+	}
+}
+
+// recvOnly hides every method but the Endpoint ones, as a caller's
+// wrapper (a tracer, say) does.
+type recvOnly struct{ channel.Endpoint }
+
+// TestRecvOnlyWrapperOverDelayLink: a reliable session over a Recv-only
+// wrapper around the delay link gets its deadline receive from
+// channel.WithRecvUntil's adapter. At window 16 it ends in the same H_Vrf
+// as window 1, and the adapter's goroutine is gone once the link is
+// closed.
+func TestRecvOnlyWrapperOverDelayLink(t *testing.T) {
+	sys, err := NewSystem(Config{Geo: device.TinyLX(), LabLatency: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.Plan(0x60, verifier.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	run := func(window int) *attestation.Report {
+		rep, err := sys.AttestWithPlan(plan, AttestOptions{
+			Opts: verifier.Options{Retry: attestation.RetryPolicy{Timeout: time.Second, MaxRetries: 3, Window: window}},
+			WrapVerifierChannel: func(ep channel.Endpoint) channel.Endpoint {
+				return recvOnly{channel.NewDelayEndpoint(ep, 200*time.Microsecond)}
+			},
+		})
+		if err != nil || !rep.Accepted {
+			t.Fatalf("window %d: accepted=%v err=%v", window, rep != nil && rep.Accepted, err)
+		}
+		return rep
+	}
+	lockstep, windowed := run(1), run(16)
+	if windowed.HVrf != lockstep.HVrf || windowed.Retries != 0 {
+		t.Fatalf("window 16: H_Vrf %x with %d retries, window 1: %x", windowed.HVrf, windowed.Retries, lockstep.HVrf)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 500 {
+			t.Fatalf("goroutines: %d before, %d after the closed sessions", before, runtime.NumGoroutine())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

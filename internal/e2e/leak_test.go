@@ -20,7 +20,7 @@ import (
 
 // TestSweepCancellationLeaksNothing cancels a fleet sweep mid-flight
 // and then requires a full cleanup: the Sessions join must release (no
-// abandoned attestation or receive-pump goroutine still running), the
+// abandoned attestation goroutine still running), the
 // process goroutine count must return to its pre-sweep baseline, and
 // the in-flight gauges must read zero. This is the leak surface a soak
 // campaign hammers thousands of times — one stuck session per kill
@@ -83,8 +83,8 @@ func TestSweepCancellationLeaksNothing(t *testing.T) {
 		t.Fatal("Sessions join did not release: abandoned attestation goroutines still running")
 	}
 
-	// Goroutine count settles back to the baseline (pumps, session
-	// goroutines and sweep workers all gone).
+	// Goroutine count settles back to the baseline (session goroutines
+	// and sweep workers all gone).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

@@ -118,13 +118,11 @@ func dialFaulty(t testing.TB, addr string, cfg channel.FaultConfig) *channel.Fau
 	return ep
 }
 
-// serveSim serves the rig's device on a simulated channel pair and
+// serveSim serves the rig's device inline on a simulated link and
 // returns the verifier side wrapped in the fault injector.
 func (r *rig) serveSim(t testing.TB, cfg channel.FaultConfig) *channel.FaultEndpoint {
 	t.Helper()
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go r.dev.Serve(prvEP)
-	ep := channel.NewFault(vrfEP, cfg)
+	ep := channel.NewFault(channel.NewInline(r.dev.Handler(), channel.SimConfig{}), cfg)
 	t.Cleanup(func() { ep.Close() })
 	return ep
 }

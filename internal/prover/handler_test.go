@@ -3,6 +3,7 @@ package prover
 import (
 	"bytes"
 	"math/rand"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -67,15 +68,21 @@ func handlerRequests(t *testing.T, d *Device, rng *rand.Rand) [][]byte {
 	return reqs
 }
 
-// exchangeAll sends every request, then receives until the closing
-// HelloAck; it returns the received byte stream.
+// exchangeAll sends every request from a goroutine of its own while it
+// receives until the closing HelloAck; it returns the received byte
+// stream.
 func exchangeAll(t *testing.T, ep channel.Endpoint, reqs [][]byte) [][]byte {
 	t.Helper()
-	for _, r := range reqs {
-		if err := ep.Send(r); err != nil {
-			t.Fatal(err)
+	sent := make(chan error, 1)
+	go func() {
+		for _, r := range reqs {
+			if err := ep.Send(r); err != nil {
+				sent <- err
+				return
+			}
 		}
-	}
+		sent <- nil
+	}()
 	var got [][]byte
 	for acks := 0; acks < 2; {
 		msg, err := ep.Recv()
@@ -87,15 +94,20 @@ func exchangeAll(t *testing.T, ep channel.Endpoint, reqs [][]byte) [][]byte {
 			acks++
 		}
 	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 	return got
 }
 
-// TestInlineLinkMatchesSimPairServe is the differential test of the
-// inline link: the device's Handler run inline on the sender's goroutine
-// and the same device behind a SimPair with Serve on its own goroutine
-// deliver the same byte stream for the same seeded requests, and charge
-// the link and the device the same virtual time.
-func TestInlineLinkMatchesSimPairServe(t *testing.T) {
+// TestInlineLinkMatchesTCPServe is the differential test of the inline
+// link: the device's Handler run inline on the sender's goroutine and
+// the same device served with Serve on its own goroutine, over TCP
+// framing on an in-memory pipe, deliver the same byte stream for the
+// same seeded requests and charge the device the same virtual time; the
+// inline link charges wire time for every message of that stream and
+// latency per request.
+func TestInlineLinkMatchesTCPServe(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := channel.SimConfig{
 			MessageLatency: 7 * time.Microsecond,
@@ -105,15 +117,23 @@ func TestInlineLinkMatchesSimPairServe(t *testing.T) {
 		}
 
 		ref := newDevice(t)
-		cfg.Timeline = sim.NewTimeline()
-		refLink := cfg.Timeline
-		a, b := channel.SimPair(cfg)
+		c1, c2 := net.Pipe()
+		a := channel.NewTCP(c1)
 		done := make(chan error, 1)
-		go func() { done <- ref.Serve(b) }()
-		want := exchangeAll(t, a, handlerRequests(t, ref, rand.New(rand.NewSource(seed))))
+		go func() { done <- ref.Serve(channel.NewTCP(c2)) }()
+		reqs := handlerRequests(t, ref, rand.New(rand.NewSource(seed)))
+		want := exchangeAll(t, a, reqs)
 		a.Close()
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+		refLink := sim.NewTimeline()
+		for _, r := range reqs {
+			refLink.Add("wire", ethsim.WireTime(len(r)))
+			refLink.Add("latency", cfg.MessageLatency)
+		}
+		for _, m := range want {
+			refLink.Add("wire", ethsim.WireTime(len(m)))
 		}
 
 		dev := newDevice(t)
@@ -123,12 +143,12 @@ func TestInlineLinkMatchesSimPairServe(t *testing.T) {
 		ep.Close()
 
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: inline link delivered %d messages, SimPair+Serve %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: inline link delivered %d messages, TCP+Serve %d", seed, len(got), len(want))
 		}
 		kinds := map[protocol.MsgType]int{}
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("seed %d: message %d differs:\ninline  %x\nSimPair %x", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: message %d differs:\ninline %x\nTCP    %x", seed, i, got[i], want[i])
 			}
 			kinds[protocol.MsgType(want[i][0])]++
 		}
@@ -139,11 +159,11 @@ func TestInlineLinkMatchesSimPairServe(t *testing.T) {
 			}
 		}
 		if !slices.Equal(cfg.Timeline.Tags(), refLink.Tags()) {
-			t.Fatalf("seed %d: link tags %v, SimPair %v", seed, cfg.Timeline.Tags(), refLink.Tags())
+			t.Fatalf("seed %d: link tags %v, want %v", seed, cfg.Timeline.Tags(), refLink.Tags())
 		}
 		for _, tag := range refLink.Tags() {
 			if cfg.Timeline.Tag(tag) != refLink.Tag(tag) {
-				t.Fatalf("seed %d: link %q = %v, SimPair %v", seed, tag, cfg.Timeline.Tag(tag), refLink.Tag(tag))
+				t.Fatalf("seed %d: link %q = %v, want %v", seed, tag, cfg.Timeline.Tag(tag), refLink.Tag(tag))
 			}
 		}
 		if cfg.Timeline.String() != refLink.String() || dev.Timeline.String() != ref.Timeline.String() {

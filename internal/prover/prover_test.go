@@ -2,6 +2,7 @@ package prover
 
 import (
 	"math/rand"
+	"net"
 	"testing"
 
 	"sacha/internal/bitstream"
@@ -254,9 +255,10 @@ func TestHandleBytesTurnsFailuresIntoErrors(t *testing.T) {
 
 func TestServeClosesCleanly(t *testing.T) {
 	d := newDevice(t)
-	a, b := channel.SimPair(channel.SimConfig{})
+	c1, c2 := net.Pipe()
+	a := channel.NewTCP(c1)
 	done := make(chan error, 1)
-	go func() { done <- d.Serve(b) }()
+	go func() { done <- d.Serve(channel.NewTCP(c2)) }()
 	raw, _ := protocol.Readback(0).Encode()
 	if err := a.Send(raw); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@ func testPolicy() attestation.RetryPolicy {
 		Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 1}
 }
 
-// faultyProverSession boots a real TinyLX prover, serves it on a SimPair
-// and returns the verifier-side endpoint wrapped in the fault injector,
+// faultyProverSession boots a real TinyLX prover, serves it on an inline
+// link and returns the verifier-side endpoint wrapped in the fault injector,
 // plus the enrolled key and the spec to attest it with. TinyLX keeps the
 // full-device bijective readback (112 frames) fast enough to run under
 // retries.
@@ -44,9 +44,7 @@ func faultyProverSession(t *testing.T, cfg channel.FaultConfig) ([16]byte, chann
 		t.Fatal(err)
 	}
 
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go dev.Serve(prvEP)
-	faulty := channel.NewFault(vrfEP, cfg)
+	faulty := channel.NewFault(channel.NewInline(dev.Handler(), channel.SimConfig{}), cfg)
 	t.Cleanup(func() { faulty.Close() })
 
 	// The golden image: booted static partition, zeroed dynamic partition

@@ -46,9 +46,7 @@ func realDevice(t *testing.T) (*prover.Device, *fabric.Image, []int, [16]byte) {
 func TestAttestRealDeviceEndToEnd(t *testing.T) {
 	dev, golden, dyn, key := realDevice(t)
 	vrfTime := sim.NewTimeline()
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	done := make(chan error, 1)
-	go func() { done <- dev.Serve(prvEP) }()
+	vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
 
 	sp := span.NewCollector(1).StartTrace(1, "attestation")
 	rep, err := attest(vrfEP,
@@ -58,7 +56,7 @@ func TestAttestRealDeviceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serr := <-done; serr != nil {
+	if serr := vrfEP.Err(); serr != nil {
 		t.Fatal(serr)
 	}
 	if !rep.Accepted || !rep.MACOK || !rep.ConfigOK {
@@ -85,8 +83,7 @@ func TestAttestRealDeviceEndToEnd(t *testing.T) {
 
 func TestAttestRealDeviceCapture(t *testing.T) {
 	dev, golden, dyn, key := realDevice(t)
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go dev.Serve(prvEP)
+	vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
 	defer vrfEP.Close()
 	rep, err := attest(vrfEP,
 		attestation.Spec{Geo: dev.Geo, Golden: golden, DynFrames: dyn, AppSteps: 9},
@@ -101,7 +98,7 @@ func TestAttestRealDeviceCapture(t *testing.T) {
 
 func TestAttestEmptyDynFramesRejected(t *testing.T) {
 	geo := device.SmallLX()
-	a, _ := channel.SimPair(channel.SimConfig{})
+	a := channel.NewInline(func([]byte) ([][]byte, error) { return nil, nil }, channel.SimConfig{})
 	defer a.Close()
 	if _, err := attest(a, attestation.Spec{Geo: geo, Golden: fabric.NewImage(geo)}, attestation.RunOpts{}); err == nil {
 		t.Fatal("empty dynamic frame list accepted")

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -12,39 +13,29 @@ import (
 	"sacha/internal/protocol"
 )
 
-// serveScript runs a scripted prover: the handler returns the response
-// (nil for none) and whether to close the connection afterwards, letting
-// tests model arbitrary prover misbehaviour.
+// serveScript runs a scripted prover inline: the handler returns the
+// response (nil for none) and whether to hang up instead of answering,
+// letting tests model arbitrary prover misbehaviour.
 func serveScript(t *testing.T, handler func(m *protocol.Message) (*protocol.Message, bool)) channel.Endpoint {
 	t.Helper()
-	vrfEP, prvEP := channel.SimPair(channel.SimConfig{})
-	go func() {
-		for {
-			raw, err := prvEP.Recv()
-			if err != nil {
-				return
-			}
-			m, err := protocol.Decode(raw)
-			if err != nil {
-				return
-			}
-			resp, stop := handler(m)
-			if resp != nil {
-				enc, err := resp.Encode()
-				if err != nil {
-					return
-				}
-				if prvEP.Send(enc) != nil {
-					return
-				}
-			}
-			if stop {
-				prvEP.Close()
-				return
-			}
+	return channel.NewInline(func(raw []byte) ([][]byte, error) {
+		m, err := protocol.Decode(raw)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	return vrfEP
+		resp, stop := handler(m)
+		if stop {
+			return nil, io.EOF
+		}
+		if resp == nil {
+			return nil, nil
+		}
+		enc, err := resp.Encode()
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{enc}, nil
+	}, channel.SimConfig{})
 }
 
 // attest builds the plan for spec and runs one session of it over ep.
