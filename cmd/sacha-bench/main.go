@@ -10,8 +10,10 @@
 // latency: window 1 is the paper's lockstep exchange (one round trip per
 // frame), larger windows pipeline the configuration and readback phases.
 // Each run records its wall time and the process CPU time it cost. The
-// plan section reports a cold attestation.NewPlan build against a
-// PlanCache hit for the same spec.
+// plan section reports the median of planSamples cold attestation.NewPlan
+// builds and of planSamples PlanCache hits, each hit for the spec at a
+// nonce other than the cached build's: a hit plus the WithNonce patch,
+// the path every sweep takes.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -29,6 +32,7 @@ import (
 	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
+	"sacha/internal/fabric"
 	"sacha/internal/netlist"
 	"sacha/internal/prover"
 )
@@ -52,7 +56,11 @@ type runResult struct {
 	Phases       phaseResult `json:"phases"`
 }
 
+// planSamples is how many times the plan section times each operation.
+const planSamples = 11
+
 type planResult struct {
+	Samples     int   `json:"samples"`
 	ColdBuildNS int64 `json:"cold_build_ns"`
 	CacheHitNS  int64 `json:"cache_hit_ns"`
 }
@@ -110,20 +118,12 @@ func main() {
 	fatal(err)
 	spec := attestation.Spec{Geo: geo, Golden: golden, DynFrames: dyn}
 
-	// Plan economics: one cold build, then a cache hit for the same spec.
-	cache := attestation.NewPlanCache(0)
-	t0 := time.Now()
-	plan, built, err := cache.GetOrBuild(spec)
+	goldenAt := func(n uint64) (*fabric.Image, error) {
+		im, _, err := core.BuildGolden(geo, app, buildID, n)
+		return im, err
+	}
+	planRes, plan, err := measurePlan(spec, goldenAt)
 	fatal(err)
-	cold := time.Since(t0)
-	if !built {
-		fatal(fmt.Errorf("first GetOrBuild did not build"))
-	}
-	t0 = time.Now()
-	if _, built, err = cache.GetOrBuild(spec); err != nil || built {
-		fatal(fmt.Errorf("second GetOrBuild rebuilt (err=%v)", err))
-	}
-	hit := time.Since(t0)
 
 	report := benchReport{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
@@ -131,7 +131,7 @@ func main() {
 		Frames:     plan.NumFrames(),
 		DelayNS:    delay.Nanoseconds(),
 		Iterations: *iters,
-		Plan:       planResult{ColdBuildNS: cold.Nanoseconds(), CacheHitNS: hit.Nanoseconds()},
+		Plan:       planRes,
 	}
 
 	for _, tok := range strings.Split(*windows, ",") {
@@ -142,7 +142,7 @@ func main() {
 
 	if *benchDelta {
 		dspec := spec
-		dspec.Delta, dspec.Compress, dspec.PatchableNonce = true, true, true
+		dspec.Delta, dspec.Compress = true, true
 		dplan, err := attestation.NewPlan(dspec)
 		fatal(err)
 		for _, run := range report.Runs {
@@ -167,6 +167,54 @@ func main() {
 	fatal(os.WriteFile(*out, enc, 0o644))
 	fmt.Printf("sacha-bench: wrote %s (%d window sizes, %d frames, %v one-way)\n",
 		*out, len(report.Runs), report.Frames, *delay)
+}
+
+// measurePlan times planSamples cold NewPlan builds of spec, then
+// builds spec into a PlanCache and times planSamples hits, each for the
+// spec with goldenAt's image at a nonce other than the cached build's —
+// a hit plus the WithNonce patch. It reports the medians and returns
+// the cached plan.
+func measurePlan(spec attestation.Spec, goldenAt func(nonce uint64) (*fabric.Image, error)) (planResult, *attestation.Plan, error) {
+	res := planResult{Samples: planSamples}
+	var cold, hit []time.Duration
+	for i := 0; i < planSamples; i++ {
+		t0 := time.Now()
+		if _, err := attestation.NewPlan(spec); err != nil {
+			return res, nil, err
+		}
+		cold = append(cold, time.Since(t0))
+	}
+	cache := attestation.NewPlanCache(0)
+	plan, built, err := cache.GetOrBuild(spec)
+	if err != nil {
+		return res, nil, err
+	}
+	if !built {
+		return res, nil, fmt.Errorf("first GetOrBuild did not build")
+	}
+	for i := 0; i < planSamples; i++ {
+		nonce := plan.Nonce() ^ uint64(i+1)
+		other := spec
+		if other.Golden, err = goldenAt(nonce); err != nil {
+			return res, nil, err
+		}
+		t0 := time.Now()
+		p, built, err := cache.GetOrBuild(other)
+		d := time.Since(t0)
+		if err != nil || built || p.Nonce() != nonce {
+			return res, nil, fmt.Errorf("GetOrBuild at nonce %#x: built %v, err %v — want a patched cache hit", nonce, built, err)
+		}
+		hit = append(hit, d)
+	}
+	res.ColdBuildNS, res.CacheHitNS = median(cold).Nanoseconds(), median(hit).Nanoseconds()
+	return res, plan, nil
+}
+
+// median returns the middle sample (the upper one of an even count).
+func median(ds []time.Duration) time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
 }
 
 // measure runs iters attestations at one window size over a fresh delayed
@@ -234,12 +282,11 @@ func measureDelta(geo *device.Geometry, deltaPlan *attestation.Plan, dyn []int, 
 	return res
 }
 
-// deltaSession runs one delta attestation of the patchable deltaPlan
-// over a delayed link against a fresh device prepared per scenario:
-// warm-healthy re-attests a device that just passed a full attestation,
-// cold attests a fresh device without the admissibility assertion,
-// tampered-4 flips one bit in each of four non-nonce dynamic frames of a
-// warm device. The warm-up (warm; nil when cold) models the previous
+// deltaSession runs one delta attestation of deltaPlan over a delayed
+// link against a fresh device prepared per scenario: warm-healthy
+// re-attests a device that just passed a full attestation, cold attests
+// a fresh device without the admissibility assertion, tampered-4 flips
+// one bit in each of four non-nonce dynamic frames of a warm device. The warm-up (warm; nil when cold) models the previous
 // sweep over an undelayed link: the plan's cold fallback under a nonce
 // of its own, as sacha-verifier -delta runs it, since under the measured
 // nonce both sessions would end in the same MAC.
@@ -249,8 +296,7 @@ func deltaSession(geo *device.Geometry, deltaPlan *attestation.Plan, dyn []int, 
 	fatal(dev.PowerOn())
 
 	if scenario != "cold" {
-		nonce, _ := deltaPlan.Nonce()
-		warmPlan, err := deltaPlan.WithNonce(^nonce)
+		warmPlan, err := deltaPlan.WithNonce(^deltaPlan.Nonce())
 		fatal(err)
 		vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
 		warm, err = warmPlan.Run(vrfEP, attestation.RunOpts{Key: key,

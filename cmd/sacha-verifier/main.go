@@ -280,16 +280,15 @@ func printTrace(addr string, header bool, sp *span.Span) {
 // options of shape: the pre-encoded messages, the validated readback
 // order and the masked (or predicted) comparison frames are shared
 // read-only by every worker. The golden image carries the placed nonce
-// register at nonce, and the plan is always nonce-patchable: under
-// per-device freshness, and for the -delta warm-up, a worker re-nonces
-// its own copy with Plan.WithNonce — O(nonce column), not another
-// O(fabric) build.
+// register at nonce; under per-device freshness, and for the -delta
+// warm-up, a worker re-nonces its own copy with Plan.WithNonce —
+// O(nonce column), not another O(fabric) build.
 func sweepPlan(geo *device.Geometry, app *netlist.Design, buildID, nonce uint64, shape attestation.Spec) (*attestation.Plan, error) {
 	golden, dynFrames, err := core.BuildGolden(geo, app, buildID, nonce)
 	if err != nil {
 		return nil, err
 	}
-	shape.Geo, shape.Golden, shape.DynFrames, shape.PatchableNonce = geo, golden, dynFrames, true
+	shape.Geo, shape.Golden, shape.DynFrames = geo, golden, dynFrames
 	return attestation.NewPlan(shape)
 }
 

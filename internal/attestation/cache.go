@@ -13,45 +13,32 @@ import (
 // DefaultPlanCacheSize bounds a PlanCache built with capacity <= 0. A
 // plan holds pre-encoded messages and comparison frames for a whole
 // geometry, so a long-running verifier wants a deliberate, small bound
-// rather than unbounded growth across nonces.
+// rather than unbounded growth across classes and option sets.
 const DefaultPlanCacheSize = 32
 
-// SpecKey fingerprints everything a plan build depends on: the golden
-// image digest (which covers the geometry's frame content and the placed
-// nonce), the geometry name, the dynamic frame list and every
-// plan-shaping option. Two specs with equal keys build
-// behaviourally-identical plans, so a cached plan may serve both.
-//
-// Under PatchableNonce the golden image is hashed with the nonce
-// register's bits zeroed (fabric.NonceFreeDigest): specs that differ
-// only in the placed nonce share a key, so one cached plan serves every
-// nonce of a device class — GetOrBuild patches it to the requested
-// nonce on the way out. Patchable and non-patchable specs never share
-// keys.
+// SpecKey fingerprints everything a plan build depends on except the
+// nonce: the golden image digest with the nonce register's bits zeroed
+// (fabric.NonceFreeDigest), the geometry name, the dynamic frame list
+// and every plan-shaping option. Specs that differ only in the placed
+// nonce share a key, so one cached plan serves every nonce of a device
+// class — GetOrBuild patches it to the requested nonce on the way out.
 func SpecKey(spec Spec) [32]byte {
 	h := sha256.New()
 	if spec.Golden != nil {
-		if spec.PatchableNonce {
-			if d, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits); err == nil {
-				h.Write(d[:])
-			} else {
-				// Conservative fallback: an unusable template degrades to
-				// the nonce-bearing key (per-nonce cache entries), never
-				// to a wrong share.
-				d := spec.Golden.Digest()
-				h.Write(d[:])
-			}
-		} else {
-			d := spec.Golden.Digest()
-			h.Write(d[:])
+		d, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits)
+		if err != nil {
+			// No usable nonce template: NewPlan rejects the spec, and the
+			// full digest keeps its key apart from every valid spec's.
+			d = spec.Golden.Digest()
 		}
+		h.Write(d[:])
 	}
 	geo := ""
 	if spec.Geo != nil {
 		geo = spec.Geo.Name
 	}
-	fmt.Fprintf(h, "|patch:%t|geo:%s|off:%d|app:%d|sig:%t|batch:%d|comp:%t|delta:%t|dyn:",
-		spec.PatchableNonce, geo, spec.Offset, spec.AppSteps, spec.SignatureMode, spec.ConfigBatch,
+	fmt.Fprintf(h, "|geo:%s|off:%d|app:%d|sig:%t|batch:%d|comp:%t|delta:%t|dyn:",
+		geo, spec.Offset, spec.AppSteps, spec.SignatureMode, spec.ConfigBatch,
 		spec.Compress, spec.Delta)
 	var buf [8]byte
 	for _, f := range spec.DynFrames {
@@ -69,10 +56,11 @@ func SpecKey(spec Spec) [32]byte {
 }
 
 // PlanCache is a concurrency-safe LRU of built plans keyed by SpecKey —
-// (golden-image digest, geometry, options hash). Long-running verifiers
-// and repeated fleet sweeps hit the cache instead of redoing the
-// O(fabric) prediction, masking and message pre-encoding work; plans are
-// immutable, so a cached plan is shared as-is across concurrent Runs.
+// (nonce-free golden-image digest, geometry, options hash). Long-running
+// verifiers and repeated fleet sweeps hit the cache instead of redoing
+// the O(fabric) prediction, masking and message pre-encoding work; plans
+// are immutable, so a cached plan is shared as-is across concurrent
+// Runs.
 // Concurrent requests for the same missing key build once: the first
 // requester builds, the rest wait for that build.
 type PlanCache struct {
@@ -115,11 +103,10 @@ func NewPlanCache(capacity int) *PlanCache {
 // caller that waited out another goroutine's in-flight build of the same
 // key gets built=false, so build counters stay exact under concurrency.
 //
-// Under Spec.PatchableNonce a cache hit may return a plan built for a
-// different nonce of the same class; GetOrBuild then patches it to the
-// spec's own nonce via WithNonce before returning, so the result is
-// always equivalent to NewPlan(spec) — the hit costs O(nonce column),
-// not O(fabric).
+// A cache hit may return a plan built for a different nonce of the same
+// class; GetOrBuild then patches it to the spec's own nonce via
+// WithNonce before returning, so the result is always equivalent to
+// NewPlan(spec) — the hit costs O(nonce column), not O(fabric).
 func (c *PlanCache) GetOrBuild(spec Spec) (plan *Plan, built bool, err error) {
 	key := SpecKey(spec)
 	c.mu.Lock()
@@ -169,13 +156,10 @@ func (c *PlanCache) GetOrBuild(spec Spec) (plan *Plan, built bool, err error) {
 	return fl.plan, fl.err == nil, fl.err
 }
 
-// adaptToSpec re-nonces a cached patchable plan to the nonce placed in
-// the requesting spec's golden image, so every GetOrBuild return is
-// equivalent to a cold NewPlan(spec). Non-patchable hits pass through.
+// adaptToSpec re-nonces a cached plan to the nonce placed in the
+// requesting spec's golden image, so every GetOrBuild return is
+// equivalent to a cold NewPlan(spec).
 func adaptToSpec(plan *Plan, spec Spec) (*Plan, error) {
-	if plan == nil || !spec.PatchableNonce || plan.patch == nil {
-		return plan, nil
-	}
 	nonce, err := fabric.ReadNonce(spec.Golden, plan.patch.bits)
 	if err != nil {
 		return nil, err

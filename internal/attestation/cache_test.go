@@ -11,8 +11,8 @@ import (
 )
 
 // cacheSpec builds the Spec for one (nonce, offset) point of the test
-// geometry — distinct nonces produce distinct golden images and therefore
-// distinct cache keys.
+// geometry — distinct offsets produce distinct cache keys, distinct
+// nonces share one.
 func cacheSpec(t testing.TB, nonce uint64, offset int) attestation.Spec {
 	t.Helper()
 	geo := device.TinyLX()
@@ -44,17 +44,22 @@ func TestPlanCacheHitReturnsSamePlan(t *testing.T) {
 }
 
 func TestPlanCacheKeySensitivity(t *testing.T) {
-	// The key must cover the golden digest and the plan-shaping options:
-	// a different nonce (different golden) or a different offset must
-	// miss; an identical spec built from an independent golden image of
-	// the same nonce must hit.
+	// The key must cover the nonce-free golden digest and the
+	// plan-shaping options: a different offset must miss; a different
+	// nonce must hit and come back patched to the requested nonce; an
+	// identical spec built from an independent golden image of the same
+	// nonce must hit.
 	c := attestation.NewPlanCache(0)
 	base := cacheSpec(t, 0xCAFE, 0)
 	if _, built, err := c.GetOrBuild(base); err != nil || !built {
 		t.Fatalf("cold: built=%v err=%v", built, err)
 	}
-	if _, built, err := c.GetOrBuild(cacheSpec(t, 0xD1CE, 0)); err != nil || !built {
-		t.Fatalf("different nonce should build: built=%v err=%v", built, err)
+	p, built, err := c.GetOrBuild(cacheSpec(t, 0xD1CE, 0))
+	if err != nil || built {
+		t.Fatalf("different nonce should hit: built=%v err=%v", built, err)
+	}
+	if n := p.Nonce(); n != 0xD1CE {
+		t.Fatalf("different-nonce hit encodes nonce %#x, want 0xd1ce", n)
 	}
 	if _, built, err := c.GetOrBuild(cacheSpec(t, 0xCAFE, 7)); err != nil || !built {
 		t.Fatalf("different offset should build: built=%v err=%v", built, err)
@@ -64,16 +69,16 @@ func TestPlanCacheKeySensitivity(t *testing.T) {
 	if _, built, err := c.GetOrBuild(cacheSpec(t, 0xCAFE, 0)); err != nil || built {
 		t.Fatalf("equal-content spec should hit: built=%v err=%v", built, err)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d plans, want 3", c.Len())
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d plans, want 2", c.Len())
 	}
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := attestation.NewPlanCache(2)
 	a := cacheSpec(t, 1, 0)
-	b := cacheSpec(t, 2, 0)
-	d := cacheSpec(t, 3, 0)
+	b := cacheSpec(t, 1, 1)
+	d := cacheSpec(t, 1, 2)
 
 	c.GetOrBuild(a)
 	c.GetOrBuild(b)

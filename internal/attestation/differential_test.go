@@ -12,23 +12,21 @@ import (
 )
 
 // diffSpec builds the golden image for one nonce and wraps it in a Spec
-// with the given plan-shaping options. patchable toggles the nonce-patch
-// machinery; everything else is identical, so a patched plan and a cold
-// plain build at the same nonce must be bit-for-bit interchangeable.
-func diffSpec(t testing.TB, geo *device.Geometry, nonce uint64, offset, batch int, steps uint32, patchable bool) attestation.Spec {
+// with the given plan-shaping options, so a plan patched to a nonce and
+// a cold build at that nonce must be bit-for-bit interchangeable.
+func diffSpec(t testing.TB, geo *device.Geometry, nonce uint64, offset, batch int, steps uint32) attestation.Spec {
 	t.Helper()
 	golden, dyn, err := core.BuildGolden(geo, netlist.Blinker(8), 0xD00D, nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return attestation.Spec{
-		Geo:            geo,
-		Golden:         golden,
-		DynFrames:      dyn,
-		Offset:         offset,
-		ConfigBatch:    batch,
-		AppSteps:       steps,
-		PatchableNonce: patchable,
+		Geo:         geo,
+		Golden:      golden,
+		DynFrames:   dyn,
+		Offset:      offset,
+		ConfigBatch: batch,
+		AppSteps:    steps,
 	}
 }
 
@@ -57,7 +55,7 @@ func TestDifferentialPatchedEqualsColdBuild(t *testing.T) {
 	}
 	for _, tc := range cases {
 		baseNonce := rng.Uint64()
-		base, err := attestation.NewPlan(diffSpec(t, tc.geo, baseNonce, tc.offset, tc.batch, tc.steps, true))
+		base, err := attestation.NewPlan(diffSpec(t, tc.geo, baseNonce, tc.offset, tc.batch, tc.steps))
 		if err != nil {
 			t.Fatalf("%s offset=%d batch=%d steps=%d: base build: %v", tc.geo.Name, tc.offset, tc.batch, tc.steps, err)
 		}
@@ -70,25 +68,16 @@ func TestDifferentialPatchedEqualsColdBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("WithNonce(%#x): %v", n, err)
 			}
-			if got, ok := patched.Nonce(); !ok || got != n {
-				t.Fatalf("patched plan reports nonce %#x/%v, want %#x", got, ok, n)
+			if got := patched.Nonce(); got != n {
+				t.Fatalf("patched plan reports nonce %#x, want %#x", got, n)
 			}
-			cold, err := attestation.NewPlan(diffSpec(t, tc.geo, n, tc.offset, tc.batch, tc.steps, false))
+			cold, err := attestation.NewPlan(diffSpec(t, tc.geo, n, tc.offset, tc.batch, tc.steps))
 			if err != nil {
 				t.Fatalf("cold build at %#x: %v", n, err)
 			}
 			if patched.Fingerprint() != cold.Fingerprint() {
 				t.Fatalf("%s offset=%d batch=%d steps=%d nonce=%#x: patched plan differs from cold build",
 					tc.geo.Name, tc.offset, tc.batch, tc.steps, n)
-			}
-			// A cold *patchable* build at n must agree too: the patch
-			// metadata may not leak into the protocol artifacts.
-			coldPatchable, err := attestation.NewPlan(diffSpec(t, tc.geo, n, tc.offset, tc.batch, tc.steps, true))
-			if err != nil {
-				t.Fatalf("cold patchable build at %#x: %v", n, err)
-			}
-			if coldPatchable.Fingerprint() != cold.Fingerprint() {
-				t.Fatalf("patchable cold build differs from plain cold build at %#x", n)
 			}
 		}
 	}
@@ -97,7 +86,7 @@ func TestDifferentialPatchedEqualsColdBuild(t *testing.T) {
 // TestWithNoncePathIndependence: chained patches must be equivalent to a
 // single patch from the base — the patch state may not accumulate drift.
 func TestWithNoncePathIndependence(t *testing.T) {
-	base, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), 0xA11CE, 5, 2, 0, true))
+	base, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), 0xA11CE, 5, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,77 +115,49 @@ func TestWithNoncePathIndependence(t *testing.T) {
 	}
 }
 
-// TestWithNonceRequiresPatchableSpec: plans built without PatchableNonce
-// have their nonce baked into their identity and must refuse to patch.
-func TestWithNonceRequiresPatchableSpec(t *testing.T) {
-	plain, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), 0xCAFE, 0, 1, 0, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.NoncePatchable() {
-		t.Fatal("plain plan claims to be patchable")
-	}
-	if _, err := plain.WithNonce(1); err == nil {
-		t.Fatal("WithNonce on a non-patchable plan succeeded")
-	}
-	if _, ok := plain.Nonce(); ok {
-		t.Fatal("non-patchable plan reports a nonce")
-	}
-}
-
-// TestSpecKeyNonceFreedom: under PatchableNonce the cache key must not
-// depend on the placed nonce (that is what lets one cached plan serve
-// every nonce of a class), while non-patchable keys must keep their
-// per-nonce separation, and the two key spaces must never collide.
+// TestSpecKeyNonceFreedom: the cache key must not depend on the placed
+// nonce (that is what lets one cached plan serve every nonce of a
+// class), while plan-shaping options still separate keys.
 func TestSpecKeyNonceFreedom(t *testing.T) {
 	geo := device.TinyLX()
-	pA := attestation.SpecKey(diffSpec(t, geo, 0xAAAA, 0, 1, 0, true))
-	pB := attestation.SpecKey(diffSpec(t, geo, 0xBBBB, 0, 1, 0, true))
+	pA := attestation.SpecKey(diffSpec(t, geo, 0xAAAA, 0, 1, 0))
+	pB := attestation.SpecKey(diffSpec(t, geo, 0xBBBB, 0, 1, 0))
 	if pA != pB {
-		t.Fatal("patchable specs that differ only in nonce have different keys")
+		t.Fatal("specs that differ only in nonce have different keys")
 	}
-	nA := attestation.SpecKey(diffSpec(t, geo, 0xAAAA, 0, 1, 0, false))
-	nB := attestation.SpecKey(diffSpec(t, geo, 0xBBBB, 0, 1, 0, false))
-	if nA == nB {
-		t.Fatal("non-patchable specs with different nonces share a key")
-	}
-	if pA == nA {
-		t.Fatal("patchable and non-patchable key spaces collide")
-	}
-	// Options still separate patchable keys.
-	pOff := attestation.SpecKey(diffSpec(t, geo, 0xAAAA, 9, 1, 0, true))
+	pOff := attestation.SpecKey(diffSpec(t, geo, 0xAAAA, 9, 1, 0))
 	if pA == pOff {
-		t.Fatal("patchable key ignores the readback offset")
+		t.Fatal("key ignores the readback offset")
 	}
 }
 
-// TestPlanCachePatchedHitMatchesColdBuild: a cache hit for a patchable
-// spec at a *different* nonce than the cached build must come back
+// TestPlanCachePatchedHitMatchesColdBuild: a cache hit for a spec at a
+// *different* nonce than the cached build must come back
 // re-nonced — equivalent to a cold build at the requested nonce — while
 // still counting as a hit, not a build.
 func TestPlanCachePatchedHitMatchesColdBuild(t *testing.T) {
 	c := attestation.NewPlanCache(0)
 	geo := device.TinyLX()
 
-	first, built, err := c.GetOrBuild(diffSpec(t, geo, 0xAAAA, 0, 2, 0, true))
+	first, built, err := c.GetOrBuild(diffSpec(t, geo, 0xAAAA, 0, 2, 0))
 	if err != nil || !built {
 		t.Fatalf("cold get: built=%v err=%v", built, err)
 	}
-	if n, _ := first.Nonce(); n != 0xAAAA {
+	if n := first.Nonce(); n != 0xAAAA {
 		t.Fatalf("cold plan nonce %#x", n)
 	}
 
-	second, built, err := c.GetOrBuild(diffSpec(t, geo, 0xBBBB, 0, 2, 0, true))
+	second, built, err := c.GetOrBuild(diffSpec(t, geo, 0xBBBB, 0, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if built {
 		t.Fatal("same class at a new nonce rebuilt the plan — nonce leaked into the key")
 	}
-	if n, _ := second.Nonce(); n != 0xBBBB {
+	if n := second.Nonce(); n != 0xBBBB {
 		t.Fatalf("hit plan not re-nonced: %#x", n)
 	}
-	cold, err := attestation.NewPlan(diffSpec(t, geo, 0xBBBB, 0, 2, 0, false))
+	cold, err := attestation.NewPlan(diffSpec(t, geo, 0xBBBB, 0, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +173,14 @@ func TestPlanCachePatchedHitMatchesColdBuild(t *testing.T) {
 // concurrent WithNonce calls (run under -race): patches of an immutable
 // plan must neither interfere with each other nor corrupt the base.
 func TestConcurrentWithNonceSharedBase(t *testing.T) {
-	base, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), 0x5EED, 0, 3, 0, true))
+	base, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), 0x5EED, 0, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	nonces := []uint64{1, 0xBEEF, ^uint64(0), 0x5EED, 0x0123_4567_89AB_CDEF}
 	want := make(map[uint64][32]byte, len(nonces))
 	for _, n := range nonces {
-		cold, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), n, 0, 3, 0, false))
+		cold, err := attestation.NewPlan(diffSpec(t, device.TinyLX(), n, 0, 3, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

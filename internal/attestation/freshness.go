@@ -20,9 +20,9 @@ const (
 	// and only against the same device's key.
 	PerSweep FreshnessPolicy = iota
 	// PerDevice draws a fresh nonce for every device of every sweep.
-	// With nonce-patchable plans the per-device cost is a WithNonce
-	// patch of the class's cached plan — O(nonce column), not a
-	// rebuild — so the plan cache keeps serving across rotations.
+	// The per-device cost is a WithNonce patch of the class's cached
+	// plan — O(nonce column), not a rebuild — so the plan cache keeps
+	// serving across rotations.
 	PerDevice
 	// RotateKey renews the PUF-derived MAC key of every device before
 	// the sweep (core.System.RotateKey ships the next PUF circuit) and

@@ -14,7 +14,7 @@ import (
 	"sacha/internal/netlist"
 )
 
-// fuzzBase lazily builds one shared patchable TinyLX plan plus the cold
+// fuzzBase lazily builds one shared TinyLX plan plus the cold
 // fingerprints the fuzzer compares against. Building it once keeps each
 // fuzz iteration at patch cost, not fabric-build cost.
 var fuzzBase struct {
@@ -32,11 +32,10 @@ func fuzzPlan(t testing.TB) *attestation.Plan {
 			return
 		}
 		fuzzBase.plan, fuzzBase.err = attestation.NewPlan(attestation.Spec{
-			Geo:            device.TinyLX(),
-			Golden:         golden,
-			DynFrames:      dyn,
-			ConfigBatch:    3,
-			PatchableNonce: true,
+			Geo:         device.TinyLX(),
+			Golden:      golden,
+			DynFrames:   dyn,
+			ConfigBatch: 3,
 		})
 	})
 	if fuzzBase.err != nil {
@@ -96,8 +95,8 @@ func FuzzFreshnessPolicy(f *testing.F) {
 		if chained.Fingerprint() != direct.Fingerprint() {
 			t.Fatalf("patch path dependence: base→%#x→%#x != base→%#x", a, b, b)
 		}
-		if n, ok := direct.Nonce(); !ok || n != b {
-			t.Fatalf("patched plan reports nonce %#x/%v, want %#x", n, ok, b)
+		if n := direct.Nonce(); n != b {
+			t.Fatalf("patched plan reports nonce %#x, want %#x", n, b)
 		}
 		// Distinct nonces must yield distinct artifacts — a collision
 		// would mean the patch silently ignored nonce bits.

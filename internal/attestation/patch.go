@@ -18,7 +18,7 @@ import (
 // of a plan (they are nonce-invariant); golden and nonce are per-plan.
 type noncePatchState struct {
 	bits    []fabric.NonceBitRef
-	frames  []int       // affected frames, ascending
+	frames  []int       // affected frames, in transmission order
 	frameAt map[int]int // frame index -> position in frames/golden
 	steps   []patchStep
 	golden  [][]uint32 // golden words of frames, at this plan's nonce
@@ -45,17 +45,8 @@ type patchStep struct {
 	words  [][]uint32 // parallel to frames; patch-set entries are overridden
 }
 
-// templateBits returns the nonce template of a patchable plan, nil when
-// the plan is not nonce-patchable.
-func (st *noncePatchState) templateBits() []fabric.NonceBitRef {
-	if st == nil {
-		return nil
-	}
-	return st.bits
-}
-
 // initNoncePatch computes the template, the affected frame set and the
-// golden baseline for a patchable spec. Called by NewPlan before the
+// golden baseline of a spec. Called by NewPlan before the
 // configuration packets are encoded; recordPatchStep fills in the step
 // skeleton as the packets are built.
 func (p *Plan) initNoncePatch(spec Spec) error {
@@ -68,28 +59,19 @@ func (p *Plan) initNoncePatch(spec Spec) error {
 		inFrames[ref.InitFrame] = true
 		inFrames[ref.CapFrame] = true
 	}
-	dyn := map[int]bool{}
-	for _, f := range spec.DynFrames {
-		dyn[f] = true
-	}
-	for f := range inFrames {
-		if !dyn[f] {
-			return fmt.Errorf("attestation: nonce frame %d is not in the dynamic frame list — a patched nonce would never be configured", f)
-		}
-	}
 	st := &noncePatchState{bits: refs, frameAt: make(map[int]int, len(inFrames))}
 	for _, f := range spec.DynFrames { // transmission order, each frame once
-		if !inFrames[f] {
-			continue
-		}
-		if _, seen := st.frameAt[f]; seen {
+		if _, seen := st.frameAt[f]; seen || !inFrames[f] {
 			continue
 		}
 		st.frameAt[f] = len(st.frames)
 		st.frames = append(st.frames, f)
-		w := make([]uint32, len(spec.Golden.Frame(f)))
-		copy(w, spec.Golden.Frame(f))
-		st.golden = append(st.golden, w)
+		st.golden = append(st.golden, append([]uint32(nil), spec.Golden.Frame(f)...))
+	}
+	for f := range inFrames {
+		if _, ok := st.frameAt[f]; !ok {
+			return fmt.Errorf("attestation: nonce frame %d is not in the dynamic frame list — a fresh nonce would never be configured", f)
+		}
 	}
 	if st.nonce, err = fabric.ReadNonce(spec.Golden, refs); err != nil {
 		return err
@@ -100,10 +82,7 @@ func (p *Plan) initNoncePatch(spec Spec) error {
 
 // recordPatchStep registers one just-encoded configuration packet with
 // the patch state when it carries a nonce-affected frame.
-func (p *Plan) recordPatchStep(spec Spec, target, index int, frames []int) {
-	if p.patch == nil {
-		return
-	}
+func (p *Plan) recordPatchStep(golden *fabric.Image, target, index int, frames []int) {
 	hit := false
 	for _, f := range frames {
 		if _, ok := p.patch.frameAt[f]; ok {
@@ -116,9 +95,7 @@ func (p *Plan) recordPatchStep(spec Spec, target, index int, frames []int) {
 	}
 	st := patchStep{target: target, index: index, frames: append([]int(nil), frames...)}
 	for _, f := range frames {
-		w := make([]uint32, len(spec.Golden.Frame(f)))
-		copy(w, spec.Golden.Frame(f))
-		st.words = append(st.words, w)
+		st.words = append(st.words, append([]uint32(nil), golden.Frame(f)...))
 	}
 	p.patch.steps = append(p.patch.steps, st)
 }
@@ -280,23 +257,23 @@ func (p *Plan) stepWords(art *patchedArtifacts, step patchStep, k int) []uint32 
 func (p *Plan) verifyPatchBase() error {
 	art, err := p.patchArtifacts(p.patch.nonce)
 	if err != nil {
-		return fmt.Errorf("attestation: patchable spec rejected: %w", err)
+		return fmt.Errorf("attestation: spec rejected: %w", err)
 	}
 	base := &patchedArtifacts{configs: p.configs, configsC: p.configsC, deltaSteps: p.deltaSteps, deltaStepsC: p.deltaStepsC}
 	for _, step := range p.patch.steps {
 		if !bytes.Equal(art.targetSlice(step.target)[step.index].wire, base.targetSlice(step.target)[step.index].wire) {
-			return fmt.Errorf("attestation: patchable spec rejected: config packet %d/%d re-derives differently — nonce partition does not match the patch template", step.target, step.index)
+			return fmt.Errorf("attestation: spec rejected: config packet %d/%d re-derives differently — nonce partition does not match the patch template", step.target, step.index)
 		}
 	}
 	checkFrames := func(got, want [][]uint32, what string) error {
 		for _, f := range p.patch.frames {
 			a, b := got[f], want[f]
 			if len(a) != len(b) {
-				return fmt.Errorf("attestation: patchable spec rejected: %s frame %d length mismatch", what, f)
+				return fmt.Errorf("attestation: spec rejected: %s frame %d length mismatch", what, f)
 			}
 			for w := range a {
 				if a[w] != b[w] {
-					return fmt.Errorf("attestation: patchable spec rejected: %s frame %d re-derives differently — nonce partition is not a held nonce register", what, f)
+					return fmt.Errorf("attestation: spec rejected: %s frame %d re-derives differently — nonce partition is not a held nonce register", what, f)
 				}
 			}
 		}
@@ -318,20 +295,17 @@ func (p *Plan) verifyPatchBase() error {
 // bit for bit — derived in O(nonce column) by patching this plan's
 // nonce-dependent slice. The receiver is never mutated: patched plans
 // share every nonce-invariant artifact with it and are safe to derive
-// and run concurrently. Only plans built from a PatchableNonce spec can
-// be re-nonced.
+// and run concurrently. At the plan's own nonce it returns the receiver
+// itself, and that identity call is not counted as a patch.
 func (p *Plan) WithNonce(nonce uint64) (*Plan, error) {
-	if p.patch == nil {
-		return nil, fmt.Errorf("attestation: plan was not built with Spec.PatchableNonce — rebuild, or mark the spec patchable")
+	if nonce == p.patch.nonce {
+		return p, nil
 	}
 	start := time.Now()
 	defer func() {
 		mPlanPatches.Inc()
 		mPlanPatchSeconds.ObserveDuration(time.Since(start))
 	}()
-	if nonce == p.patch.nonce {
-		return p, nil
-	}
 	art, err := p.patchArtifacts(nonce)
 	if err != nil {
 		return nil, err
@@ -354,17 +328,8 @@ func (p *Plan) WithNonce(nonce uint64) (*Plan, error) {
 	return &np, nil
 }
 
-// Nonce returns the nonce this plan's artifacts encode, when the plan
-// is nonce-patchable; ok is false for plans whose nonce is baked in.
-func (p *Plan) Nonce() (nonce uint64, ok bool) {
-	if p.patch == nil {
-		return 0, false
-	}
-	return p.patch.nonce, true
-}
-
-// NoncePatchable reports whether WithNonce can re-nonce this plan.
-func (p *Plan) NoncePatchable() bool { return p.patch != nil }
+// Nonce returns the nonce this plan's artifacts encode.
+func (p *Plan) Nonce() uint64 { return p.patch.nonce }
 
 // Fingerprint hashes every artifact a Run consumes: the pre-encoded
 // configuration, app-step, readback and checksum wires, the readback

@@ -16,10 +16,11 @@
 //     enrolled key, and the report. Runs are cheap; nothing in the Run
 //     path touches the fabric model or re-encodes a frame.
 //
-// The nonce is deliberately *not* part of this package's state: the
-// golden image handed to NewPlan already contains the placed nonce
-// register, so a Plan is implicitly bound to one nonce (one sweep), while
-// the MAC state lives in the Run because it is keyed per device.
+// The nonce is a per-session input of every Plan: NewPlan records where
+// the placed nonce register's bits live, and Plan.WithNonce re-derives
+// the nonce-dependent packets and comparison frames for a fresh nonce
+// in O(nonce column), bit-identical to a cold build at that nonce. The
+// MAC state lives in the Run because it is keyed per device.
 package attestation
 
 import (
@@ -54,8 +55,12 @@ type Spec struct {
 	// Geo is the device geometry of the fleet class.
 	Geo *device.Geometry
 	// Golden is the full-device golden image: static partition content
-	// plus the intended dynamic configuration (including the placed
-	// nonce register for this sweep).
+	// plus the intended dynamic configuration, including the placed
+	// nonce register. The register must be a fabric.NonceBits-wide
+	// netlist.NonceRegister placed first into fabric.NonceRegion (every
+	// core.System golden build is); its value is the plan's initial
+	// nonce, and NewPlan rejects an image whose nonce column does not
+	// follow that layout. Every nonce frame must be in DynFrames.
 	Golden *fabric.Image
 	// DynFrames lists the dynamic frames to configure, in transmission
 	// order.
@@ -81,18 +86,6 @@ type Spec struct {
 	// (0 or 1 = one frame per packet, the paper's proof of concept). The
 	// prover bounds accepted batches by its frame buffer.
 	ConfigBatch int
-	// PatchableNonce demotes the placed nonce register's value from plan
-	// identity to per-session input: the plan records where the nonce
-	// bits live (fabric.NonceTemplate), Plan.WithNonce re-derives the
-	// affected configuration packets and comparison frames for a new
-	// nonce in O(nonce column) instead of O(fabric), and SpecKey hashes
-	// the golden image with the nonce bits zeroed — so one cached plan
-	// serves every nonce of a device class. The golden image must hold a
-	// fabric.NonceBits-wide netlist.NonceRegister as the first design
-	// placed into fabric.NonceRegion (every core.System golden build
-	// does); NewPlan verifies the template against the built artifacts
-	// and rejects the spec otherwise.
-	PatchableNonce bool
 	// Compress additionally pre-encodes the configuration as compressed
 	// 16-frame batches (MsgICAPConfigBatchC), and every Run of the plan
 	// negotiates the compressed encodings via Hello. Sessions whose
@@ -110,9 +103,7 @@ type Spec struct {
 	// overwrite otherwise (Report.Delta). Delta mode requires
 	// AppSteps == 0: skipping a frame's rewrite also skips the flip-flop
 	// reset that CAPTURE-mode prediction assumes, so the two are
-	// incompatible by construction. The golden image must hold the
-	// placed nonce register (as under PatchableNonce) so the rewrite set
-	// is derivable.
+	// incompatible by construction.
 	Delta bool
 }
 
@@ -155,8 +146,7 @@ type Plan struct {
 	expected [][]uint32
 	mask     *fabric.Image
 
-	// patch carries the nonce-patching state under Spec.PatchableNonce;
-	// nil for plans whose nonce is part of their identity.
+	// patch carries the nonce-patching state WithNonce works from.
 	patch *noncePatchState
 
 	// Capability-negotiated artifacts (Spec.Compress / Spec.Delta); all
@@ -175,11 +165,10 @@ type Plan struct {
 	// bit-identical to what a full overwrite would have left).
 	scanSteps    []scanStep
 	scanExpected [][]uint32
-	// nonceSet marks the frames that legitimately differ between a
-	// healthy device (configured at the previous nonce) and this plan's
-	// golden image; deltaSteps / deltaStepsC are the pre-encoded rewrite
-	// packets covering exactly those frames, plain and compressed.
-	nonceSet    map[int]bool
+	// deltaSteps / deltaStepsC are the pre-encoded rewrite packets
+	// covering exactly the nonce frames (patch.frames): the only frames
+	// that legitimately differ between a healthy device configured at
+	// the previous nonce and this plan's golden image.
 	deltaSteps  []configStep
 	deltaStepsC []configStep
 }
@@ -230,50 +219,21 @@ func NewPlan(spec Spec) (*Plan, error) {
 		signatureMode: spec.SignatureMode,
 	}
 
-	if spec.PatchableNonce {
-		if err := p.initNoncePatch(spec); err != nil {
-			return nil, err
-		}
+	if err := p.initNoncePatch(spec); err != nil {
+		return nil, err
 	}
 
 	// Configuration packets, one frame per packet or batched (§6.1).
-	batch := spec.ConfigBatch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > MaxConfigBatch {
-		batch = MaxConfigBatch
-	}
-	goldenWords := func(_ int, f int) []uint32 { return spec.Golden.Frame(f) }
-	for start := 0; start < len(spec.DynFrames); start += batch {
-		end := start + batch
-		if end > len(spec.DynFrames) {
-			end = len(spec.DynFrames)
-		}
-		frames := spec.DynFrames[start:end]
-		wire, err := encodeConfigPacket(frames, goldenWords, false)
-		if err != nil {
-			return nil, err
-		}
-		p.configs = append(p.configs, configStep{wire: wire, first: frames[0], count: len(frames)})
-		p.recordPatchStep(spec, tgtConfig, len(p.configs)-1, frames)
+	batch := min(max(spec.ConfigBatch, 1), MaxConfigBatch)
+	if p.configs, err = p.encodeSteps(spec.Golden, spec.DynFrames, batch, tgtConfig); err != nil {
+		return nil, err
 	}
 
 	// Compressed configuration batches (Spec.Compress): same frames,
 	// same order, 16 frames per packet behind one compress.Encode stream.
 	if spec.Compress {
-		for start := 0; start < len(spec.DynFrames); start += CompressBatch {
-			end := start + CompressBatch
-			if end > len(spec.DynFrames) {
-				end = len(spec.DynFrames)
-			}
-			frames := spec.DynFrames[start:end]
-			wire, err := encodeConfigPacket(frames, goldenWords, true)
-			if err != nil {
-				return nil, err
-			}
-			p.configsC = append(p.configsC, configStep{wire: wire, first: frames[0], count: len(frames)})
-			p.recordPatchStep(spec, tgtConfigC, len(p.configsC)-1, frames)
+		if p.configsC, err = p.encodeSteps(spec.Golden, spec.DynFrames, CompressBatch, tgtConfigC); err != nil {
+			return nil, err
 		}
 	}
 
@@ -346,16 +306,14 @@ func NewPlan(spec Spec) (*Plan, error) {
 			p.expected[idx] = fabric.ApplyMask(spec.Golden.Frame(idx), p.mask.Frame(idx))
 		}
 	}
-	if p.patch != nil {
-		// Re-derive the nonce-dependent artifacts through the patch path
-		// at the built nonce and demand bit-identity with the cold build
-		// above. This pins WithNonce's correctness at build time: if the
-		// golden image's nonce partition is not the assumed hold-register
-		// layout, the spec is rejected instead of producing plans that
-		// drift from cold builds at other nonces.
-		if err := p.verifyPatchBase(); err != nil {
-			return nil, err
-		}
+	// Re-derive the nonce-dependent artifacts through the patch path at
+	// the built nonce and demand bit-identity with the cold build above.
+	// This pins WithNonce's correctness at build time: if the golden
+	// image's nonce partition is not the assumed hold-register layout,
+	// the spec is rejected instead of producing plans that drift from
+	// cold builds at other nonces.
+	if err := p.verifyPatchBase(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -389,8 +347,8 @@ func encodeConfigPacket(frames []int, wordsAt func(k, frame int) []uint32, compr
 
 // initDelta precomputes the delta-mode artifacts: the scan probes, the
 // raw expected scan readback, the nonce-frame set and the rewrite
-// packets covering it. Called by NewPlan after the full-overwrite
-// packets are built.
+// packets covering it. Called by NewPlan after initNoncePatch and the
+// full-overwrite packets.
 func (p *Plan) initDelta(spec Spec) error {
 	// Scan probes: 16 frames per round trip over the dynamic frames.
 	for start := 0; start < len(spec.DynFrames); start += CompressBatch {
@@ -433,66 +391,40 @@ func (p *Plan) initDelta(spec Spec) error {
 	}
 
 	// The expected-delta set: exactly the frames carrying nonce-register
-	// bits (init or capture). They are the only frames that legitimately
+	// bits (init or capture), already collected by initNoncePatch in
+	// transmission order. They are the only frames that legitimately
 	// differ between a healthy device configured at the previous nonce
 	// and this plan's golden image, so the rewrite packets cover them
 	// unconditionally — a delta run never encodes a packet at runtime.
-	refs := p.patch.templateBits()
-	if refs == nil {
-		if refs, err = fabric.NonceTemplate(spec.Geo, fabric.NonceBits); err != nil {
-			return fmt.Errorf("attestation: delta mode needs the placed nonce register to derive its rewrite set: %w", err)
-		}
-	}
-	inNonce := map[int]bool{}
-	for _, ref := range refs {
-		inNonce[ref.InitFrame] = true
-		inNonce[ref.CapFrame] = true
-	}
-	var nonceFrames []int
-	seen := map[int]bool{}
-	for _, f := range spec.DynFrames {
-		if inNonce[f] && !seen[f] {
-			seen[f] = true
-			nonceFrames = append(nonceFrames, f)
-		}
-	}
-	for f := range inNonce {
-		if !seen[f] {
-			return fmt.Errorf("attestation: nonce frame %d is not in the dynamic frame list — a delta rewrite would never configure it", f)
-		}
-	}
-	p.nonceSet = inNonce
-
-	goldenWords := func(_ int, f int) []uint32 { return spec.Golden.Frame(f) }
-	for start := 0; start < len(nonceFrames); start += MaxConfigBatch {
-		end := start + MaxConfigBatch
-		if end > len(nonceFrames) {
-			end = len(nonceFrames)
-		}
-		frames := nonceFrames[start:end]
-		wire, err := encodeConfigPacket(frames, goldenWords, false)
-		if err != nil {
-			return err
-		}
-		p.deltaSteps = append(p.deltaSteps, configStep{wire: wire, first: frames[0], count: len(frames)})
-		p.recordPatchStep(spec, tgtDelta, len(p.deltaSteps)-1, frames)
+	if p.deltaSteps, err = p.encodeSteps(spec.Golden, p.patch.frames, MaxConfigBatch, tgtDelta); err != nil {
+		return err
 	}
 	if spec.Compress {
-		for start := 0; start < len(nonceFrames); start += CompressBatch {
-			end := start + CompressBatch
-			if end > len(nonceFrames) {
-				end = len(nonceFrames)
-			}
-			frames := nonceFrames[start:end]
-			wire, err := encodeConfigPacket(frames, goldenWords, true)
-			if err != nil {
-				return err
-			}
-			p.deltaStepsC = append(p.deltaStepsC, configStep{wire: wire, first: frames[0], count: len(frames)})
-			p.recordPatchStep(spec, tgtDeltaC, len(p.deltaStepsC)-1, frames)
+		if p.deltaStepsC, err = p.encodeSteps(spec.Golden, p.patch.frames, CompressBatch, tgtDeltaC); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// encodeSteps pre-encodes frames, in order, as configuration packets of
+// at most size frames each — compressed for the tgtConfigC/tgtDeltaC
+// targets — and registers every packet with the patch state under
+// target.
+func (p *Plan) encodeSteps(golden *fabric.Image, frames []int, size, target int) ([]configStep, error) {
+	compressed := target == tgtConfigC || target == tgtDeltaC
+	goldenWords := func(_ int, f int) []uint32 { return golden.Frame(f) }
+	var steps []configStep
+	for start := 0; start < len(frames); start += size {
+		chunk := frames[start:min(start+size, len(frames))]
+		wire, err := encodeConfigPacket(chunk, goldenWords, compressed)
+		if err != nil {
+			return nil, err
+		}
+		p.recordPatchStep(golden, target, len(steps), chunk)
+		steps = append(steps, configStep{wire: wire, first: chunk[0], count: len(chunk)})
+	}
+	return steps, nil
 }
 
 // readbackOrder expands offset/permutation into the concrete frame order
@@ -568,13 +500,10 @@ func (p *Plan) ConfigPackets() int { return len(p.configs) }
 // the nonce-register frames — in ascending order; nil for plans built
 // without Spec.Delta.
 func (p *Plan) DeltaRewriteFrames() []int {
-	if p.nonceSet == nil {
+	if p.scanSteps == nil {
 		return nil
 	}
-	out := make([]int, 0, len(p.nonceSet))
-	for f := range p.nonceSet {
-		out = append(out, f)
-	}
+	out := append([]int(nil), p.patch.frames...)
 	sort.Ints(out)
 	return out
 }

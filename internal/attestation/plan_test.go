@@ -170,3 +170,29 @@ func TestBackoffBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestWithNonceCountsOnlyRealPatches: sacha_plan_patches_total and the
+// patch-seconds histogram count re-derivations, not identity calls — a
+// WithNonce at the plan's own nonce (every PlanCache hit at the cached
+// nonce) returns the receiver and leaves both untouched.
+func TestWithNonceCountsOnlyRealPatches(t *testing.T) {
+	geo := device.TinyLX()
+	p, err := NewPlan(Spec{Geo: geo, Golden: fabric.NewImage(geo), DynFrames: fabric.DynRegion(geo).Frames()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patches, timed := mPlanPatches.Value(), mPlanPatchSeconds.Count()
+	same, err := p.WithNonce(p.Nonce())
+	if err != nil || same != p {
+		t.Fatalf("identity WithNonce: plan %p (want %p), err %v", same, p, err)
+	}
+	if got, gotTimed := mPlanPatches.Value(), mPlanPatchSeconds.Count(); got != patches || gotTimed != timed {
+		t.Fatalf("identity call counted: patches %d→%d, timed %d→%d", patches, got, timed, gotTimed)
+	}
+	if _, err := p.WithNonce(p.Nonce() ^ 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotTimed := mPlanPatches.Value(), mPlanPatchSeconds.Count(); got != patches+1 || gotTimed != timed+1 {
+		t.Fatalf("real patch: patches %d→%d, timed %d→%d, want +1 each", patches, got, timed, gotTimed)
+	}
+}

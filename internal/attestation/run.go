@@ -485,7 +485,7 @@ func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB
 			rep.Delta.FramesScanned++
 			for w := range got {
 				if got[w] != exp[w] {
-					if !p.nonceSet[f] {
+					if _, nonce := p.patch.frameAt[f]; !nonce {
 						rep.Delta.Unexpected = append(rep.Delta.Unexpected, f)
 					}
 					break

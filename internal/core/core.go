@@ -107,7 +107,7 @@ type System struct {
 	rng         *rand.Rand
 	circuitID   uint64        // current DynPUF circuit (0 = StatPart PUF / register)
 	helper      []byte        // current PUF helper data (nil in KeyRegister mode)
-	patchGolden *fabric.Image // memoized nonce-0 golden for PatchableSpec; nil until first use, cleared by RotateKey
+	golden0     *fabric.Image // memoized nonce-0 golden (classGolden); nil until first use, cleared by RotateKey
 
 	// AppPlacement maps the application's pins for examples/tests; it is
 	// identical across attestations (deterministic placement).
@@ -288,9 +288,9 @@ func (s *System) RotateKey() error {
 	s.Device.SetKeySource(&prover.PUFKey{Phys: phys, Helper: enr.Helper, Rng: s.rng})
 	s.Key = enr.Key
 	// The shipped circuit's marker changes the golden image, so the
-	// memoized patchable golden (and, via ClassKey, any cached plans of
-	// the old generation) is stale.
-	s.patchGolden = nil
+	// memoized class golden (and, via ClassKey, any cached plans of the
+	// old generation) is stale.
+	s.golden0 = nil
 	return nil
 }
 
@@ -348,7 +348,7 @@ func (s *System) RestoreEnrollment(e Enrollment) error {
 	s.Device.SetKeySource(&prover.PUFKey{Phys: phys, Helper: puf.HelperData{Offset: helper}, Rng: s.rng})
 	s.Key = e.Key
 	s.helper = helper
-	s.patchGolden = nil
+	s.golden0 = nil
 	return nil
 }
 
@@ -360,14 +360,11 @@ func (s *System) RestoreEnrollment(e Enrollment) error {
 // golden is memoized (shared with PatchableSpec) and cleared by
 // RotateKey, so the digest always tracks the current generation.
 func (s *System) GoldenDigest() ([32]byte, error) {
-	if s.patchGolden == nil {
-		golden, err := s.Golden(0)
-		if err != nil {
-			return [32]byte{}, err
-		}
-		s.patchGolden = golden
+	golden, err := s.classGolden()
+	if err != nil {
+		return [32]byte{}, err
 	}
-	return fabric.NonceFreeDigest(s.patchGolden, fabric.NonceBits)
+	return fabric.NonceFreeDigest(golden, fabric.NonceBits)
 }
 
 // KeyMode returns the system's key provisioning mode.
@@ -393,53 +390,32 @@ type AttestOptions struct {
 }
 
 // Plan builds the fleet-shared half of this system's attestation for a
-// nonce: the golden image for the nonce, precompiled into an immutable
-// attestation.Plan (pre-encoded configuration/readback messages, masked
-// golden comparison frames, CAPTURE prediction). Every device of the
-// same class (see ClassKey) can be attested with the same plan, each
-// with its own per-session Run and enrolled key.
+// nonce: the class plan of PatchablePlan, patched to the nonce with
+// Plan.WithNonce — an immutable attestation.Plan (pre-encoded
+// configuration/readback messages, masked golden comparison frames,
+// CAPTURE prediction) bit-identical to a cold build from Golden(nonce).
+// Every device of the same class (see ClassKey) can be attested with the
+// same plan, each with its own per-session Run and enrolled key.
 func (s *System) Plan(nonce uint64, opts verifier.Options) (*attestation.Plan, error) {
-	spec, err := s.PlanSpec(nonce, opts)
+	plan, err := s.PatchablePlan(opts)
 	if err != nil {
 		return nil, err
 	}
-	return attestation.NewPlan(spec)
+	return plan.WithNonce(nonce)
 }
 
-// PlanSpec builds the golden image for a nonce and returns the
-// attestation.Spec describing this system's plan — the cache key input of
-// attestation.PlanCache. Systems with equal ClassKey produce equal specs
-// for a common nonce, so their plans dedupe in the cache.
-func (s *System) PlanSpec(nonce uint64, opts verifier.Options) (attestation.Spec, error) {
-	golden, err := s.Golden(nonce)
+// PatchableSpec returns the attestation.Spec describing this system's
+// class plan — the cache key input of attestation.PlanCache. Its golden
+// image is built once at nonce 0 (memoized until a key rotation changes
+// the class), and attestation.SpecKey ignores the nonce value, so one
+// cached plan serves every nonce of this system's class and systems
+// with equal ClassKey share it. Use Plan.WithNonce to re-nonce the built
+// plan per session.
+func (s *System) PatchableSpec(opts verifier.Options) (attestation.Spec, error) {
+	golden, err := s.classGolden()
 	if err != nil {
 		return attestation.Spec{}, err
 	}
-	return s.spec(golden, opts), nil
-}
-
-// PatchableSpec is PlanSpec with the nonce demoted to a per-session
-// input: the golden image is built once at nonce 0 (memoized until a
-// key rotation changes the class) and the spec is marked
-// Spec.PatchableNonce, so attestation.SpecKey ignores the nonce value
-// and one cached plan serves every nonce of this system's class. Use
-// Plan.WithNonce to re-nonce the built plan per session.
-func (s *System) PatchableSpec(opts verifier.Options) (attestation.Spec, error) {
-	if s.patchGolden == nil {
-		golden, err := s.Golden(0)
-		if err != nil {
-			return attestation.Spec{}, err
-		}
-		s.patchGolden = golden
-	}
-	spec := s.spec(s.patchGolden, opts)
-	spec.PatchableNonce = true
-	return spec, nil
-}
-
-// spec assembles the attestation.Spec of this system's golden image and
-// the plan-shaping fields of opts.
-func (s *System) spec(golden *fabric.Image, opts verifier.Options) attestation.Spec {
 	return attestation.Spec{
 		Geo:           s.Geo,
 		Golden:        golden,
@@ -451,7 +427,20 @@ func (s *System) spec(golden *fabric.Image, opts verifier.Options) attestation.S
 		ConfigBatch:   opts.ConfigBatch,
 		Compress:      opts.Compress,
 		Delta:         opts.Delta,
+	}, nil
+}
+
+// classGolden returns the memoized nonce-0 golden image of the current
+// key generation, shared by PatchableSpec and GoldenDigest.
+func (s *System) classGolden() (*fabric.Image, error) {
+	if s.golden0 == nil {
+		golden, err := s.Golden(0)
+		if err != nil {
+			return nil, err
+		}
+		s.golden0 = golden
 	}
+	return s.golden0, nil
 }
 
 // runOpts assembles the attestation.RunOpts of one session: this
@@ -468,7 +457,7 @@ func (s *System) runOpts(opts verifier.Options) attestation.RunOpts {
 	}
 }
 
-// PatchablePlan builds a nonce-patchable plan for this system's class:
+// PatchablePlan builds the plan of this system's class at nonce 0:
 // derive the per-session plan with WithNonce instead of rebuilding.
 func (s *System) PatchablePlan(opts verifier.Options) (*attestation.Plan, error) {
 	spec, err := s.PatchableSpec(opts)
@@ -538,8 +527,8 @@ func (s *System) Attest(opts AttestOptions) (*attestation.Report, error) {
 }
 
 // AttestWithPlan runs one attestation using a precomputed shared plan —
-// the per-device path of a fleet sweep. The plan fixes the nonce (baked
-// into its golden image) and the plan-shaping options, Compress and Delta
+// the per-device path of a fleet sweep. The plan fixes the nonce (see
+// Plan.WithNonce) and the plan-shaping options, Compress and Delta
 // included; opts contributes only the per-run knobs (Retry, Span,
 // DeltaWarm, adversary and channel hooks).
 func (s *System) AttestWithPlan(plan *attestation.Plan, opts AttestOptions) (*attestation.Report, error) {

@@ -38,6 +38,26 @@ func freshnessFleet(t testing.TB, size int) *registry.Static {
 	return f
 }
 
+// coldAttest attests sys at nonce through a plan built cold from
+// sys.Golden(nonce) — no WithNonce patch on the path — the reference
+// the sweep paths must match bit for bit.
+func coldAttest(t testing.TB, sys *core.System, nonce uint64) *attestation.Report {
+	t.Helper()
+	golden, err := sys.Golden(nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := attestation.NewPlan(attestation.Spec{Geo: sys.Geo, Golden: golden, DynFrames: sys.DynFrames()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.AttestWithPlan(plan, core.AttestOptions{})
+	if err != nil || !rep.Accepted {
+		t.Fatalf("cold attest at %#x: %v", nonce, err)
+	}
+	return rep
+}
+
 func allPolicies() []attestation.FreshnessPolicy {
 	return []attestation.FreshnessPolicy{
 		attestation.PerSweep,
@@ -137,7 +157,7 @@ func TestFreshnessPoliciesIsolateTamper(t *testing.T) {
 // TestPerSweepMatchesLockstepBaseline pins the PerSweep policy to the
 // pre-policy behaviour: a sweep with a pinned nonce must produce, for
 // every device, exactly the H_Vrf of a direct lockstep attestation at
-// that nonce. The freshness engine being off (PerSweep is the zero
+// that nonce through a cold-built plan. The freshness engine being off (PerSweep is the zero
 // value) may not perturb a single MAC bit.
 func TestPerSweepMatchesLockstepBaseline(t *testing.T) {
 	const size = 3
@@ -147,11 +167,7 @@ func TestPerSweepMatchesLockstepBaseline(t *testing.T) {
 	baseline := make(map[uint64][16]byte, size)
 	for id := uint64(1); id <= size; id++ {
 		sys, _ := f.System(id)
-		rep, err := sys.Attest(core.AttestOptions{Nonce: &nonce})
-		if err != nil || !rep.Accepted {
-			t.Fatalf("baseline attest of device %d: %v", id, err)
-		}
-		baseline[id] = rep.HVrf
+		baseline[id] = coldAttest(t, sys, nonce).HVrf
 	}
 
 	rep, err := dispatch.New(dispatch.Config{Shards: 1}).Sweep(t.Context(), f, fleet.SweepConfig{
@@ -199,11 +215,7 @@ func TestPerDeviceMatchesDirectAttest(t *testing.T) {
 					t.Fatalf("device %d not patched under %s", r.DeviceID, pol)
 				}
 				sys, _ := f.System(r.DeviceID)
-				direct, err := sys.Attest(core.AttestOptions{Nonce: &r.Nonce})
-				if err != nil || !direct.Accepted {
-					t.Fatalf("direct attest of device %d: %v", r.DeviceID, err)
-				}
-				if direct.HVrf != r.Report.HVrf {
+				if coldAttest(t, sys, r.Nonce).HVrf != r.Report.HVrf {
 					t.Fatalf("device %d: patched-plan H_Vrf differs from cold attest at nonce %#x", r.DeviceID, r.Nonce)
 				}
 			}

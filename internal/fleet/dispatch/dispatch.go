@@ -106,13 +106,10 @@ func New(cfg Config) *Dispatcher {
 // Shards returns the shard count.
 func (d *Dispatcher) Shards() int { return d.shards }
 
-// planEntry is the outcome of one per-class plan build. patch marks the
-// plan as a nonce-patchable base: each device derives its own nonce via
-// Plan.WithNonce instead of running the plan as built.
+// planEntry is the outcome of one per-class plan build.
 type planEntry struct {
-	plan  *attestation.Plan
-	patch bool
-	err   error
+	plan *attestation.Plan
+	err  error
 }
 
 // sweepState is the per-sweep immutable context the workers share.
@@ -246,15 +243,15 @@ func routeClasses(classes []string, shards int) map[string]int {
 
 // buildPlans constructs (or fetches from the shard's cache) one shared
 // plan per device class, attributing build/hit counts to the class's
-// shard. Under PerSweep the plan bakes in the sweep nonce; under
-// PerDevice/RotateKey it is a nonce-patchable base (built from
-// PatchableSpec, cache-keyed nonce-free) that attestOne re-nonces per
-// device. A class whose plan fails to build carries the error to every
-// member (reported Failed, not Unreachable — nothing was transported).
+// shard. Every class spec comes from PatchableSpec, so its cache key is
+// nonce-free and a cached plan serves every sweep of the class. Under
+// PerSweep the class plan is patched once to the sweep nonce and every
+// session runs it as it is; under PerDevice/RotateKey attestOne patches
+// it per device. A class whose plan fails to build carries the error to
+// every member (reported Failed, not Unreachable — nothing was
+// transported).
 func (d *Dispatcher) buildPlans(st *sweepState, classShard map[string]int) {
 	cfg := st.cfg
-	patchable := cfg.Freshness != attestation.PerSweep
-	nonce := st.sweepNonce
 	// The sweep's Compress/Delta are the only plan-shaping options a
 	// sweep sets; every other field keeps its paper default.
 	opts := verifier.Options{Compress: cfg.Compress, Delta: cfg.Delta}
@@ -265,32 +262,29 @@ func (d *Dispatcher) buildPlans(st *sweepState, classShard map[string]int) {
 			continue
 		}
 		shard := classShard[key]
-		var spec attestation.Spec
-		var err error
-		if patchable {
-			spec, err = sys.PatchableSpec(opts)
-		} else {
-			spec, err = sys.PlanSpec(nonce, opts)
-		}
+		spec, err := sys.PatchableSpec(opts)
 		if err != nil {
 			st.plans[key] = planEntry{err: err}
 			continue
 		}
+		var p *attestation.Plan
 		if cache := d.caches[shard]; cache != nil {
-			p, didBuild, err := cache.GetOrBuild(spec)
-			st.plans[key] = planEntry{plan: p, patch: patchable, err: err}
-			if err == nil {
-				if didBuild {
+			var built bool
+			if p, built, err = cache.GetOrBuild(spec); err == nil {
+				if built {
 					st.stats[shard].PlansBuilt++
 				} else {
 					st.stats[shard].PlanCacheHits++
 				}
 			}
-			continue
+		} else {
+			p, err = attestation.NewPlan(spec)
+			st.stats[shard].PlansBuilt++
 		}
-		p, err := attestation.NewPlan(spec)
-		st.plans[key] = planEntry{plan: p, patch: patchable, err: err}
-		st.stats[shard].PlansBuilt++
+		if err == nil && cfg.Freshness == attestation.PerSweep {
+			p, err = p.WithNonce(st.sweepNonce)
+		}
+		st.plans[key] = planEntry{plan: p, err: err}
 	}
 }
 
@@ -644,7 +638,7 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 	plan := entry.plan
 	var patched bool
 	var deviceNonce uint64
-	if entry.patch {
+	if cfg.Freshness != attestation.PerSweep {
 		// Per-device freshness: re-nonce the class's shared plan for this
 		// device. The patch is O(nonce column) and never mutates the base,
 		// so concurrent workers patch the same plan freely. The nonce

@@ -201,3 +201,56 @@ func TestRotateKeyRequiresDynPUF(t *testing.T) {
 		t.Fatalf("error %q lacks the fleet: prefix", err)
 	}
 }
+
+// TestPerSweepMatchesColdBuild: a PerSweep sweep runs each class plan
+// patched once to the sweep nonce. Every device must come back with the
+// verdict and H_Vrf of a plan built cold from sys.Golden(nonce), a
+// tampered member included, and a second sweep at a new nonce must
+// build no plan: one cache hit per class, patched to the new nonce.
+func TestPerSweepMatchesColdBuild(t *testing.T) {
+	const size, bad = 4, 3
+	reg := mustRegistry(t, size, mixedFactory) // two classes
+	d := New(Config{Shards: 2, PlanCacheSize: 4})
+	opts := func(id uint64) core.AttestOptions {
+		if id != bad {
+			return core.AttestOptions{}
+		}
+		return tamperFrame(mustSystem(t, reg, id), 3)
+	}
+	for sweep, nonce := range []uint64{0xFEED, 0xD1CE} {
+		n := nonce
+		rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 2, Nonce: &n}, opts)
+		wantBuilt, wantHits := 2, 0
+		if sweep > 0 {
+			wantBuilt, wantHits = 0, 2
+		}
+		if rep.PlansBuilt != wantBuilt || rep.PlanCacheHits != wantHits {
+			t.Fatalf("sweep at %#x built=%d hits=%d, want %d/%d", n, rep.PlansBuilt, rep.PlanCacheHits, wantBuilt, wantHits)
+		}
+		if rep.PlanPatches != 0 {
+			t.Fatalf("sweep at %#x patched %d devices, want 0 under PerSweep", n, rep.PlanPatches)
+		}
+		for _, r := range rep.Results {
+			sys := mustSystem(t, reg, r.DeviceID)
+			golden, err := sys.Golden(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := attestation.NewPlan(attestation.Spec{Geo: sys.Geo, Golden: golden, DynFrames: sys.DynFrames()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sys.AttestWithPlan(cold, opts(r.DeviceID))
+			if err != nil || r.Err != nil {
+				t.Fatalf("device %d at %#x: cold err %v, sweep err %v", r.DeviceID, n, err, r.Err)
+			}
+			if r.Report.Accepted != want.Accepted || r.Report.HVrf != want.HVrf {
+				t.Fatalf("device %d at %#x: sweep accepted=%v H_Vrf %x, cold build accepted=%v H_Vrf %x",
+					r.DeviceID, n, r.Report.Accepted, r.Report.HVrf, want.Accepted, want.HVrf)
+			}
+			if want.Accepted != (r.DeviceID != bad) {
+				t.Fatalf("device %d at %#x: accepted=%v", r.DeviceID, n, want.Accepted)
+			}
+		}
+	}
+}

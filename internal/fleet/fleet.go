@@ -90,8 +90,11 @@ type DeviceResult struct {
 	Err     error
 	Elapsed time.Duration
 	// PlanPatched reports that this device was attested through a
-	// WithNonce patch of its class's shared plan (PerDevice or RotateKey
-	// freshness); Nonce is then the per-device nonce the patch encoded.
+	// per-device WithNonce patch of its class's shared plan (PerDevice or
+	// RotateKey freshness); Nonce is then the per-device nonce the patch
+	// encoded. Under PerSweep the class plan is patched once to the sweep
+	// nonce before any session starts, so PlanPatched stays false and
+	// Nonce zero.
 	PlanPatched bool
 	Nonce       uint64
 	// Shard is the dispatcher shard whose plan served this device and
@@ -185,9 +188,10 @@ type Report struct {
 	// PlanCacheHits counts device classes whose plan came out of a
 	// shard's PlanCache instead of being built.
 	PlanCacheHits int
-	// PlanPatches counts devices attested through a WithNonce patch of
-	// their class's shared plan — the per-device freshness rotations that
-	// did NOT cost a plan rebuild.
+	// PlanPatches counts devices attested through a per-device WithNonce
+	// patch of their class's shared plan — the per-device freshness
+	// rotations that did NOT cost a plan rebuild. The once-per-class
+	// patch to a PerSweep sweep's nonce is not counted.
 	PlanPatches int
 	// KeysRotated counts the per-device PUF key rotations a RotateKey
 	// sweep performed before attesting.
@@ -237,12 +241,14 @@ type SweepConfig struct {
 	// Nonce already pins the single sweep nonce.
 	NonceSeed *uint64
 	// Freshness selects the sweep's freshness unit: PerSweep (the zero
-	// value and status quo — one nonce shared by the whole sweep),
-	// PerDevice (a fresh nonce per device, served as WithNonce patches
-	// of each class's shared plan so the plan cache keeps hitting), or
-	// RotateKey (PerDevice plus a PUF re-keying of every device before
-	// the sweep, which rebuilds each class's plan once). RotateKey
-	// requires every member to use core.KeyDynPUF.
+	// value — one nonce shared by the whole sweep, served as one WithNonce
+	// patch of each class's shared plan), PerDevice (a fresh nonce per
+	// device, served as a WithNonce patch per device), or RotateKey
+	// (PerDevice plus a PUF re-keying of every device before the sweep,
+	// which rebuilds each class's plan once). The class plans are
+	// cache-keyed without the nonce, so under PerSweep and PerDevice a
+	// repeated sweep builds no plan. RotateKey requires every member to
+	// use core.KeyDynPUF.
 	Freshness attestation.FreshnessPolicy
 	// Tracker, if non-nil, follows the sweep live: per-device
 	// pending/running/done states with verdicts, served by the verifier
