@@ -21,9 +21,9 @@
 // sweeps only on POST /fleet/sweep.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the API refuses new
-// sweeps with 503, the in-flight sweep finishes (bounded by
-// -drain-grace), every attestation session is joined, and the process
-// exits 0.
+// sweeps with 503, the in-flight sweep finishes (or, past -drain-grace,
+// is cancelled and its running sessions stop within one message), and
+// the process exits 0 once no session is left.
 package main
 
 import (
@@ -215,8 +215,9 @@ func main() {
 	defer stop()
 	daemon.Run(ctx)
 	if st != nil {
-		// The drain has joined every session; flush and close the state
-		// files so the final appends are durable before exit.
+		// The drain has waited out every sweep, and with it every
+		// session; flush and close the state files so the final appends
+		// are durable before exit.
 		fatal(st.Close())
 	}
 	fmt.Fprintln(os.Stderr, "sacha-fleetd: drained, exiting")

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,6 +38,8 @@ var (
 		"Device attestations completed in fleet sweeps, by verdict.", "verdict")
 	cmSweepInflight = obs.Default().Gauge("sacha_sweep_inflight",
 		"Device attestations currently running in fleet sweeps.")
+	cmWindowInflight = obs.Default().Gauge("sacha_attest_window_inflight",
+		"Sequence envelopes currently outstanding across all pipelined runs.")
 	mCampaignEvents = obs.Default().CounterVec("sacha_campaign_events_total",
 		"Campaign events executed, by kind.", "kind")
 	mCampaignViolations = obs.Default().Counter("sacha_campaign_violations_total",
@@ -70,11 +71,7 @@ type Engine struct {
 	// order — the reconciliation witness runCrash replays against the
 	// reopened journal.
 	spentSweepNonces []uint64
-	// sessions joins every attestation session a sweep launched —
-	// including sessions a cancellation abandoned — so consecutive
-	// events never overlap on a device.
-	sessions sync.WaitGroup
-	advByKey map[string]func(*core.System) attack.Result
+	advByKey         map[string]func(*core.System) attack.Result
 	// Per-geometry artifacts, keyed by geometry name.
 	tamperTargets map[string]tamperTarget
 	masks         map[string]*fabric.Image
@@ -340,7 +337,6 @@ func (e *Engine) runSweep(ctx context.Context, ev Event) error {
 	cfg := fleet.SweepConfig{
 		Concurrency: e.sc.Concurrency,
 		Freshness:   ev.Freshness,
-		Sessions:    &e.sessions,
 		Spans:       e.spans,
 	}
 	if e.st != nil {
@@ -392,10 +388,6 @@ func (e *Engine) runSweep(ctx context.Context, ev Event) error {
 		return o
 	}
 	rep, err := e.disp.Sweep(sctx, e.reg, cfg, opts)
-	// Join stragglers before the next event: a session abandoned by the
-	// kill must not still be driving its device when the next event
-	// touches it.
-	e.sessions.Wait()
 	if err != nil {
 		return err
 	}
@@ -429,8 +421,13 @@ func (e *Engine) runSweep(ctx context.Context, ev Event) error {
 			e.led.violate(ev, res.DeviceID, "%s device reported %s (err=%v)", expectation, verdict, res.Err)
 		}
 	}
+	// A sweep returns only once every session it launched has ended, so
+	// no device attestation and no windowed envelope is still in flight.
 	if v := cmSweepInflight.Value(); v != 0 {
 		e.led.violate(ev, 0, "in-flight gauge stuck at %d after sweep", v)
+	}
+	if v := cmWindowInflight.Value(); v != 0 {
+		e.led.violate(ev, 0, "window in-flight gauge stuck at %d after sweep", v)
 	}
 	// Un-tamper: the static-partition flip survives the sweep by design,
 	// so scrub the tampered members back to golden before the next event

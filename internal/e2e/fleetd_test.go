@@ -241,7 +241,7 @@ func TestFleetdControlAPISmoke(t *testing.T) {
 		t.Fatalf("a refused request ran a sweep: %d records", len(history.Sweeps))
 	}
 
-	// Shutdown: drain must complete (sessions joined) and the API must
+	// Shutdown: drain must complete (every sweep ended) and the API must
 	// refuse sweeps while it does.
 	cancel()
 	select {

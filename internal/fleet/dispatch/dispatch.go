@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"sacha/internal/attestation"
+	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/fleet"
 	"sacha/internal/fleet/registry"
@@ -81,8 +82,10 @@ type Config struct {
 }
 
 // Dispatcher executes sweeps over N shards. It is safe for sequential
-// reuse across sweeps (that is what keeps the per-shard caches warm);
-// concurrent Sweep calls are legal but share the per-shard caches.
+// reuse across sweeps (that is what keeps the per-shard caches warm).
+// Concurrent Sweep calls share the per-shard caches and are legal over
+// disjoint devices; sweeps that share a device must be serialized, as
+// fleetd does, because a device serves one session at a time.
 type Dispatcher struct {
 	shards int
 	caches []*attestation.PlanCache
@@ -290,7 +293,9 @@ func (d *Dispatcher) buildPlans(st *sweepState, classShard map[string]int) {
 
 // Sweep attests every registry member through the sharded worker pool.
 // The context cancels the whole sweep: devices not yet started when ctx
-// is done are reported Unreachable with ctx's error. A contradictory
+// is done, and the sessions it stops, are reported Unreachable with
+// ctx's error. Sweep returns only once every session it launched has
+// ended, so none still drives a device afterwards. A contradictory
 // configuration (pinned nonce under a per-device freshness policy,
 // RotateKey over a non-rotatable key mode) is rejected with a typed
 // error before any device is touched.
@@ -661,34 +666,35 @@ func (d *Dispatcher) attestOne(ctx context.Context, st *sweepState, i, shard, wo
 		}
 		plan, patched = pp, true
 	}
-	dctx := ctx
+	var dctx context.Context
+	var cancel context.CancelFunc
 	if cfg.PerDeviceTimeout > 0 {
-		var cancel context.CancelFunc
 		dctx, cancel = context.WithTimeout(ctx, cfg.PerDeviceTimeout)
-		defer cancel()
+	} else {
+		dctx, cancel = context.WithCancel(ctx)
 	}
-	type outcome struct {
-		rep *attestation.Report
-		err error
-	}
-	done := make(chan outcome, 1)
-	if cfg.Sessions != nil {
-		cfg.Sessions.Add(1)
-	}
-	go func() {
-		if cfg.Sessions != nil {
-			defer cfg.Sessions.Done()
+	defer cancel()
+	// The session runs on this worker. When the device's deadline passes
+	// or the sweep is cancelled, closing the outermost endpoint fails the
+	// Run's next Send or Recv, so the session stops within one message
+	// and never outlives its sweep. The inline link's Close waits for a
+	// handler call in progress: a prover handler that never returned
+	// would hold the worker, but the simulated prover always returns.
+	wrap := o.WrapVerifierChannel
+	var stop func() bool
+	o.WrapVerifierChannel = func(ep channel.Endpoint) channel.Endpoint {
+		if wrap != nil {
+			ep = wrap(ep)
 		}
-		rep, err := sys.AttestWithPlan(plan, o)
-		done <- outcome{rep, err}
-	}()
-	select {
-	case oc := <-done:
-		return fleet.DeviceResult{DeviceID: id, Report: oc.rep, Err: oc.err, Elapsed: time.Since(t0), PlanPatched: patched, Nonce: deviceNonce}
-	case <-dctx.Done():
-		// The attestation goroutine finishes on its own (the simulated
-		// protocol always terminates; a TCP one hits its own timeouts)
-		// and its result is discarded — the deadline verdict stands.
+		stop = context.AfterFunc(dctx, func() { ep.Close() })
+		return ep
+	}
+	rep, err := sys.AttestWithPlan(plan, o)
+	stop()
+	if err != nil && dctx.Err() != nil {
+		// The link was closed under the session: the deadline or the
+		// cancellation is the outcome, reported Unreachable.
 		return fleet.DeviceResult{DeviceID: id, Err: fmt.Errorf("sweep: device %d: %w", id, dctx.Err()), Elapsed: time.Since(t0), PlanPatched: patched, Nonce: deviceNonce}
 	}
+	return fleet.DeviceResult{DeviceID: id, Report: rep, Err: err, Elapsed: time.Since(t0), PlanPatched: patched, Nonce: deviceNonce}
 }

@@ -110,8 +110,8 @@ func TestPerDeviceTimeoutIsUnreachable(t *testing.T) {
 	d, reg := oneShard(t, 3, tinyFactory)
 	// The slow member's link drops everything; its own retry budget
 	// (~4 x 2.5s) far exceeds the 3s per-device deadline, so the deadline
-	// fires first and the abandoned attempt still terminates on its own
-	// shortly after. The deadline leaves healthy members a wide margin:
+	// fires first and closes the link, which stops the attempt at its
+	// pending receive. The deadline leaves healthy members a wide margin:
 	// a TinyLX attestation finishes in well under a second even with the
 	// race detector on a loaded machine.
 	rep := mustSweep(t, d, reg, fleet.SweepConfig{Concurrency: 2, PerDeviceTimeout: 3 * time.Second},

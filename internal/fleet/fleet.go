@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"sacha/internal/attestation"
@@ -223,8 +222,10 @@ type SweepConfig struct {
 	// dispatch, which splits the same budget instead of multiplying it.
 	// Values < 1 default to min(8, fleet).
 	Concurrency int
-	// PerDeviceTimeout bounds each device's attestation; expired devices
-	// are reported Unreachable. Zero means no per-device deadline.
+	// PerDeviceTimeout bounds each device's attestation: an expired
+	// session is stopped (its link is closed, so it ends within one
+	// message) and the device is reported Unreachable. Zero means no
+	// per-device deadline.
 	PerDeviceTimeout time.Duration
 	// Deprecated: ignored; every sweep shares per-class plans.
 	SharePlans bool
@@ -254,14 +255,6 @@ type SweepConfig struct {
 	// pending/running/done states with verdicts, served by the verifier
 	// CLI and sacha-fleetd as the /debug/sweep snapshot.
 	Tracker *obs.SweepTracker
-	// Sessions, if non-nil, is Add(1)-ed for every attestation session
-	// the sweep actually launches and Done-ed when that session's
-	// goroutine finishes — including sessions a per-device deadline or a
-	// sweep cancellation abandoned, which otherwise keep running (and
-	// mutating their device) after Sweep returns. Campaign soaks, the
-	// fleetd drain path and leak tests Wait on it to quarantine
-	// consecutive sweeps from each other's stragglers.
-	Sessions *sync.WaitGroup
 	// Compress opts every session of the sweep into the compressed wire
 	// encodings (plan-level Spec.Compress plus per-session negotiation).
 	// Verdicts and H_Vrf are unchanged; only wire bytes shrink.

@@ -15,10 +15,10 @@
 // Sweeps are serialized: API triggers and scheduler firings queue on
 // one mutex, so the fleet is never mid-two-sweeps (the dispatcher
 // bounds concurrency within a sweep; fleetd bounds sweeps to one).
-// Shutdown is a graceful drain — new sweeps are refused with 503, the
-// in-flight sweep finishes, and every attestation session is joined
-// through the Sessions wait group before Run returns, so no straggler
-// goroutine outlives the daemon.
+// Shutdown is a graceful drain — new sweeps are refused with 503 and
+// the in-flight sweep finishes, or is cancelled once DrainGrace passes.
+// A sweep returns only once every session it launched has ended, so
+// when Run returns no session still drives a device.
 package fleetd
 
 import (
@@ -48,8 +48,8 @@ type Config struct {
 	// Dispatcher executes the sweeps. Nil builds a single-shard one.
 	Dispatcher *dispatch.Dispatcher
 	// Template is the base sweep configuration every triggered sweep
-	// starts from. The daemon owns Tracker and Sessions; values set here
-	// are overwritten. Template.Spans and Template.Flight, when set,
+	// starts from. The daemon owns Tracker; a value set here is
+	// overwritten. Template.Spans and Template.Flight, when set,
 	// also back the daemon's /debug/trace, /debug/trace/perfetto and
 	// /fleet/flightrecords endpoints (Routes mounts them).
 	Template fleet.SweepConfig
@@ -65,9 +65,9 @@ type Config struct {
 	// dropped. Values < 1 default to 64.
 	History int
 	// DrainGrace bounds the drain: when the in-flight sweep has not
-	// finished within it, the sweep's context is cancelled (unstarted
-	// devices report Unreachable) and the drain then joins the sessions
-	// that did launch. Zero waits indefinitely.
+	// finished within it, the sweep is cancelled: running sessions are
+	// stopped within one message and they and the unstarted devices
+	// report Unreachable. Zero waits indefinitely.
 	DrainGrace time.Duration
 }
 
@@ -128,16 +128,18 @@ type Daemon struct {
 	disp    *dispatch.Dispatcher
 	tracker *obs.SweepTracker
 
-	sessions sync.WaitGroup // every attestation session ever launched
-	sweeps   sync.WaitGroup // in-flight sweep goroutines
-	sweepMu  sync.Mutex     // serializes sweep execution
+	sweeps  sync.WaitGroup // in-flight sweep goroutines
+	sweepMu sync.Mutex     // serializes sweep execution
+	// stop ends every sweep, admitted or running; stopAll fires it when
+	// the drain's grace runs out.
+	stop    context.Context
+	stopAll context.CancelFunc
 
 	mu       sync.Mutex
 	draining bool
 	nextID   int
 	active   *SweepRecord // header of the in-flight sweep, nil when idle
 	records  []SweepRecord
-	cancels  map[int]context.CancelFunc
 }
 
 // New builds a daemon. It does not start anything; Run does.
@@ -149,8 +151,8 @@ func New(cfg Config) *Daemon {
 		cfg:     cfg,
 		disp:    cfg.Dispatcher,
 		tracker: obs.NewSweepTracker(),
-		cancels: make(map[int]context.CancelFunc),
 	}
+	d.stop, d.stopAll = context.WithCancel(context.Background())
 	if d.disp == nil {
 		d.disp = dispatch.New(dispatch.Config{})
 	}
@@ -163,8 +165,8 @@ func (d *Daemon) Tracker() *obs.SweepTracker { return d.tracker }
 
 // Run blocks until ctx ends, firing scheduled sweeps in the meantime,
 // then drains: the control API refuses new sweeps with 503, the
-// in-flight sweep finishes (bounded by DrainGrace), and every
-// attestation session is joined before Run returns.
+// in-flight sweep finishes (bounded by DrainGrace), and Run returns
+// once no sweep, and so no session, is left.
 func (d *Daemon) Run(ctx context.Context) {
 	sch := scheduler.New(d.cfg.Scheduler, registry.Classes(d.cfg.Registry),
 		func(ctx context.Context, tr scheduler.Trigger) {
@@ -175,38 +177,18 @@ func (d *Daemon) Run(ctx context.Context) {
 	d.drain()
 }
 
-// drain refuses new sweeps, bounds the in-flight one by DrainGrace and
-// joins every launched session.
+// drain refuses new sweeps and waits for the admitted ones, cancelling
+// them once DrainGrace passes.
 func (d *Daemon) drain() {
 	d.mu.Lock()
 	d.draining = true
-	grace := d.cfg.DrainGrace
 	d.mu.Unlock()
+	grace := d.cfg.DrainGrace
 	obs.Logger().Info("fleetd draining", "grace", grace)
-
-	done := make(chan struct{})
-	go func() {
-		d.sweeps.Wait()
-		close(done)
-	}()
 	if grace > 0 {
-		select {
-		case <-done:
-		case <-time.After(grace):
-			d.mu.Lock()
-			for _, cancel := range d.cancels {
-				cancel()
-			}
-			d.mu.Unlock()
-			<-done
-		}
-	} else {
-		<-done
+		defer time.AfterFunc(grace, d.stopAll).Stop()
 	}
-	// Sessions a per-device deadline or a cancelled sweep abandoned keep
-	// running after their sweep returns; joining them here is what makes
-	// the shutdown clean rather than merely quiet.
-	d.sessions.Wait()
+	d.sweeps.Wait()
 	obs.Logger().Info("fleetd drained")
 }
 
@@ -243,21 +225,16 @@ func (d *Daemon) sweep(ctx context.Context, trigger, class string, spec sweepSpe
 	}
 	d.nextID++
 	id := d.nextID
-	sctx, cancel := context.WithCancel(ctx)
-	d.cancels[id] = cancel
 	d.sweeps.Add(1)
 	d.mu.Unlock()
 	if accepted != nil {
 		accepted <- id
 	}
 
-	defer func() {
-		cancel()
-		d.mu.Lock()
-		delete(d.cancels, id)
-		d.mu.Unlock()
-		d.sweeps.Done()
-	}()
+	defer d.sweeps.Done()
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(d.stop, cancel)()
 
 	reg := d.cfg.Registry
 	if class != "" {
@@ -271,7 +248,6 @@ func (d *Daemon) sweep(ctx context.Context, trigger, class string, spec sweepSpe
 
 	cfg := d.cfg.Template
 	cfg.Tracker = d.tracker
-	cfg.Sessions = &d.sessions
 	if spec.freshness != nil {
 		cfg.Freshness = *spec.freshness
 	}

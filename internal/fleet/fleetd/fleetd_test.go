@@ -2,11 +2,130 @@ package fleetd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"sacha/internal/attestation"
+	"sacha/internal/channel"
+	"sacha/internal/core"
+	"sacha/internal/device"
+	"sacha/internal/fleet"
+	"sacha/internal/fleet/registry"
+	"sacha/internal/netlist"
+	"sacha/internal/verifier"
 )
+
+// openEndpoint counts itself open from its wrapping until its first
+// Close returns, keeping the deadline receive of what it wraps.
+type openEndpoint struct {
+	channel.UntilEndpoint
+	open *atomic.Int64
+	once sync.Once
+}
+
+func (e *openEndpoint) Close() error {
+	err := e.UntilEndpoint.Close()
+	e.once.Do(func() { e.open.Add(-1) })
+	return err
+}
+
+// TestDrainGraceCutsTheSweep: a drain whose grace runs out cancels the
+// in-flight sweep. Run returns within the grace plus a margin, the
+// member still attesting is reported Unreachable (never Compromised),
+// and no session endpoint is left open.
+func TestDrainGraceCutsTheSweep(t *testing.T) {
+	const (
+		slow  = 2
+		grace = 300 * time.Millisecond
+	)
+	reg, err := registry.New(3, func(id uint64) (*core.System, error) {
+		return core.NewSystem(core.Config{
+			Geo:        device.TinyLX(),
+			App:        netlist.Blinker(8),
+			KeyMode:    core.KeyStatPUF,
+			DeviceID:   id,
+			LabLatency: -1,
+			Seed:       int64(id),
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open atomic.Int64
+	slowStarted := make(chan struct{})
+	opts := func(id uint64) core.AttestOptions {
+		var o core.AttestOptions
+		o.WrapVerifierChannel = func(ep channel.Endpoint) channel.Endpoint {
+			if id == slow {
+				// Half the messages vanish and each command may be re-sent
+				// 40 times, 30 ms apart: the session needs seconds.
+				ep = channel.NewFault(ep, channel.FaultConfig{DropProb: 0.5, Seed: 7})
+				close(slowStarted)
+			}
+			open.Add(1)
+			return &openEndpoint{UntilEndpoint: ep.(channel.UntilEndpoint), open: &open}
+		}
+		if id == slow {
+			o.Opts = verifier.Options{Retry: attestation.RetryPolicy{
+				Timeout: 30 * time.Millisecond, MaxRetries: 40,
+				Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, Seed: 1,
+			}}
+		}
+		return o
+	}
+	d := New(Config{
+		Registry:   reg,
+		Template:   fleet.SweepConfig{Concurrency: 2},
+		Opts:       opts,
+		DrainGrace: grace,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		d.Run(ctx)
+		close(ran)
+	}()
+	type result struct {
+		rec SweepRecord
+		err error
+	}
+	swept := make(chan result, 1)
+	go func() {
+		rec, err := d.Sweep(context.Background(), "api", "")
+		swept <- result{rec, err}
+	}()
+	<-slowStarted
+	t0 := time.Now()
+	cancel()
+	select {
+	case <-ran:
+	case <-time.After(grace + 10*time.Second):
+		t.Fatal("Run did not return after the drain grace")
+	}
+	// The margin absorbs a loaded machine and the race detector; the
+	// slow session alone needs far longer than grace plus margin.
+	if elapsed := time.Since(t0); elapsed > grace+2*time.Second {
+		t.Fatalf("Run returned %v after the drain began, grace %v", elapsed, grace)
+	}
+	if n := open.Load(); n != 0 {
+		t.Fatalf("%d session endpoint(s) open after Run returned", n)
+	}
+	res := <-swept
+	if res.err != nil {
+		t.Fatalf("sweep: %v", res.err)
+	}
+	rec := res.rec
+	if rec.Devices != 3 || rec.Compromised != 0 || rec.Failed != 0 ||
+		rec.Unreachable < 1 || rec.Healthy+rec.Unreachable != 3 {
+		t.Fatalf("cut sweep verdicts: %+v", rec)
+	}
+}
 
 // FuzzFleetdSweepRequest throws hostile bodies at the POST /fleet/sweep
 // decoder. It must never panic, and it fails closed: an accepted body is
