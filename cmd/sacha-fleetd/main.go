@@ -21,7 +21,8 @@
 // sweeps only on POST /fleet/sweep.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the API refuses new
-// sweeps with 503, the in-flight sweep finishes (or, past -drain-grace,
+// sweeps with 503, the scheduler stops firing, the in-flight sweep,
+// scheduled or not, finishes (or, past -drain-grace,
 // is cancelled and its running sessions stop within one message), and
 // the process exits 0 once no session is left.
 package main

@@ -189,7 +189,7 @@ func main() {
 				sp.SetTag("addr", addrs[i])
 				sp.SetTag("worker", fmt.Sprint(worker))
 				opts.Span = sp
-				targets[i] = attestOne(addrs[i], plan, *nonce, policy, *delta, tracker, worker, opts)
+				targets[i] = attestOne(addrs[i], plan, *nonce, policy, *delta, tracker, worker, opts, *timeout)
 				sp.SetTag("verdict", verdictOf(targets[i]))
 				sp.End()
 				if *trace {
@@ -309,7 +309,10 @@ func runOptions(key [16]byte, plain bool, timeout time.Duration, retries int, ba
 	return opts
 }
 
-func attestOne(addr string, plan *attestation.Plan, nonce uint64, policy attestation.FreshnessPolicy, delta bool, tracker *obs.SweepTracker, worker int, opts attestation.RunOpts) target {
+// attestOne attests the prover at addr. Without the reliable transport
+// (-plain), plainTimeout is the raw per-message socket deadline; 0
+// means none.
+func attestOne(addr string, plan *attestation.Plan, nonce uint64, policy attestation.FreshnessPolicy, delta bool, tracker *obs.SweepTracker, worker int, opts attestation.RunOpts, plainTimeout time.Duration) target {
 	tg := target{addr: addr, nonce: nonce}
 	if tracker != nil {
 		tracker.Start(addr)
@@ -351,7 +354,7 @@ func attestOne(addr string, plan *attestation.Plan, nonce uint64, policy attesta
 		if !o.Retry.Enabled() {
 			// Plain mode has no retry layer; fall back to raw per-message
 			// socket deadlines so a dead prover cannot hang the sweep.
-			link = channel.NewDeadline(ep, 2*time.Second, 2*time.Second)
+			link = channel.NewDeadline(ep, plainTimeout, plainTimeout)
 		}
 		return plan.Run(link, o)
 	}

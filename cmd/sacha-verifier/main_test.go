@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/netlist"
+	"sacha/internal/obs"
 	"sacha/internal/protocol"
 	"sacha/internal/prover"
 )
@@ -75,7 +78,7 @@ func TestDeltaWarmupAnswersItsOwnChallenge(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := runOptions(key, false, 2*time.Second, 5, 20*time.Millisecond, 1)
-	tg := attestOne(ln.Addr().String(), plan, nonce, attestation.PerSweep, true, nil, 0, opts)
+	tg := attestOne(ln.Addr().String(), plan, nonce, attestation.PerSweep, true, nil, 0, opts, 2*time.Second)
 	if tg.err != nil {
 		t.Fatal(tg.err)
 	}
@@ -89,5 +92,55 @@ func TestDeltaWarmupAnswersItsOwnChallenge(t *testing.T) {
 	}
 	if macs[0] == macs[1] {
 		t.Fatalf("warm-up and delta session ended in the same MAC %x: one nonce served both challenges", macs[0])
+	}
+}
+
+// TestPlainTimeoutIsTheSocketDeadline: with -plain, -timeout is the raw
+// per-message socket deadline. A prover that accepts the connection and
+// never answers must come back Unreachable, with a TransportError, once
+// the 100 ms deadline passes — not after some fixed default.
+func TestPlainTimeoutIsTheSocketDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		conns.Wait()
+	})
+	conns.Add(1)
+	go func() {
+		defer conns.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conns.Done()
+				io.Copy(io.Discard, conn) // read everything, answer nothing
+				conn.Close()
+			}()
+		}
+	}()
+
+	geo := device.TinyLX()
+	plan, err := sweepPlan(geo, netlist.Blinker(8), 1, 0xC0FFEE, attestation.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 100 * time.Millisecond
+	opts := runOptions([16]byte{1}, true, timeout, 5, 20*time.Millisecond, 1)
+	start := time.Now()
+	tg := attestOne(ln.Addr().String(), plan, 0xC0FFEE, attestation.PerSweep, false, nil, 0, opts, timeout)
+	elapsed := time.Since(start)
+	var te *attestation.TransportError
+	if !errors.As(tg.err, &te) || verdictOf(tg) != obs.VerdictUnreachable {
+		t.Fatalf("silent prover: verdict %s, err %v; want Unreachable with a TransportError", verdictOf(tg), tg.err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("silent prover took %v to give up under a %v -timeout", elapsed, timeout)
 	}
 }

@@ -160,7 +160,7 @@ func (c *PlanCache) GetOrBuild(spec Spec) (plan *Plan, built bool, err error) {
 // requesting spec's golden image, so every GetOrBuild return is
 // equivalent to a cold NewPlan(spec).
 func adaptToSpec(plan *Plan, spec Spec) (*Plan, error) {
-	nonce, err := fabric.ReadNonce(spec.Golden, plan.patch.bits)
+	nonce, err := fabric.ReadNonce(spec.Golden, plan.tmpl.bits)
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,16 @@ package attestation_test
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"sacha/internal/attestation"
+	"sacha/internal/channel"
 	"sacha/internal/core"
 	"sacha/internal/device"
 	"sacha/internal/netlist"
+	"sacha/internal/protocol"
 )
 
 // diffSpec builds the golden image for one nonce and wraps it in a Spec
@@ -35,27 +38,35 @@ func diffSpec(t testing.TB, geo *device.Geometry, nonce uint64, offset, batch in
 // plan to nonce n (Plan.WithNonce) produces exactly the artifacts a cold
 // NewPlan would build from a golden image placed at n — same wire bytes,
 // same readback order, same comparison frames — as witnessed by the
-// plan fingerprint. Covers plain (masked) and CAPTURE (predicted) modes
-// and batch boundaries that mix application and nonce frames in one
-// configuration packet.
+// plan fingerprint. Covers plain (masked) and CAPTURE (predicted) modes,
+// batch sizes that do and do not divide the base and nonce frame counts,
+// and Compress+Delta plans (compressed packets, scan expectations).
 func TestDifferentialPatchedEqualsColdBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := []struct {
-		geo    *device.Geometry
-		offset int
-		batch  int
-		steps  uint32
+		geo           *device.Geometry
+		offset        int
+		batch         int
+		steps         uint32
+		compressDelta bool
 	}{
-		{device.TinyLX(), 0, 1, 0},
-		{device.TinyLX(), 7, 3, 0},   // batch straddles the app/nonce frame boundary
-		{device.TinyLX(), 13, 4, 0},  // max batch
-		{device.TinyLX(), 0, 1, 5},   // CAPTURE: predicted frames, no mask
-		{device.TinyLX(), 3, 4, 2},   // CAPTURE + batching
-		{device.SmallLX(), 11, 2, 0}, // second geometry
+		{device.TinyLX(), 0, 1, 0, false},
+		{device.TinyLX(), 7, 3, 0, false},   // batch leaves a short last packet in base and step
+		{device.TinyLX(), 13, 4, 0, false},  // max batch
+		{device.TinyLX(), 0, 1, 5, false},   // CAPTURE: predicted frames, no mask
+		{device.TinyLX(), 3, 4, 2, false},   // CAPTURE + batching
+		{device.SmallLX(), 11, 2, 0, false}, // second geometry
+		{device.TinyLX(), 0, 1, 0, true},    // compressed packets + delta scan
+		{device.SmallLX(), 5, 4, 0, true},
+	}
+	spec := func(geo *device.Geometry, nonce uint64, offset, batch int, steps uint32, compressDelta bool) attestation.Spec {
+		s := diffSpec(t, geo, nonce, offset, batch, steps)
+		s.Compress, s.Delta = compressDelta, compressDelta
+		return s
 	}
 	for _, tc := range cases {
 		baseNonce := rng.Uint64()
-		base, err := attestation.NewPlan(diffSpec(t, tc.geo, baseNonce, tc.offset, tc.batch, tc.steps))
+		base, err := attestation.NewPlan(spec(tc.geo, baseNonce, tc.offset, tc.batch, tc.steps, tc.compressDelta))
 		if err != nil {
 			t.Fatalf("%s offset=%d batch=%d steps=%d: base build: %v", tc.geo.Name, tc.offset, tc.batch, tc.steps, err)
 		}
@@ -71,13 +82,13 @@ func TestDifferentialPatchedEqualsColdBuild(t *testing.T) {
 			if got := patched.Nonce(); got != n {
 				t.Fatalf("patched plan reports nonce %#x, want %#x", got, n)
 			}
-			cold, err := attestation.NewPlan(diffSpec(t, tc.geo, n, tc.offset, tc.batch, tc.steps))
+			cold, err := attestation.NewPlan(spec(tc.geo, n, tc.offset, tc.batch, tc.steps, tc.compressDelta))
 			if err != nil {
 				t.Fatalf("cold build at %#x: %v", n, err)
 			}
 			if patched.Fingerprint() != cold.Fingerprint() {
-				t.Fatalf("%s offset=%d batch=%d steps=%d nonce=%#x: patched plan differs from cold build",
-					tc.geo.Name, tc.offset, tc.batch, tc.steps, n)
+				t.Fatalf("%s offset=%d batch=%d steps=%d compress+delta=%v nonce=%#x: patched plan differs from cold build",
+					tc.geo.Name, tc.offset, tc.batch, tc.steps, tc.compressDelta, n)
 			}
 		}
 	}
@@ -211,5 +222,64 @@ func TestConcurrentWithNonceSharedBase(t *testing.T) {
 	wg.Wait()
 	if base.Fingerprint() != baseFP {
 		t.Fatal("concurrent patches mutated the shared base plan")
+	}
+}
+
+// TestDifferentialTransmissionOrderLeavesSameDevice: a plan sends the
+// nonce frames last, after every other dynamic frame, while
+// Spec.DynFrames may interleave them. The order must not show on the
+// device: one configured frame by frame in DynFrames order through its
+// handler ends bit-identical — configuration memory and every frame's
+// readback — to one configured by a Run of the plan, for plain and
+// compressed plans at ConfigBatch 1 and 4.
+func TestDifferentialTransmissionOrderLeavesSameDevice(t *testing.T) {
+	for _, geo := range []*device.Geometry{device.TinyLX(), device.SmallLX()} {
+		golden, dyn, err := core.BuildGolden(geo, netlist.Blinker(8), 0xD00D, 0x0DD5EED)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reference := newDevice(t, geo)
+		h := reference.Handler()
+		for _, f := range dyn {
+			wire, err := protocol.Config(f, golden.Frame(f)).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h(wire); err != nil {
+				t.Fatalf("%s: configuring frame %d: %v", geo.Name, f, err)
+			}
+		}
+		for _, compress := range []bool{false, true} {
+			for _, batch := range []int{1, 4} {
+				plan, err := attestation.NewPlan(attestation.Spec{Geo: geo, Golden: golden, DynFrames: dyn,
+					ConfigBatch: batch, Compress: compress})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dev := newDevice(t, geo)
+				ep := channel.NewInline(dev.Handler(), channel.SimConfig{})
+				rep, err := plan.Run(ep, attestation.RunOpts{Key: runKey})
+				ep.Close()
+				if err != nil || !rep.Accepted || rep.Compressed != compress {
+					t.Fatalf("%s compress=%v batch=%d: run %+v, err %v", geo.Name, compress, batch, rep, err)
+				}
+				for idx := 0; idx < geo.NumFrames(); idx++ {
+					if !slices.Equal(dev.Fabric.Mem.Frame(idx), reference.Fabric.Mem.Frame(idx)) {
+						t.Fatalf("%s compress=%v batch=%d: frame %d memory differs from DynFrames-order configuration", geo.Name, compress, batch, idx)
+					}
+					got, err := dev.Fabric.ReadbackFrame(idx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := reference.Fabric.ReadbackFrame(idx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s compress=%v batch=%d: frame %d reads back differently from DynFrames-order configuration", geo.Name, compress, batch, idx)
+					}
+				}
+			}
+		}
 	}
 }

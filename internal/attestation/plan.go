@@ -16,15 +16,20 @@
 //     enrolled key, and the report. Runs are cheap; nothing in the Run
 //     path touches the fabric model or re-encodes a frame.
 //
-// The nonce is a per-session input of every Plan: NewPlan records where
-// the placed nonce register's bits live, and Plan.WithNonce re-derives
-// the nonce-dependent packets and comparison frames for a fresh nonce
-// in O(nonce column), bit-identical to a cold build at that nonce. The
-// MAC state lives in the Run because it is keyed per device.
+// The nonce is a per-session input of every Plan. A plan is a nonce-free
+// base shared by every nonce plus one small nonce step: the packets of
+// the frames that carry the placed nonce register, which a Run sends
+// last (the second configuration step of Fig. 8), and those frames'
+// comparison frames. NewPlan builds the step at the golden image's own
+// nonce and Plan.WithNonce at a fresh one, through the same code, so a
+// patched plan equals a cold build at its nonce by construction and
+// costs O(nonce column). The MAC state lives in the Run because it is
+// keyed per device.
 package attestation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sacha/internal/compress"
@@ -63,7 +68,8 @@ type Spec struct {
 	// follow that layout. Every nonce frame must be in DynFrames.
 	Golden *fabric.Image
 	// DynFrames lists the dynamic frames to configure, in transmission
-	// order.
+	// order, except that the frames carrying nonce-register bits always
+	// travel last, in their DynFrames order (the nonce step).
 	DynFrames []int
 	// Offset is the starting frame address i of the ascending modular
 	// readback order (paper Fig. 9). Ignored if Permutation is set.
@@ -94,10 +100,10 @@ type Spec struct {
 	// outcome.
 	Compress bool
 	// Delta precomputes the artifacts of the delta configuration mode:
-	// pre-encoded MsgScan probes over the dynamic frames, the raw
-	// expected scan readback, and rewrite packets covering exactly the
-	// nonce-register frames (the only frames that legitimately differ
-	// between a healthy device and a fresh golden image). Every Run of
+	// pre-encoded MsgScan probes over the dynamic frames and the raw
+	// expected scan readback. An applied delta rewrites exactly the
+	// nonce step (the only frames that legitimately differ between a
+	// healthy device and a fresh golden image). Every Run of
 	// the plan negotiates the scan capability and runs delta when
 	// RunOpts.DeltaWarm asserts admissibility, falling back to the full
 	// overwrite otherwise (Report.Delta). Delta mode requires
@@ -123,12 +129,17 @@ type scanStep struct {
 
 // Plan is the immutable, concurrency-safe fleet-shared half of an
 // attestation: build it once per (golden image, geometry, options) and
-// drive any number of concurrent Runs from it.
+// drive any number of concurrent Runs from it. Every field but step is
+// the nonce-free base, shared by pointer between a plan and every plan
+// WithNonce derives from it.
 type Plan struct {
 	geo   *device.Geometry
 	model *timing.Model
 
+	// configs cover DynFrames minus the nonce frames, batch frames per
+	// packet; the nonce frames' packets are in step.
 	configs                     []configStep
+	batch                       int
 	dynFirst, dynLast, dynCount int
 
 	appSteps    uint32
@@ -142,12 +153,14 @@ type Plan struct {
 
 	// expected[idx] is what frame idx must read back as, after the
 	// per-mode normalisation: masked golden words, or the raw predicted
-	// words in CAPTURE mode. mask is nil in CAPTURE mode (raw compare).
+	// words in CAPTURE mode; nil for a nonce frame, whose expectation is
+	// in step. mask is nil in CAPTURE mode (raw compare).
 	expected [][]uint32
 	mask     *fabric.Image
 
-	// patch carries the nonce-patching state WithNonce works from.
-	patch *noncePatchState
+	// tmpl locates the nonce register; step is this plan's nonce step.
+	tmpl *nonceTemplate
+	step *nonceStep
 
 	// Capability-negotiated artifacts (Spec.Compress / Spec.Delta); all
 	// nil when the spec requested neither.
@@ -162,15 +175,10 @@ type Plan struct {
 	// (predicted post-configuration readback: memory bits plus held
 	// flip-flop state — a *raw* comparison, unlike the masked verdict,
 	// because skipping a rewrite is only sound if the frame is
-	// bit-identical to what a full overwrite would have left).
+	// bit-identical to what a full overwrite would have left). Nonce
+	// frames are always rewritten, so their entries are nil.
 	scanSteps    []scanStep
 	scanExpected [][]uint32
-	// deltaSteps / deltaStepsC are the pre-encoded rewrite packets
-	// covering exactly the nonce frames (patch.frames): the only frames
-	// that legitimately differ between a healthy device configured at
-	// the previous nonce and this plan's golden image.
-	deltaSteps  []configStep
-	deltaStepsC []configStep
 }
 
 // NewPlan validates the spec and precomputes every fleet-invariant
@@ -211,6 +219,7 @@ func NewPlan(spec Spec) (*Plan, error) {
 	p := &Plan{
 		geo:           spec.Geo,
 		model:         timing.NewModel(spec.Geo),
+		batch:         min(max(spec.ConfigBatch, 1), MaxConfigBatch),
 		dynFirst:      spec.DynFrames[0],
 		dynLast:       spec.DynFrames[len(spec.DynFrames)-1],
 		dynCount:      len(spec.DynFrames),
@@ -219,26 +228,33 @@ func NewPlan(spec Spec) (*Plan, error) {
 		signatureMode: spec.SignatureMode,
 	}
 
-	if err := p.initNoncePatch(spec); err != nil {
+	var nonce uint64
+	if p.tmpl, nonce, err = newNonceTemplate(spec); err != nil {
 		return nil, err
 	}
 
-	// Configuration packets, one frame per packet or batched (§6.1).
-	batch := min(max(spec.ConfigBatch, 1), MaxConfigBatch)
-	if p.configs, err = p.encodeSteps(spec.Golden, spec.DynFrames, batch, tgtConfig); err != nil {
+	// Base configuration packets over every dynamic frame but the nonce
+	// frames: one frame per packet or batched (§6.1), and under
+	// Spec.Compress also 16 frames per packet behind one compress.Encode
+	// stream.
+	var base []int
+	for _, f := range spec.DynFrames {
+		if p.tmpl.slot[f] < 0 {
+			base = append(base, f)
+		}
+	}
+	goldenWords := func(i int) []uint32 { return spec.Golden.Frame(base[i]) }
+	if p.configs, err = encodeSteps(base, goldenWords, p.batch, false); err != nil {
 		return nil, err
 	}
-
-	// Compressed configuration batches (Spec.Compress): same frames,
-	// same order, 16 frames per packet behind one compress.Encode stream.
 	if spec.Compress {
-		if p.configsC, err = p.encodeSteps(spec.Golden, spec.DynFrames, CompressBatch, tgtConfigC); err != nil {
+		if p.configsC, err = encodeSteps(base, goldenWords, CompressBatch, true); err != nil {
 			return nil, err
 		}
 	}
 
-	// Delta-mode artifacts (Spec.Delta): scan probes, the raw expected
-	// scan readback, and the nonce-frame rewrite packets.
+	// Delta-mode artifacts (Spec.Delta): scan probes and the raw
+	// expected scan readback.
 	if spec.Delta {
 		if err := p.initDelta(spec); err != nil {
 			return nil, err
@@ -286,7 +302,9 @@ func NewPlan(spec Spec) (*Plan, error) {
 	// once here — the full fabric rebuild plus AppSteps clock ticks that
 	// the pre-plan verifier paid on every attestation. Plain mode masks
 	// the golden frames once. Either way the Plan owns fresh slices: it
-	// holds no live reference into the caller's golden image.
+	// holds no live reference into the caller's golden image. The
+	// prediction also yields the nonce frames' comparison frames, which
+	// check the nonce step below and then leave the base.
 	p.expected = make([][]uint32, n)
 	if spec.AppSteps > 0 {
 		pred, err := predict(spec.Geo, spec.Golden, spec.AppSteps)
@@ -306,49 +324,62 @@ func NewPlan(spec Spec) (*Plan, error) {
 			p.expected[idx] = fabric.ApplyMask(spec.Golden.Frame(idx), p.mask.Frame(idx))
 		}
 	}
-	// Re-derive the nonce-dependent artifacts through the patch path at
-	// the built nonce and demand bit-identity with the cold build above.
-	// This pins WithNonce's correctness at build time: if the golden
-	// image's nonce partition is not the assumed hold-register layout,
-	// the spec is rejected instead of producing plans that drift from
-	// cold builds at other nonces.
-	if err := p.verifyPatchBase(); err != nil {
+	// The nonce step at the golden image's own nonce, built by the code
+	// WithNonce runs. Its comparison frames must equal the cold ones
+	// just computed: if the golden image's nonce partition is not the
+	// assumed held-register layout, the spec is rejected here instead of
+	// producing plans that drift from cold builds at other nonces.
+	if p.step, err = p.stepAt(nonce); err != nil {
 		return nil, err
+	}
+	for j, f := range p.tmpl.frames {
+		if !slices.Equal(p.step.expected[j], p.expected[f]) {
+			return nil, fmt.Errorf("attestation: spec rejected: expected frame %d re-derives differently — nonce partition is not a held nonce register", f)
+		}
+		p.expected[f] = nil
 	}
 	return p, nil
 }
 
-// encodeConfigPacket pre-encodes one configuration packet covering
-// frames, with wordsAt(k, frame) supplying the words of the k-th frame.
-// Plain packets use ICAP_config (single frame) or ICAP_config_batch;
-// compressed packets concatenate the words behind one compress.Encode
-// stream (ICAP_config_batch_c).
-func encodeConfigPacket(frames []int, wordsAt func(k, frame int) []uint32, compressed bool) ([]byte, error) {
-	var m *protocol.Message
-	switch {
-	case compressed:
-		m = &protocol.Message{Type: protocol.MsgICAPConfigBatchC}
-		all := make([]uint32, 0, len(frames)*device.FrameWords)
-		for k, f := range frames {
-			m.Frames = append(m.Frames, uint32(f))
-			all = append(all, wordsAt(k, f)...)
+// encodeSteps pre-encodes frames, in order, as configuration packets of
+// at most size frames each, with words(i) supplying the words of
+// frames[i]. Plain packets use ICAP_config (single frame) or
+// ICAP_config_batch; compressed packets concatenate the words behind
+// one compress.Encode stream (ICAP_config_batch_c).
+func encodeSteps(frames []int, words func(i int) []uint32, size int, compressed bool) ([]configStep, error) {
+	var steps []configStep
+	for start := 0; start < len(frames); start += size {
+		end := min(start+size, len(frames))
+		var m *protocol.Message
+		switch {
+		case compressed:
+			m = &protocol.Message{Type: protocol.MsgICAPConfigBatchC}
+			all := make([]uint32, 0, (end-start)*device.FrameWords)
+			for i := start; i < end; i++ {
+				m.Frames = append(m.Frames, uint32(frames[i]))
+				all = append(all, words(i)...)
+			}
+			m.Comp = compress.Encode(all)
+		case end-start == 1:
+			m = protocol.Config(frames[start], words(start))
+		default:
+			m = &protocol.Message{Type: protocol.MsgICAPConfigBatch}
+			for i := start; i < end; i++ {
+				m.Batch = append(m.Batch, protocol.FrameRecord{Index: uint32(frames[i]), Words: words(i)})
+			}
 		}
-		m.Comp = compress.Encode(all)
-	case len(frames) == 1:
-		m = protocol.Config(frames[0], wordsAt(0, frames[0]))
-	default:
-		m = &protocol.Message{Type: protocol.MsgICAPConfigBatch}
-		for k, f := range frames {
-			m.Batch = append(m.Batch, protocol.FrameRecord{Index: uint32(f), Words: wordsAt(k, f)})
+		wire, err := m.Encode()
+		if err != nil {
+			return nil, err
 		}
+		steps = append(steps, configStep{wire: wire, first: frames[start], count: end - start})
 	}
-	return m.Encode()
+	return steps, nil
 }
 
-// initDelta precomputes the delta-mode artifacts: the scan probes, the
-// raw expected scan readback, the nonce-frame set and the rewrite
-// packets covering it. Called by NewPlan after initNoncePatch and the
-// full-overwrite packets.
+// initDelta precomputes the delta-mode artifacts: the scan probes and
+// the raw expected scan readback of every dynamic frame outside the
+// nonce step.
 func (p *Plan) initDelta(spec Spec) error {
 	// Scan probes: 16 frames per round trip over the dynamic frames.
 	for start := 0; start < len(spec.DynFrames); start += CompressBatch {
@@ -380,7 +411,7 @@ func (p *Plan) initDelta(spec Spec) error {
 	}
 	p.scanExpected = make([][]uint32, spec.Geo.NumFrames())
 	for _, idx := range spec.DynFrames {
-		if p.scanExpected[idx] != nil {
+		if p.scanExpected[idx] != nil || p.tmpl.slot[idx] >= 0 {
 			continue
 		}
 		w, err := pred.ReadbackFrame(idx)
@@ -389,42 +420,7 @@ func (p *Plan) initDelta(spec Spec) error {
 		}
 		p.scanExpected[idx] = w
 	}
-
-	// The expected-delta set: exactly the frames carrying nonce-register
-	// bits (init or capture), already collected by initNoncePatch in
-	// transmission order. They are the only frames that legitimately
-	// differ between a healthy device configured at the previous nonce
-	// and this plan's golden image, so the rewrite packets cover them
-	// unconditionally — a delta run never encodes a packet at runtime.
-	if p.deltaSteps, err = p.encodeSteps(spec.Golden, p.patch.frames, MaxConfigBatch, tgtDelta); err != nil {
-		return err
-	}
-	if spec.Compress {
-		if p.deltaStepsC, err = p.encodeSteps(spec.Golden, p.patch.frames, CompressBatch, tgtDeltaC); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// encodeSteps pre-encodes frames, in order, as configuration packets of
-// at most size frames each — compressed for the tgtConfigC/tgtDeltaC
-// targets — and registers every packet with the patch state under
-// target.
-func (p *Plan) encodeSteps(golden *fabric.Image, frames []int, size, target int) ([]configStep, error) {
-	compressed := target == tgtConfigC || target == tgtDeltaC
-	goldenWords := func(_ int, f int) []uint32 { return golden.Frame(f) }
-	var steps []configStep
-	for start := 0; start < len(frames); start += size {
-		chunk := frames[start:min(start+size, len(frames))]
-		wire, err := encodeConfigPacket(chunk, goldenWords, compressed)
-		if err != nil {
-			return nil, err
-		}
-		p.recordPatchStep(golden, target, len(steps), chunk)
-		steps = append(steps, configStep{wire: wire, first: chunk[0], count: len(chunk)})
-	}
-	return steps, nil
 }
 
 // readbackOrder expands offset/permutation into the concrete frame order
@@ -493,8 +489,9 @@ func (p *Plan) Order() []int {
 	return out
 }
 
-// ConfigPackets returns the number of pre-encoded configuration packets.
-func (p *Plan) ConfigPackets() int { return len(p.configs) }
+// ConfigPackets returns the number of plain configuration packets a
+// full overwrite sends: the base packets plus the nonce step's.
+func (p *Plan) ConfigPackets() int { return len(p.configs) + len(p.step.configs) }
 
 // DeltaRewriteFrames returns the frames an applied delta run rewrites —
 // the nonce-register frames — in ascending order; nil for plans built
@@ -503,7 +500,7 @@ func (p *Plan) DeltaRewriteFrames() []int {
 	if p.scanSteps == nil {
 		return nil
 	}
-	out := append([]int(nil), p.patch.frames...)
+	out := append([]int(nil), p.tmpl.frames...)
 	sort.Ints(out)
 	return out
 }

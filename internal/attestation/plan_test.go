@@ -105,18 +105,31 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 }
 
+// TestConfigBatching: the base and the nonce step are batched apart, so
+// a full overwrite sends ⌈base/b⌉ + ⌈nonce/b⌉ packets.
 func TestConfigBatching(t *testing.T) {
 	geo := device.TinyLX()
 	golden := fabric.NewImage(geo)
 	dyn := fabric.DynRegion(geo).Frames()
-	ceil := func(a, b int) int { return (a + b - 1) / b }
+	refs, err := fabric.NonceTemplate(geo, fabric.NonceBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonceFrames := map[int]bool{}
+	for _, ref := range refs {
+		nonceFrames[ref.InitFrame] = true
+		nonceFrames[ref.CapFrame] = true
+	}
+	nonce := len(nonceFrames)
+	base := len(dyn) - nonce
+	packets := func(b int) int { return (base+b-1)/b + (nonce+b-1)/b }
 	cases := []struct {
 		batch, wantPackets int
 	}{
 		{0, len(dyn)},
 		{1, len(dyn)},
-		{3, ceil(len(dyn), 3)},
-		{99, ceil(len(dyn), MaxConfigBatch)}, // clamped to the MTU bound
+		{3, packets(3)},
+		{99, packets(MaxConfigBatch)}, // clamped to the MTU bound
 	}
 	for _, tc := range cases {
 		p, err := NewPlan(Spec{Geo: geo, Golden: golden, DynFrames: dyn, ConfigBatch: tc.batch})

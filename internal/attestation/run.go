@@ -239,16 +239,23 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	useCompress := caps&protocol.CapCompress != 0
 	rep.Compressed = useCompress
 
-	// sendConfigs ships one pre-encoded packet sequence. The plain
-	// protocol does not answer configuration packets; the reliable
-	// transport acknowledges each one, so a dropped frame is re-sent
-	// instead of silently producing a mis-configured device and a false
-	// mismatch verdict.
-	sendConfigs := func(steps []configStep, format string, compressed bool) error {
-		return sess.exchange(len(steps), func(k int) ([]byte, opLabel) {
-			return steps[k].wire, opLabel{format, steps[k].first}
+	// sendConfigs ships the base packets, then the nonce step's, as one
+	// pre-encoded packet sequence. The plain protocol does not answer
+	// configuration packets; the reliable transport acknowledges each
+	// one, so a dropped frame is re-sent instead of silently producing a
+	// mis-configured device and a false mismatch verdict.
+	sendConfigs := func(base, step []configStep, format string, compressed bool) error {
+		at := func(k int) configStep {
+			if k < len(base) {
+				return base[k]
+			}
+			return step[k-len(base)]
+		}
+		return sess.exchange(len(base)+len(step), func(k int) ([]byte, opLabel) {
+			cs := at(k)
+			return cs.wire, opLabel{format, cs.first}
 		}, false, func(k int, resp *protocol.Message) error {
-			cs := steps[k]
+			cs := at(k)
 			if resp != nil && resp.Type != protocol.MsgAck {
 				return fmt.Errorf("verifier: %s answered with %v (%s)", opLabel{format, cs.first}, resp.Type, resp.Err)
 			}
@@ -263,8 +270,8 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 
 	// Phase 1: dynamic configuration — the verifier overwrites the
 	// entire DynMem (bounded-memory model) with the plan's pre-encoded
-	// packets, or, in delta mode, scans first and rewrites only the
-	// nonce-register frames when every other dynamic frame is proven
+	// packets, the nonce step last, or, in delta mode, scans first and
+	// sends only the nonce step when every other dynamic frame is proven
 	// bit-identical to the post-overwrite state (DESIGN.md §13). The
 	// delta path never skips silently: any reason it cannot run lands in
 	// Report.Delta.Fallback and the full overwrite runs instead.
@@ -294,11 +301,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	}
 	if useDelta {
 		rep.Delta.Applied = true
-		steps, format := p.deltaSteps, "ICAP_config_delta(%d)"
+		steps, format := p.step.configs, "ICAP_config_delta(%d)"
 		if useCompress {
-			steps, format = p.deltaStepsC, "ICAP_config_delta_c(%d)"
+			steps, format = p.step.configsC, "ICAP_config_delta_c(%d)"
 		}
-		if err := sendConfigs(steps, format, useCompress); err != nil {
+		if err := sendConfigs(nil, steps, format, useCompress); err != nil {
 			return nil, err
 		}
 		rep.Delta.FramesRewritten = rep.FramesConfigured
@@ -313,11 +320,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			sp.Event(milestoneDeltaFallback, -1, 0,
 				"delta: falling back to full overwrite ("+rep.Delta.Fallback+")")
 		}
-		configs, format := p.configs, "ICAP_config(%d)"
+		base, step, format := p.configs, p.step.configs, "ICAP_config(%d)"
 		if useCompress {
-			configs, format = p.configsC, "ICAP_config_batch_c(%d)"
+			base, step, format = p.configsC, p.step.configsC, "ICAP_config_batch_c(%d)"
 		}
-		if err := sendConfigs(configs, format, useCompress); err != nil {
+		if err := sendConfigs(base, step, format, useCompress); err != nil {
 			return nil, err
 		}
 		if sp != nil {
@@ -450,10 +457,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 }
 
 // deltaScan runs the delta-mode probe phase: read back every dynamic
-// frame raw (MAC-free) and compare it against the plan's predicted
-// post-configuration readback. Frames outside the nonce set that differ
-// land in rep.Delta.Unexpected — the caller falls back to the full
-// overwrite when that list is non-empty.
+// frame raw (MAC-free) and compare every frame outside the nonce step
+// against the plan's predicted post-configuration readback. Frames that
+// differ land in rep.Delta.Unexpected — the caller falls back to the
+// full overwrite when that list is non-empty. Nonce frames are rewritten
+// either way, so their content is not compared.
 func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB, wireB *int) error {
 	return sess.exchange(len(p.scanSteps), func(k int) ([]byte, opLabel) {
 		return p.scanSteps[k].wire, opLabel{"Scan(%d..)", p.scanSteps[k].frames[0]}
@@ -480,16 +488,10 @@ func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB
 			if resp.Frames[j] != uint32(f) {
 				return fmt.Errorf("verifier: scan answered frame %d at position %d, asked %d", resp.Frames[j], j, f)
 			}
-			got := words[j*device.FrameWords : (j+1)*device.FrameWords]
-			exp := p.scanExpected[f]
 			rep.Delta.FramesScanned++
-			for w := range got {
-				if got[w] != exp[w] {
-					if _, nonce := p.patch.frameAt[f]; !nonce {
-						rep.Delta.Unexpected = append(rep.Delta.Unexpected, f)
-					}
-					break
-				}
+			got := words[j*device.FrameWords : (j+1)*device.FrameWords]
+			if p.tmpl.slot[f] < 0 && !slices.Equal(got, p.scanExpected[f]) {
+				rep.Delta.Unexpected = append(rep.Delta.Unexpected, f)
 			}
 		}
 		return nil
@@ -556,11 +558,20 @@ func (s *frameScratch) frameWords(idx int, resp *protocol.Message) ([]uint32, er
 	return words, nil
 }
 
+// expectedFrame returns what frame idx must read back as: the nonce
+// step's frame for a nonce frame, the base's for every other.
+func (p *Plan) expectedFrame(idx int) []uint32 {
+	if s := p.tmpl.slot[idx]; s >= 0 {
+		return p.step.expected[s]
+	}
+	return p.expected[idx]
+}
+
 // frameMatches reports whether read-back frame idx equals the plan's
 // expectation, after masking the capture bits with Msk when the plan
 // has a mask.
 func (p *Plan) frameMatches(idx int, words []uint32) bool {
-	want := p.expected[idx]
+	want := p.expectedFrame(idx)
 	if p.mask == nil {
 		return slices.Equal(words, want)
 	}

@@ -25,6 +25,14 @@ var runKey = prover.RegisterKey{3, 1, 4, 1, 5}
 // plan targets (same boot memory, same key).
 func newProver(t testing.TB, geo *device.Geometry) channel.Endpoint {
 	t.Helper()
+	vrfEP := channel.NewInline(newDevice(t, geo).Handler(), channel.SimConfig{})
+	t.Cleanup(func() { vrfEP.Close() })
+	return vrfEP
+}
+
+// newDevice boots one powered-on device of the tests' fleet class.
+func newDevice(t testing.TB, geo *device.Geometry) *prover.Device {
+	t.Helper()
 	dev, err := prover.New(prover.Config{
 		Geo:     geo,
 		BootMem: core.BuildBootMem(geo, 0xD00D),
@@ -36,9 +44,7 @@ func newProver(t testing.TB, geo *device.Geometry) channel.Endpoint {
 	if err := dev.PowerOn(); err != nil {
 		t.Fatal(err)
 	}
-	vrfEP := channel.NewInline(dev.Handler(), channel.SimConfig{})
-	t.Cleanup(func() { vrfEP.Close() })
-	return vrfEP
+	return dev
 }
 
 func buildPlan(t testing.TB, appSteps uint32) *attestation.Plan {

@@ -165,24 +165,34 @@ func (d *Daemon) Tracker() *obs.SweepTracker { return d.tracker }
 
 // Run blocks until ctx ends, firing scheduled sweeps in the meantime,
 // then drains: the control API refuses new sweeps with 503, the
-// in-flight sweep finishes (bounded by DrainGrace), and Run returns
-// once no sweep, and so no session, is left.
+// scheduler stops firing, the in-flight sweep finishes (bounded by
+// DrainGrace, whichever trigger started it), and Run returns once no
+// sweep, and so no session, is left.
 func (d *Daemon) Run(ctx context.Context) {
+	schCtx, stopScheduler := context.WithCancel(context.Background())
 	sch := scheduler.New(d.cfg.Scheduler, registry.Classes(d.cfg.Registry),
-		func(ctx context.Context, tr scheduler.Trigger) {
-			d.Sweep(ctx, "scheduled", tr.Class)
+		func(_ context.Context, tr scheduler.Trigger) {
+			// Like an async API sweep, a scheduled sweep ends only with
+			// the daemon's stop, so the drain grace covers it too.
+			d.sweep(context.Background(), triggerScheduled, tr.Class, sweepSpec{}, nil)
 		})
-	sch.Run(ctx) // returns immediately when no cadence is enabled
+	scheduled := make(chan struct{})
+	go func() {
+		defer close(scheduled)
+		sch.Run(schCtx) // returns immediately when no cadence is enabled
+	}()
 	<-ctx.Done()
-	d.drain()
+	d.drain(stopScheduler)
+	<-scheduled
 }
 
-// drain refuses new sweeps and waits for the admitted ones, cancelling
-// them once DrainGrace passes.
-func (d *Daemon) drain() {
+// drain refuses new sweeps, stops the scheduler and waits for the
+// admitted sweeps, cancelling them once DrainGrace passes.
+func (d *Daemon) drain(stopScheduler context.CancelFunc) {
 	d.mu.Lock()
 	d.draining = true
 	d.mu.Unlock()
+	stopScheduler()
 	grace := d.cfg.DrainGrace
 	obs.Logger().Info("fleetd draining", "grace", grace)
 	if grace > 0 {
@@ -198,6 +208,19 @@ func (d *Daemon) drain() {
 // draining daemon refuses with an error.
 func (d *Daemon) Sweep(ctx context.Context, trigger, class string) (SweepRecord, error) {
 	return d.sweep(ctx, trigger, class, sweepSpec{}, nil)
+}
+
+// triggerScheduled is the SweepRecord.Trigger of a scheduler firing.
+const triggerScheduled = "scheduled"
+
+// errDraining refuses a sweep once the drain began.
+var errDraining = errors.New("fleetd: draining, not accepting sweeps")
+
+// isDraining reports whether the drain began.
+func (d *Daemon) isDraining() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.draining
 }
 
 // sweepSpec carries one trigger's overrides of the sweep template —
@@ -221,7 +244,7 @@ func (d *Daemon) sweep(ctx context.Context, trigger, class string, spec sweepSpe
 		if accepted != nil {
 			accepted <- 0
 		}
-		return SweepRecord{}, fmt.Errorf("fleetd: draining, not accepting sweeps")
+		return SweepRecord{}, errDraining
 	}
 	d.nextID++
 	id := d.nextID
@@ -242,9 +265,15 @@ func (d *Daemon) sweep(ctx context.Context, trigger, class string, spec sweepSpe
 	}
 
 	// One sweep at a time: scheduler firings of different classes and
-	// concurrent API triggers queue here instead of interleaving.
+	// concurrent API triggers queue here instead of interleaving. A
+	// scheduled firing that gets here after the drain began is dropped:
+	// the drain finishes the sweeps clients were promised, it starts no
+	// new round.
 	d.sweepMu.Lock()
 	defer d.sweepMu.Unlock()
+	if trigger == triggerScheduled && d.isDraining() {
+		return SweepRecord{}, errDraining
+	}
 
 	cfg := d.cfg.Template
 	cfg.Tracker = d.tracker
@@ -480,10 +509,7 @@ func (d *Daemon) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.nonce = req.Nonce
 	spec.nonceSeed = req.NonceSeed
-	d.mu.Lock()
-	draining := d.draining
-	d.mu.Unlock()
-	if draining {
+	if d.isDraining() {
 		http.Error(w, "draining, not accepting sweeps", http.StatusServiceUnavailable)
 		return
 	}

@@ -17,6 +17,7 @@ import (
 	"sacha/internal/device"
 	"sacha/internal/fleet"
 	"sacha/internal/fleet/registry"
+	"sacha/internal/fleet/scheduler"
 	"sacha/internal/netlist"
 	"sacha/internal/verifier"
 )
@@ -124,6 +125,86 @@ func TestDrainGraceCutsTheSweep(t *testing.T) {
 	if rec.Devices != 3 || rec.Compromised != 0 || rec.Failed != 0 ||
 		rec.Unreachable < 1 || rec.Healthy+rec.Unreachable != 3 {
 		t.Fatalf("cut sweep verdicts: %+v", rec)
+	}
+}
+
+// TestDrainGraceCoversScheduledSweeps: a scheduled sweep gets the same
+// drain grace as an API sweep. Two classes fire on a cadence over a
+// slow link, so one class's sweep runs while the other's firing queues
+// behind it; Run is cancelled mid-sweep. The in-flight sweep must finish
+// with every (honest) device Healthy, the queued firing must neither
+// run nor be recorded, and Run must return once that sweep has ended.
+func TestDrainGraceCoversScheduledSweeps(t *testing.T) {
+	reg, err := registry.New(4, func(id uint64) (*core.System, error) {
+		return core.NewSystem(core.Config{
+			Geo:        device.TinyLX(),
+			App:        netlist.Blinker(8),
+			BuildID:    id%2 + 1, // two classes of two devices
+			KeyMode:    core.KeyStatPUF,
+			DeviceID:   id,
+			LabLatency: -1,
+			Seed:       int64(id),
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	var once sync.Once
+	opts := func(uint64) core.AttestOptions {
+		return core.AttestOptions{WrapVerifierChannel: func(ep channel.Endpoint) channel.Endpoint {
+			once.Do(func() { close(started) })
+			// Lockstep readback over 2 ms each way: a sweep of two
+			// devices takes about a second.
+			return channel.NewDelayEndpoint(ep, 2*time.Millisecond)
+		}}
+	}
+	d := New(Config{
+		Registry:   reg,
+		Template:   fleet.SweepConfig{Concurrency: 1},
+		Scheduler:  scheduler.Config{Default: scheduler.Cadence{Every: 10 * time.Millisecond}},
+		Opts:       opts,
+		DrainGrace: 30 * time.Second,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		d.Run(ctx)
+		close(ran)
+	}()
+	<-started
+	time.Sleep(50 * time.Millisecond) // mid-sweep, both firings admitted
+	drainStart := time.Now()
+	cancel()
+	select {
+	case <-ran:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run did not return after the in-flight sweep")
+	}
+	returned := time.Now()
+
+	d.mu.Lock()
+	records := append([]SweepRecord(nil), d.records...)
+	d.mu.Unlock()
+	if len(records) == 0 {
+		t.Fatal("the in-flight scheduled sweep was not recorded")
+	}
+	for _, rec := range records {
+		if !rec.StartedAt.Before(drainStart) {
+			t.Errorf("sweep %d (%s, class %s) started %v after the drain began",
+				rec.ID, rec.Trigger, rec.Class, rec.StartedAt.Sub(drainStart))
+		}
+		if rec.Err != "" || rec.Devices != 2 || rec.Healthy != 2 {
+			t.Errorf("sweep %d (%s): %+v, want 2 of 2 Healthy", rec.ID, rec.Trigger, rec)
+		}
+	}
+	last := records[len(records)-1]
+	end := last.StartedAt.Add(time.Duration(last.ElapsedNS))
+	if !end.After(drainStart) {
+		t.Fatalf("the last sweep ended before the drain began; the test never cut a sweep")
+	}
+	if returned.Before(end) {
+		t.Fatalf("Run returned %v before the in-flight sweep ended", end.Sub(returned))
 	}
 }
 
