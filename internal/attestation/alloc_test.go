@@ -33,7 +33,7 @@ func BenchmarkFrameAbsorb(b *testing.B) {
 	scratch := make([]byte, 0, device.FrameWords*4)
 
 	if avg := testing.AllocsPerRun(200, func() {
-		scratch = appendFrameBytes(scratch[:0], words)
+		scratch = protocol.AppendWords(scratch[:0], words)
 		mac.Update(scratch)
 		transcript.Absorb(scratch)
 	}); avg != 0 {
@@ -42,7 +42,7 @@ func BenchmarkFrameAbsorb(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = appendFrameBytes(scratch[:0], words)
+		scratch = protocol.AppendWords(scratch[:0], words)
 		mac.Update(scratch)
 		transcript.Absorb(scratch)
 	}
@@ -52,16 +52,12 @@ func BenchmarkFrameAbsorb(b *testing.B) {
 // path at zero allocations per frame: decoding one compressed sendback
 // into the Run's scratch, masking it with Msk and comparing it with the
 // expected frame. It also checks the comparison itself: a flipped
-// capture bit is masked out, any other flipped bit is a mismatch.
+// capture bit is masked out, any other flipped bit is a mismatch. The
+// golden image is random outside the nonce column, which holds the
+// placed nonce register as Spec.Golden requires.
 func TestReadbackCompareNoAlloc(t *testing.T) {
 	geo := device.TinyLX()
-	golden := fabric.NewImage(geo)
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < golden.NumFrames(); i++ {
-		for w := range golden.Frame(i) {
-			golden.Frame(i)[w] = rng.Uint32()
-		}
-	}
+	golden := RandomGolden(t, geo, rand.New(rand.NewSource(12)))
 	p, err := NewPlan(Spec{Geo: geo, Golden: golden, DynFrames: fabric.DynRegion(geo).Frames()})
 	if err != nil {
 		t.Fatal(err)

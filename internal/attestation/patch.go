@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"sacha/internal/device"
 	"sacha/internal/fabric"
 	"sacha/internal/protocol"
 )
@@ -24,8 +25,8 @@ type nonceTemplate struct {
 
 // nonceStep is the per-nonce half of a plan: the second configuration
 // step of Fig. 8 — the nonce frames' packets, at the plan's ConfigBatch
-// and, under Spec.Compress, at CompressBatch — and what those frames
-// must read back as.
+// and, under Spec.Compress, at CompressBatch — and those frames'
+// predicted readback.
 type nonceStep struct {
 	nonce             uint64
 	configs, configsC []configStep
@@ -98,22 +99,15 @@ func (p *Plan) stepAt(nonce uint64) (*nonceStep, error) {
 	for i, ref := range t.bits {
 		setBit(golden, i, ref.InitFrame, ref.InitWord, ref.InitMask)
 	}
+	// Predicted readback: the golden words with the register's state in
+	// its capture bits — the nonce register holds (D=Q), so the captured
+	// state is the nonce itself in every mode, whatever AppSteps.
 	st := &nonceStep{nonce: nonce, expected: make([][]uint32, len(t.frames))}
-	// Comparison frames: plain mode masks the golden words; CAPTURE mode
-	// additionally surfaces the held register state in the capture bits
-	// — the nonce register holds (D=Q), so the captured state is the
-	// nonce itself regardless of AppSteps.
-	for j, f := range t.frames {
-		if p.mask != nil {
-			st.expected[j] = fabric.ApplyMask(golden[j], p.mask.Frame(f))
-		} else {
-			st.expected[j] = slices.Clone(golden[j])
-		}
+	for j, w := range golden {
+		st.expected[j] = slices.Clone(w)
 	}
-	if p.mask == nil {
-		for i, ref := range t.bits {
-			setBit(st.expected, i, ref.CapFrame, ref.CapWord, ref.CapMask)
-		}
+	for i, ref := range t.bits {
+		setBit(st.expected, i, ref.CapFrame, ref.CapWord, ref.CapMask)
 	}
 	words := func(j int) []uint32 { return golden[j] }
 	var err error
@@ -129,7 +123,7 @@ func (p *Plan) stepAt(nonce uint64) (*nonceStep, error) {
 }
 
 // WithNonce returns a plan identical to a cold build against the golden
-// image for nonce — same pre-encoded packets, same comparison frames,
+// image for nonce — same pre-encoded packets, same predicted readback,
 // bit for bit — that shares this plan's nonce-free base and carries a
 // nonce step of its own, built in O(nonce column). The receiver is
 // never mutated, so patched plans are safe to derive and run
@@ -157,11 +151,12 @@ func (p *Plan) WithNonce(nonce uint64) (*Plan, error) {
 func (p *Plan) Nonce() uint64 { return p.step.nonce }
 
 // Fingerprint hashes every artifact a Run consumes: the pre-encoded
-// configuration, app-step, readback and checksum wires, the readback
-// order, the comparison frames and the mask mode. Two plans with equal
-// fingerprints drive byte-identical protocol sessions and apply the
-// same acceptance predicate — the equivalence the differential tests
-// assert between patched and cold-built plans.
+// configuration, app-step and checksum wires, the readback order (which
+// fixes every ICAP_readback command), the predicted readback and the
+// mask mode. Two plans with equal fingerprints drive byte-identical
+// protocol sessions and apply the same acceptance predicate — the
+// equivalence the differential tests assert between patched and
+// cold-built plans.
 func (p *Plan) Fingerprint() [32]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -200,26 +195,11 @@ func (p *Plan) Fingerprint() [32]byte {
 	for _, idx := range p.order {
 		put(uint64(idx))
 	}
-	for _, rb := range p.readbacks {
-		blob(rb)
-	}
 	blob(p.checksumWire)
-	wbuf := make([]byte, 0, 4*81)
-	frame := func(e []uint32) {
-		put(uint64(len(e)))
-		wbuf = wbuf[:0]
-		for _, w := range e {
-			wbuf = binary.BigEndian.AppendUint32(wbuf, w)
-		}
+	wbuf := make([]byte, 0, 4*device.FrameWords)
+	for idx := range p.order {
+		wbuf = protocol.AppendWords(wbuf[:0], p.expectedFrame(idx))
 		h.Write(wbuf)
-	}
-	put(uint64(len(p.expected)))
-	for idx := range p.expected {
-		frame(p.expectedFrame(idx))
-	}
-	put(uint64(len(p.scanExpected)))
-	for _, e := range p.scanExpected {
-		frame(e)
 	}
 	var out [32]byte
 	copy(out[:], h.Sum(nil))

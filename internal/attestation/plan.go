@@ -3,13 +3,12 @@
 //   - Plan — everything derivable from the golden image, the device
 //     geometry and the protocol options alone. A Plan is built once and
 //     is immutable afterwards: the pre-encoded ICAP_config frame/batch
-//     wire messages, the validated readback permutation with its
-//     pre-encoded ICAP_readback commands, the masked golden comparison
-//     frames (or, in CAPTURE mode, the predicted post-step frames), and
-//     the pre-encoded checksum command. Plans are safe to share across
-//     any number of concurrent Runs, so a fleet verifier pays the
-//     O(fabric) golden-image work once per device class instead of once
-//     per device.
+//     wire messages, the validated readback permutation, the predicted
+//     readback every read-back frame is compared against (under Msk, or
+//     raw in CAPTURE mode), and the pre-encoded checksum command. Plans
+//     are safe to share across any number of concurrent Runs, so a fleet
+//     verifier pays the O(fabric) golden-image work once per device
+//     class instead of once per device.
 //
 //   - Run — the per-session remainder: the transport session (sequence
 //     numbers, retries), the CMAC/transcript state keyed by the device's
@@ -20,7 +19,7 @@
 // base shared by every nonce plus one small nonce step: the packets of
 // the frames that carry the placed nonce register, which a Run sends
 // last (the second configuration step of Fig. 8), and those frames'
-// comparison frames. NewPlan builds the step at the golden image's own
+// predicted readback. NewPlan builds the step at the golden image's own
 // nonce and Plan.WithNonce at a fresh one, through the same code, so a
 // patched plan equals a cold build at its nonce by construction and
 // costs O(nonce column). The MAC state lives in the Run because it is
@@ -64,8 +63,11 @@ type Spec struct {
 	// nonce register. The register must be a fabric.NonceBits-wide
 	// netlist.NonceRegister placed first into fabric.NonceRegion (every
 	// core.System golden build is); its value is the plan's initial
-	// nonce, and NewPlan rejects an image whose nonce column does not
-	// follow that layout. Every nonce frame must be in DynFrames.
+	// nonce. NewPlan checks the layout in every mode: the nonce frames'
+	// predicted readback must equal the golden words with the register's
+	// capture bits holding the nonce, so an image whose nonce column
+	// holds anything but the held register is rejected. Every nonce frame
+	// must be in DynFrames.
 	Golden *fabric.Image
 	// DynFrames lists the dynamic frames to configure, in transmission
 	// order, except that the frames carrying nonce-register bits always
@@ -82,9 +84,9 @@ type Spec struct {
 	Permutation []int
 	// AppSteps, if non-zero, clocks the configured application that many
 	// cycles after configuration and verifies the flip-flop state as
-	// well as the configuration (the paper's §8 CAPTURE extension). The
-	// masked comparison is then replaced by a raw comparison against a
-	// verifier-side prediction, computed once at plan build.
+	// well as the configuration (the paper's §8 CAPTURE extension): the
+	// read-back frames are then compared raw against the predicted
+	// readback instead of under Msk.
 	AppSteps uint32
 	// SignatureMode uses the ECDSA extension instead of the MAC.
 	SignatureMode bool
@@ -99,12 +101,12 @@ type Spec struct {
 	// packets; H_Vrf and the verdict are independent of the negotiation
 	// outcome.
 	Compress bool
-	// Delta precomputes the artifacts of the delta configuration mode:
-	// pre-encoded MsgScan probes over the dynamic frames and the raw
-	// expected scan readback. An applied delta rewrites exactly the
-	// nonce step (the only frames that legitimately differ between a
-	// healthy device and a fresh golden image). Every Run of
-	// the plan negotiates the scan capability and runs delta when
+	// Delta pre-encodes the MsgScan probes of the delta configuration
+	// mode over the dynamic frames; the scan compares each frame raw
+	// against the predicted readback. An applied delta rewrites exactly
+	// the nonce step (the only frames that legitimately differ between a
+	// healthy device and a fresh golden image). Every Run of the plan
+	// negotiates the scan capability and runs delta when
 	// RunOpts.DeltaWarm asserts admissibility, falling back to the full
 	// overwrite otherwise (Report.Delta). Delta mode requires
 	// AppSteps == 0: skipping a frame's rewrite also skips the flip-flop
@@ -145,17 +147,20 @@ type Plan struct {
 	appSteps    uint32
 	appStepWire []byte
 
-	order     []int
-	readbacks [][]byte // pre-encoded ICAP_readback, parallel to order
+	order []int
 
 	signatureMode bool
 	checksumWire  []byte
 
-	// expected[idx] is what frame idx must read back as, after the
-	// per-mode normalisation: masked golden words, or the raw predicted
-	// words in CAPTURE mode; nil for a nonce frame, whose expectation is
-	// in step. mask is nil in CAPTURE mode (raw compare).
-	expected [][]uint32
+	// expected is the predicted readback, the plan's one comparison
+	// table: frame idx's words start at idx*device.FrameWords and are
+	// what a device freshly configured with the golden image reads back
+	// after AppSteps clock edges — configuration bits plus every used
+	// flip-flop's state in its capture bit. A nonce frame's entry is
+	// zero; its prediction is in step. The verdict compares under mask
+	// (Msk), which is nil in CAPTURE mode (raw compare); the delta scan
+	// always compares raw.
+	expected []uint32
 	mask     *fabric.Image
 
 	// tmpl locates the nonce register; step is this plan's nonce step.
@@ -169,16 +174,8 @@ type Plan struct {
 	// configsC are the compressed configuration batches, used instead of
 	// configs when a session negotiates CapCompress.
 	configsC []configStep
-	// scanSteps are the pre-encoded MsgScan probes covering DynFrames;
-	// scanExpected[idx] is the raw readback frame idx must scan as on a
-	// device that already holds this plan's golden configuration
-	// (predicted post-configuration readback: memory bits plus held
-	// flip-flop state — a *raw* comparison, unlike the masked verdict,
-	// because skipping a rewrite is only sound if the frame is
-	// bit-identical to what a full overwrite would have left). Nonce
-	// frames are always rewritten, so their entries are nil.
-	scanSteps    []scanStep
-	scanExpected [][]uint32
+	// scanSteps are the pre-encoded MsgScan probes covering DynFrames.
+	scanSteps []scanStep
 }
 
 // NewPlan validates the spec and precomputes every fleet-invariant
@@ -253,10 +250,8 @@ func NewPlan(spec Spec) (*Plan, error) {
 		}
 	}
 
-	// Delta-mode artifacts (Spec.Delta): scan probes and the raw
-	// expected scan readback.
 	if spec.Delta {
-		if err := p.initDelta(spec); err != nil {
+		if p.scanSteps, err = scanProbes(spec.DynFrames); err != nil {
 			return nil, err
 		}
 	}
@@ -281,15 +276,6 @@ func NewPlan(spec Spec) (*Plan, error) {
 		p.appStepWire = wire
 	}
 
-	p.readbacks = make([][]byte, len(order))
-	for k, idx := range order {
-		wire, err := protocol.Readback(idx).Encode()
-		if err != nil {
-			return nil, err
-		}
-		p.readbacks[k] = wire
-	}
-
 	cks := protocol.Checksum()
 	if spec.SignatureMode {
 		cks = &protocol.Message{Type: protocol.MsgSigChecksum}
@@ -298,45 +284,37 @@ func NewPlan(spec Spec) (*Plan, error) {
 		return nil, err
 	}
 
-	// Comparison frames. CAPTURE mode predicts the post-step readback
-	// once here — the full fabric rebuild plus AppSteps clock ticks that
-	// the pre-plan verifier paid on every attestation. Plain mode masks
-	// the golden frames once. Either way the Plan owns fresh slices: it
-	// holds no live reference into the caller's golden image. The
-	// prediction also yields the nonce frames' comparison frames, which
-	// check the nonce step below and then leave the base.
-	p.expected = make([][]uint32, n)
-	if spec.AppSteps > 0 {
-		pred, err := predict(spec.Geo, spec.Golden, spec.AppSteps)
-		if err != nil {
+	// The predicted readback, computed once here: the full fabric rebuild
+	// (plus, in CAPTURE mode, the AppSteps clock ticks) that the pre-plan
+	// verifier paid on every attestation. The plan owns the table: it
+	// holds no live reference into the caller's golden image.
+	pred, err := predict(spec.Geo, spec.Golden, spec.AppSteps)
+	if err != nil {
+		return nil, err
+	}
+	p.expected = make([]uint32, n*device.FrameWords)
+	for idx := 0; idx < n; idx++ {
+		if err := pred.ReadbackFrameInto(idx, p.baseFrame(idx)); err != nil {
 			return nil, err
 		}
-		for idx := 0; idx < n; idx++ {
-			w, err := pred.ReadbackFrame(idx)
-			if err != nil {
-				return nil, err
-			}
-			p.expected[idx] = w
-		}
-	} else {
+	}
+	if spec.AppSteps == 0 {
 		p.mask = fabric.GenerateMask(spec.Geo)
-		for idx := 0; idx < n; idx++ {
-			p.expected[idx] = fabric.ApplyMask(spec.Golden.Frame(idx), p.mask.Frame(idx))
-		}
 	}
 	// The nonce step at the golden image's own nonce, built by the code
-	// WithNonce runs. Its comparison frames must equal the cold ones
-	// just computed: if the golden image's nonce partition is not the
-	// assumed held-register layout, the spec is rejected here instead of
-	// producing plans that drift from cold builds at other nonces.
+	// WithNonce runs. Its predicted frames must equal the cold ones just
+	// computed: if the golden image's nonce partition is not the assumed
+	// held-register layout, the spec is rejected here instead of
+	// producing plans that drift from cold builds at other nonces. The
+	// base then keeps nothing nonce-dependent.
 	if p.step, err = p.stepAt(nonce); err != nil {
 		return nil, err
 	}
 	for j, f := range p.tmpl.frames {
-		if !slices.Equal(p.step.expected[j], p.expected[f]) {
+		if !slices.Equal(p.step.expected[j], p.baseFrame(f)) {
 			return nil, fmt.Errorf("attestation: spec rejected: expected frame %d re-derives differently — nonce partition is not a held nonce register", f)
 		}
-		p.expected[f] = nil
+		clear(p.baseFrame(f))
 	}
 	return p, nil
 }
@@ -345,82 +323,86 @@ func NewPlan(spec Spec) (*Plan, error) {
 // at most size frames each, with words(i) supplying the words of
 // frames[i]. Plain packets use ICAP_config (single frame) or
 // ICAP_config_batch; compressed packets concatenate the words behind
-// one compress.Encode stream (ICAP_config_batch_c).
+// one compress stream (ICAP_config_batch_c). Every packet's wire is a
+// slice of one buffer: presized for plain packets, whose size the frame
+// count fixes, and copied to its final length once for compressed ones.
 func encodeSteps(frames []int, words func(i int) []uint32, size int, compressed bool) ([]configStep, error) {
-	var steps []configStep
+	steps := make([]configStep, 0, (len(frames)+size-1)/size)
+	var buf []byte
+	if !compressed {
+		// Each frame is its index and words; each packet adds at most a
+		// type and a count byte.
+		buf = make([]byte, 0, len(frames)*(4+4*device.FrameWords)+2*cap(steps))
+	}
+	// Scratch reused across packets: AppendEncode copies what it encodes.
+	var batch []protocol.FrameRecord
+	var index, all []uint32
+	var comp []byte
 	for start := 0; start < len(frames); start += size {
 		end := min(start+size, len(frames))
-		var m *protocol.Message
+		var m protocol.Message
 		switch {
 		case compressed:
-			m = &protocol.Message{Type: protocol.MsgICAPConfigBatchC}
-			all := make([]uint32, 0, (end-start)*device.FrameWords)
+			index, all = index[:0], all[:0]
 			for i := start; i < end; i++ {
-				m.Frames = append(m.Frames, uint32(frames[i]))
+				index = append(index, uint32(frames[i]))
 				all = append(all, words(i)...)
 			}
-			m.Comp = compress.Encode(all)
+			comp = compress.AppendEncode(comp[:0], all)
+			m = protocol.Message{Type: protocol.MsgICAPConfigBatchC, Frames: index, Comp: comp}
 		case end-start == 1:
-			m = protocol.Config(frames[start], words(start))
+			m = protocol.Message{Type: protocol.MsgICAPConfig, FrameIndex: uint32(frames[start]), Words: words(start)}
 		default:
-			m = &protocol.Message{Type: protocol.MsgICAPConfigBatch}
+			batch = batch[:0]
 			for i := start; i < end; i++ {
-				m.Batch = append(m.Batch, protocol.FrameRecord{Index: uint32(frames[i]), Words: words(i)})
+				batch = append(batch, protocol.FrameRecord{Index: uint32(frames[i]), Words: words(i)})
 			}
+			m = protocol.Message{Type: protocol.MsgICAPConfigBatch, Batch: batch}
 		}
-		wire, err := m.Encode()
-		if err != nil {
+		from := len(buf)
+		var err error
+		if buf, err = m.AppendEncode(buf); err != nil {
 			return nil, err
 		}
-		steps = append(steps, configStep{wire: wire, first: frames[start], count: end - start})
+		steps = append(steps, configStep{wire: buf[from:], first: frames[start], count: end - start})
+	}
+	if compressed {
+		buf = slices.Clone(buf)
+	}
+	// Re-slice every wire out of the final buffer: a plain buffer never
+	// grew, a compressed one may have moved while it grew.
+	off := 0
+	for i := range steps {
+		n := len(steps[i].wire)
+		steps[i].wire = buf[off : off+n : off+n]
+		off += n
 	}
 	return steps, nil
 }
 
-// initDelta precomputes the delta-mode artifacts: the scan probes and
-// the raw expected scan readback of every dynamic frame outside the
-// nonce step.
-func (p *Plan) initDelta(spec Spec) error {
-	// Scan probes: 16 frames per round trip over the dynamic frames.
-	for start := 0; start < len(spec.DynFrames); start += CompressBatch {
-		end := start + CompressBatch
-		if end > len(spec.DynFrames) {
-			end = len(spec.DynFrames)
+// scanProbes pre-encodes the delta-mode scan probes: CompressBatch
+// frames per round trip over the dynamic frames, every probe's wire a
+// slice of one buffer and its frames a slice of one copy of dyn.
+func scanProbes(dyn []int) ([]scanStep, error) {
+	frames := slices.Clone(dyn)
+	probes := make([]scanStep, 0, (len(dyn)+CompressBatch-1)/CompressBatch)
+	// Each probe is a type and a count byte plus its frame indices.
+	buf := make([]byte, 0, 2*cap(probes)+4*len(dyn))
+	var index []uint32
+	for start := 0; start < len(frames); start += CompressBatch {
+		fs := frames[start:min(start+CompressBatch, len(frames))]
+		index = index[:0]
+		for _, f := range fs {
+			index = append(index, uint32(f))
 		}
-		frames := append([]int(nil), spec.DynFrames[start:end]...)
-		u := make([]uint32, len(frames))
-		for k, f := range frames {
-			u[k] = uint32(f)
+		from := len(buf)
+		var err error
+		if buf, err = protocol.Scan(index).AppendEncode(buf); err != nil {
+			return nil, err
 		}
-		wire, err := protocol.Scan(u).Encode()
-		if err != nil {
-			return err
-		}
-		p.scanSteps = append(p.scanSteps, scanStep{wire: wire, frames: frames})
+		probes = append(probes, scanStep{wire: buf[from:len(buf):len(buf)], frames: fs[:len(fs):len(fs)]})
 	}
-
-	// The raw expected scan readback is the predicted post-configuration
-	// readback: golden memory bits with every used flip-flop's capture
-	// bit holding the flip-flop's init value. Raw equality of a scanned
-	// frame against this is exactly the condition under which skipping
-	// its rewrite leaves the Phase-2 readback bit-identical to a full
-	// overwrite (DESIGN.md §13).
-	pred, err := predict(spec.Geo, spec.Golden, 0)
-	if err != nil {
-		return err
-	}
-	p.scanExpected = make([][]uint32, spec.Geo.NumFrames())
-	for _, idx := range spec.DynFrames {
-		if p.scanExpected[idx] != nil || p.tmpl.slot[idx] >= 0 {
-			continue
-		}
-		w, err := pred.ReadbackFrame(idx)
-		if err != nil {
-			return err
-		}
-		p.scanExpected[idx] = w
-	}
-	return nil
+	return probes, nil
 }
 
 // readbackOrder expands offset/permutation into the concrete frame order
@@ -454,9 +436,10 @@ func readbackOrder(n, offset int, perm []int) ([]int, error) {
 	return out, nil
 }
 
-// predict builds the verifier-side state prediction for the CAPTURE
-// extension: configure a local fabric with the golden image exactly as
-// the device is configured, then clock the dynamic partition.
+// predict builds the verifier-side state prediction: configure a local
+// fabric with the golden image exactly as the device is configured, then
+// clock the dynamic partition steps times (the CAPTURE extension; zero
+// otherwise).
 func predict(geo *device.Geometry, golden *fabric.Image, steps uint32) (*fabric.Fabric, error) {
 	fab := fabric.New(geo)
 	for idx := 0; idx < geo.NumFrames(); idx++ {

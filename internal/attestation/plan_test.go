@@ -2,6 +2,7 @@ package attestation
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,18 +151,15 @@ func TestPlanDoesNotAliasInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]uint32, len(p.expected[0]))
-	copy(want, p.expected[0])
+	want := slices.Clone(p.expectedFrame(0))
 	// Scribbling over the caller's golden image after the build must not
 	// reach the plan — it is shared read-only across concurrent Runs.
 	g := golden.Frame(0)
 	for i := range g {
 		g[i] = 0xDEADBEEF
 	}
-	for i := range want {
-		if p.expected[0][i] != want[i] {
-			t.Fatal("plan aliases the caller's golden image")
-		}
+	if !slices.Equal(p.expectedFrame(0), want) {
+		t.Fatal("plan aliases the caller's golden image")
 	}
 	// Order() hands out copies, not the plan's own slice.
 	o := p.Order()

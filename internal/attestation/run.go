@@ -138,8 +138,9 @@ type Report struct {
 }
 
 // Run drives the full SACHa protocol of Fig. 9 against the prover at the
-// other end of ep, using only the plan's precomputed artifacts: no
-// fabric access, no prediction, no message encoding happens here. One
+// other end of ep, using the plan's precomputed artifacts: no fabric
+// access and no prediction happen here, and the only messages encoded
+// are the 5-byte ICAP_readback commands, into one reused buffer. One
 // Plan may serve any number of concurrent Runs. The session speaks the
 // capabilities the plan pre-encoded (Spec.Compress, Spec.Delta) and
 // nothing else.
@@ -201,7 +202,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 			rawB += device.FrameWords * 4
 			wireB += len(resp.Comp)
 		}
-		scratch.bytes = appendFrameBytes(scratch.bytes[:0], words)
+		scratch.bytes = protocol.AppendWords(scratch.bytes[:0], words)
 		mac.Update(scratch.bytes)
 		if p.signatureMode { // only Sig_checksum reads the transcript
 			transcript.Absorb(scratch.bytes)
@@ -337,7 +338,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 
 	// Optional CAPTURE extension: clock the application deterministically
 	// before reading back. The matching prediction was computed at plan
-	// build and sits in p.expected.
+	// build and is the plan's predicted readback.
 	if p.appStepWire != nil {
 		resp, err := sess.call(p.appStepWire, op("App_step"))
 		if err != nil {
@@ -356,7 +357,11 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 	// so each frame is judged exactly once as the engine delivers it back
 	// in plan order.
 	err = sess.exchange(len(p.order), func(k int) ([]byte, opLabel) {
-		return p.readbacks[k], opLabel{"ICAP_readback(%d)", p.order[k]}
+		// A readback command has no variable-length field: encoding it
+		// cannot fail.
+		m := protocol.Message{Type: protocol.MsgICAPReadback, FrameIndex: uint32(p.order[k])}
+		scratch.cmd, _ = m.AppendEncode(scratch.cmd[:0])
+		return scratch.cmd, opLabel{"ICAP_readback(%d)", p.order[k]}
 	}, true, func(k int, resp *protocol.Message) error {
 		if opts.Timeline != nil {
 			opts.Timeline.Add("vrf-sw", timing.VrfReadbackOverhead())
@@ -490,7 +495,7 @@ func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB
 			}
 			rep.Delta.FramesScanned++
 			got := words[j*device.FrameWords : (j+1)*device.FrameWords]
-			if p.tmpl.slot[f] < 0 && !slices.Equal(got, p.scanExpected[f]) {
+			if p.tmpl.slot[f] < 0 && !slices.Equal(got, p.expectedFrame(f)) {
 				rep.Delta.Unexpected = append(rep.Delta.Unexpected, f)
 			}
 		}
@@ -525,9 +530,12 @@ func recordRun(rep *Report) {
 }
 
 // frameScratch is the per-Run working set of the read-back path: the
+// encoded ICAP_readback command being sent (the engine copies it into
+// its envelope, and an endpoint does not retain what it sends), the
 // frame's big-endian bytes that the MAC and the transcript absorb, and
 // the decoded words of a compressed sendback or scan packet.
 type frameScratch struct {
+	cmd   []byte
 	bytes []byte
 	words []uint32
 }
@@ -558,18 +566,24 @@ func (s *frameScratch) frameWords(idx int, resp *protocol.Message) ([]uint32, er
 	return words, nil
 }
 
-// expectedFrame returns what frame idx must read back as: the nonce
+// expectedFrame returns frame idx's predicted readback: the nonce
 // step's frame for a nonce frame, the base's for every other.
 func (p *Plan) expectedFrame(idx int) []uint32 {
 	if s := p.tmpl.slot[idx]; s >= 0 {
 		return p.step.expected[s]
 	}
-	return p.expected[idx]
+	return p.baseFrame(idx)
 }
 
-// frameMatches reports whether read-back frame idx equals the plan's
-// expectation, after masking the capture bits with Msk when the plan
-// has a mask.
+// baseFrame returns frame idx's entry in the flat base table.
+func (p *Plan) baseFrame(idx int) []uint32 {
+	off := idx * device.FrameWords
+	return p.expected[off : off+device.FrameWords : off+device.FrameWords]
+}
+
+// frameMatches reports whether read-back frame idx matches its predicted
+// readback: in every bit Msk compares, or in every bit when the plan has
+// no mask (CAPTURE mode).
 func (p *Plan) frameMatches(idx int, words []uint32) bool {
 	want := p.expectedFrame(idx)
 	if p.mask == nil {
@@ -577,19 +591,9 @@ func (p *Plan) frameMatches(idx int, words []uint32) bool {
 	}
 	mask := p.mask.Frame(idx)
 	for w, v := range words {
-		if v&mask[w] != want[w] {
+		if (v^want[w])&mask[w] != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// appendFrameBytes serialises frame words into dst (big-endian, matching
-// the prover) and returns the extended slice. Callers reuse one scratch
-// buffer across frames; both MAC and transcript copy what they absorb.
-func appendFrameBytes(dst []byte, words []uint32) []byte {
-	for _, w := range words {
-		dst = append(dst, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
-	}
-	return dst
 }

@@ -214,7 +214,7 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 			return dst, fmt.Errorf("protocol: %v with %d words", m.Type, len(m.Words))
 		}
 		out = binary.BigEndian.AppendUint32(out, m.FrameIndex)
-		out = appendWords(out, m.Words)
+		out = AppendWords(out, m.Words)
 	case MsgFrameData:
 		// The frame sendback packs the index into 24 bits, giving the
 		// 328-byte payload behind the paper's A8 timing.
@@ -225,7 +225,7 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 			return dst, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
 		}
 		out = append(out, byte(m.FrameIndex>>16), byte(m.FrameIndex>>8), byte(m.FrameIndex))
-		out = appendWords(out, m.Words)
+		out = AppendWords(out, m.Words)
 	case MsgICAPConfigBatch:
 		if len(m.Batch) == 0 || len(m.Batch) > 255 {
 			return dst, fmt.Errorf("protocol: batch of %d frames", len(m.Batch))
@@ -236,7 +236,7 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 				return dst, fmt.Errorf("protocol: batch frame %d has %d words", fr.Index, len(fr.Words))
 			}
 			out = binary.BigEndian.AppendUint32(out, fr.Index)
-			out = appendWords(out, fr.Words)
+			out = AppendWords(out, fr.Words)
 		}
 	case MsgICAPReadback:
 		out = binary.BigEndian.AppendUint32(out, m.FrameIndex)
@@ -275,14 +275,14 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 			return dst, fmt.Errorf("protocol: %v without payload", m.Type)
 		}
 		out = append(out, byte(len(m.Frames)))
-		out = appendWords(out, m.Frames)
+		out = AppendWords(out, m.Frames)
 		out = append(out, m.Comp...)
 	case MsgScan:
 		if len(m.Frames) == 0 || len(m.Frames) > MaxScanFrames {
 			return dst, fmt.Errorf("protocol: %v with %d frames", m.Type, len(m.Frames))
 		}
 		out = append(out, byte(len(m.Frames)))
-		out = appendWords(out, m.Frames)
+		out = AppendWords(out, m.Frames)
 	case MsgFrameDataC:
 		if m.FrameIndex >= 1<<24 {
 			return dst, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
@@ -298,8 +298,11 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// appendWords appends words big-endian.
-func appendWords(dst []byte, words []uint32) []byte {
+// AppendWords appends words big-endian to dst and returns the extended
+// slice: the wire form of frame words, and the bytes both ends' MAC and
+// transcript absorb for a read-back frame, so a caller may serialise
+// every frame into one reused buffer.
+func AppendWords(dst []byte, words []uint32) []byte {
 	for _, w := range words {
 		dst = binary.BigEndian.AppendUint32(dst, w)
 	}

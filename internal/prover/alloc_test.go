@@ -20,14 +20,14 @@ func BenchmarkAppendFrameBytes(b *testing.B) {
 	scratch := make([]byte, 0, device.FrameWords*4)
 
 	if avg := testing.AllocsPerRun(200, func() {
-		scratch = appendFrameBytes(scratch[:0], words)
+		scratch = protocol.AppendWords(scratch[:0], words)
 	}); avg != 0 {
 		b.Fatalf("frame serialisation allocates %.1f objects per frame, want 0", avg)
 	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = appendFrameBytes(scratch[:0], words)
+		scratch = protocol.AppendWords(scratch[:0], words)
 	}
 }
 

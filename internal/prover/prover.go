@@ -256,16 +256,6 @@ func (d *Device) resetSeq() {
 	d.seqPend = nil
 }
 
-// appendFrameBytes serialises frame words into dst for MAC/transcript
-// absorption (big-endian, matching the verifier) and returns the extended
-// slice, letting callers reuse one scratch buffer across frames.
-func appendFrameBytes(dst []byte, words []uint32) []byte {
-	for _, w := range words {
-		dst = append(dst, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
-	}
-	return dst
-}
-
 // Handle processes one verifier command and returns the response message,
 // or nil for commands without a response (ICAP_config). The response
 // owns its memory.
@@ -432,7 +422,7 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 		return nil, err
 	}
 
-	d.frameScratch = appendFrameBytes(d.frameScratch[:0], frame)
+	d.frameScratch = protocol.AppendWords(d.frameScratch[:0], frame)
 	d.mac.Update(d.frameScratch)
 	if d.transcript != nil {
 		d.transcript.Absorb(d.frameScratch)
