@@ -428,6 +428,37 @@ func BenchmarkPlanReuse(b *testing.B) {
 			}
 		}
 	})
+	// shared-delta is the fleet-delta session shape at zero delay: a warm
+	// SmallLX device (Blinker(8)) under Compress+Delta, so each session is
+	// a compressed scan of the dynamic frames, the nonce-step rewrite and
+	// a compressed readback of every frame. Sessions alternate between two
+	// nonces, so every rewrite changes the nonce frames.
+	b.Run("shared-delta", func(b *testing.B) {
+		sys := newSmall(b, func(c *core.Config) { c.App = netlist.Blinker(8) })
+		opts := verifier.Options{Compress: true, Delta: true}
+		var plans [2]*attestation.Plan
+		for i := range plans {
+			p, err := sys.Plan(uint64(42+i), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans[i] = p
+		}
+		if rep, err := sys.AttestWithPlan(plans[1], core.AttestOptions{Opts: opts}); err != nil || !rep.Accepted {
+			b.Fatalf("warm-up session failed: %v", err)
+		}
+		opts.DeltaWarm = true
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep, err := sys.AttestWithPlan(plans[i%2], core.AttestOptions{Opts: opts})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.Accepted || !rep.Delta.Applied {
+				b.Fatalf("warm delta session: accepted=%v delta=%+v", rep.Accepted, rep.Delta)
+			}
+		}
+	})
 }
 
 // BenchmarkFleetPlan sweeps a one-class fleet at a pinned nonce and

@@ -15,8 +15,8 @@ import (
 )
 
 // BenchmarkFrameAbsorb pins the zero-allocation contract of the per-frame
-// hot path: serialising a frame into the Run's reused scratch buffer and
-// absorbing it into the MAC and the transcript must not allocate — on the
+// hot path: checking a plain sendback and absorbing its payload, as
+// received, into the MAC and the transcript must not allocate — on the
 // paper's XC6VLX240T this path runs 28,488 times per attestation, so a
 // single allocation per frame is 28k garbage objects per device.
 func BenchmarkFrameAbsorb(b *testing.B) {
@@ -30,21 +30,24 @@ func BenchmarkFrameAbsorb(b *testing.B) {
 		b.Fatal(err)
 	}
 	transcript := signature.NewTranscript()
-	scratch := make([]byte, 0, device.FrameWords*4)
+	resp := &protocol.Message{Type: protocol.MsgFrameData, FrameIndex: 7, Data: protocol.AppendWords(nil, words)}
+	var s frameScratch
+	absorb := func() {
+		frame, err := s.frameBytes(7, resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mac.Update(frame)
+		transcript.Absorb(frame)
+	}
 
-	if avg := testing.AllocsPerRun(200, func() {
-		scratch = protocol.AppendWords(scratch[:0], words)
-		mac.Update(scratch)
-		transcript.Absorb(scratch)
-	}); avg != 0 {
+	if avg := testing.AllocsPerRun(200, absorb); avg != 0 {
 		b.Fatalf("frame absorption allocates %.1f objects per frame, want 0", avg)
 	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = protocol.AppendWords(scratch[:0], words)
-		mac.Update(scratch)
-		transcript.Absorb(scratch)
+		absorb()
 	}
 }
 
@@ -82,11 +85,11 @@ func TestReadbackCompareNoAlloc(t *testing.T) {
 	}
 	var s frameScratch
 	check := func(resp *protocol.Message) bool {
-		words, err := s.frameWords(idx, resp)
+		frame, err := s.frameBytes(idx, resp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.frameMatches(idx, words)
+		return p.frameMatches(idx, frame)
 	}
 	capture := sendback(capW, capBit)
 	if !check(capture) {
@@ -102,5 +105,54 @@ func TestReadbackCompareNoAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { check(capture) }); avg != 0 {
 		t.Fatalf("decode+mask+compare allocates %.1f objects per frame, want 0", avg)
+	}
+}
+
+// TestFrameMatchesEqualsMaskedWords is the differential of the verdict's
+// comparison: on random frames near their prediction (no flip, a flip
+// in a masked-out bit, a flip anywhere), frameMatches over the frame's
+// bytes equals the word formula (got ^ want) & Msk == 0, and raw word
+// equality in CAPTURE mode.
+func TestFrameMatchesEqualsMaskedWords(t *testing.T) {
+	geo := device.TinyLX()
+	rng := rand.New(rand.NewSource(28))
+	golden := RandomGolden(t, geo, rng)
+	dyn := fabric.DynRegion(geo).Frames()
+	masked, err := NewPlan(Spec{Geo: geo, Golden: golden, DynFrames: dyn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture, err := NewPlan(Spec{Geo: geo, Golden: golden, DynFrames: dyn, AppSteps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Plan{masked, capture} {
+		for trial := 0; trial < 4000; trial++ {
+			idx := rng.Intn(geo.NumFrames())
+			want := ExpectedFrame(p, idx)
+			got := slices.Clone(want)
+			switch trial % 3 {
+			case 1:
+				w := rng.Intn(len(got))
+				got[w] ^= 1 << rng.Intn(32)
+			case 2:
+				for k := rng.Intn(4); k >= 0; k-- {
+					got[rng.Intn(len(got))] ^= rng.Uint32()
+				}
+			}
+			ref := true
+			for w := range got {
+				m := uint32(0xFFFFFFFF)
+				if p.mask != nil {
+					m = p.mask.Frame(idx)[w]
+				}
+				if (got[w]^want[w])&m != 0 {
+					ref = false
+				}
+			}
+			if p.frameMatches(idx, protocol.AppendWords(nil, got)) != ref {
+				t.Fatalf("mask=%v frame %d trial %d: frameMatches disagrees with the word formula (%v)", p.mask != nil, idx, trial, ref)
+			}
+		}
 	}
 }

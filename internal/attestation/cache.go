@@ -22,9 +22,13 @@ const DefaultPlanCacheSize = 32
 // and every plan-shaping option. Specs that differ only in the placed
 // nonce share a key, so one cached plan serves every nonce of a device
 // class — GetOrBuild patches it to the requested nonce on the way out.
+// A spec that carries its GoldenDigest is keyed by it without hashing
+// the image.
 func SpecKey(spec Spec) [32]byte {
 	h := sha256.New()
-	if spec.Golden != nil {
+	if d := spec.GoldenDigest; d != ([32]byte{}) {
+		h.Write(d[:])
+	} else if spec.Golden != nil {
 		d, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits)
 		if err != nil {
 			// No usable nonce template: NewPlan rejects the spec, and the

@@ -7,6 +7,7 @@ import (
 	"sacha/internal/attestation"
 	"sacha/internal/core"
 	"sacha/internal/device"
+	"sacha/internal/fabric"
 	"sacha/internal/netlist"
 )
 
@@ -129,5 +130,28 @@ func TestPlanCacheConcurrentSingleBuild(t *testing.T) {
 	}
 	if nbuilt != 1 {
 		t.Fatalf("%d workers report having built, want exactly 1", nbuilt)
+	}
+}
+
+// TestSpecKeyTakesPrecomputedDigest: a spec carrying its GoldenDigest
+// keys exactly like one whose image SpecKey hashes itself, and NewPlan
+// refuses a digest that does not match the image.
+func TestSpecKeyTakesPrecomputedDigest(t *testing.T) {
+	spec := cacheSpec(t, 0xCAFE, 0)
+	want := attestation.SpecKey(spec)
+	d, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.GoldenDigest = d
+	if got := attestation.SpecKey(spec); got != want {
+		t.Fatalf("SpecKey with a precomputed digest %x, hashed %x", got, want)
+	}
+	if _, err := attestation.NewPlan(spec); err != nil {
+		t.Fatalf("matching digest refused: %v", err)
+	}
+	spec.GoldenDigest[0] ^= 1
+	if _, err := attestation.NewPlan(spec); err == nil {
+		t.Fatal("NewPlan accepted a GoldenDigest of another image")
 	}
 }

@@ -1,6 +1,7 @@
 package attestation
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,7 +14,14 @@ import (
 // ExpectedFrame exposes p's predicted readback of frame idx to the
 // external tests, which build their golden images through core (an
 // importer of this package).
-func ExpectedFrame(p *Plan, idx int) []uint32 { return p.expectedFrame(idx) }
+func ExpectedFrame(p *Plan, idx int) []uint32 {
+	b := p.expectedFrame(idx)
+	words := make([]uint32, len(b)/4)
+	for i := range words {
+		words[i] = binary.BigEndian.Uint32(b[4*i:])
+	}
+	return words
+}
 
 // RandomGolden returns a golden image of random words everywhere but the
 // nonce column, which holds a nonce register at a random nonce, placed

@@ -30,7 +30,7 @@ type nonceTemplate struct {
 type nonceStep struct {
 	nonce             uint64
 	configs, configsC []configStep
-	expected          [][]uint32 // parallel to nonceTemplate.frames
+	expected          [][]byte // parallel to nonceTemplate.frames, big-endian
 }
 
 // newNonceTemplate locates the nonce register of spec's golden image
@@ -102,12 +102,18 @@ func (p *Plan) stepAt(nonce uint64) (*nonceStep, error) {
 	// Predicted readback: the golden words with the register's state in
 	// its capture bits — the nonce register holds (D=Q), so the captured
 	// state is the nonce itself in every mode, whatever AppSteps.
-	st := &nonceStep{nonce: nonce, expected: make([][]uint32, len(t.frames))}
+	pred := make([][]uint32, len(t.frames))
 	for j, w := range golden {
-		st.expected[j] = slices.Clone(w)
+		pred[j] = slices.Clone(w)
 	}
 	for i, ref := range t.bits {
-		setBit(st.expected, i, ref.CapFrame, ref.CapWord, ref.CapMask)
+		setBit(pred, i, ref.CapFrame, ref.CapWord, ref.CapMask)
+	}
+	st := &nonceStep{nonce: nonce, expected: make([][]byte, len(t.frames))}
+	buf := make([]byte, 0, len(t.frames)*device.FrameBytes)
+	for j, w := range pred {
+		buf = protocol.AppendWords(buf, w)
+		st.expected[j] = buf[j*device.FrameBytes : len(buf) : len(buf)]
 	}
 	words := func(j int) []uint32 { return golden[j] }
 	var err error
@@ -196,10 +202,8 @@ func (p *Plan) Fingerprint() [32]byte {
 		put(uint64(idx))
 	}
 	blob(p.checksumWire)
-	wbuf := make([]byte, 0, 4*device.FrameWords)
 	for idx := range p.order {
-		wbuf = protocol.AppendWords(wbuf[:0], p.expectedFrame(idx))
-		h.Write(wbuf)
+		h.Write(p.expectedFrame(idx))
 	}
 	var out [32]byte
 	copy(out[:], h.Sum(nil))

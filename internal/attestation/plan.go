@@ -27,6 +27,7 @@
 package attestation
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -69,6 +70,12 @@ type Spec struct {
 	// holds anything but the held register is rejected. Every nonce frame
 	// must be in DynFrames.
 	Golden *fabric.Image
+	// GoldenDigest, if non-zero, is fabric.NonceFreeDigest(Golden,
+	// fabric.NonceBits), precomputed by a caller that keeps one golden
+	// image per device class (core.System does), so that SpecKey does
+	// not re-hash the image on every plan-cache lookup. NewPlan checks
+	// it against the image.
+	GoldenDigest [32]byte
 	// DynFrames lists the dynamic frames to configure, in transmission
 	// order, except that the frames carrying nonce-register bits always
 	// travel last, in their DynFrames order (the nonce step).
@@ -153,14 +160,15 @@ type Plan struct {
 	checksumWire  []byte
 
 	// expected is the predicted readback, the plan's one comparison
-	// table: frame idx's words start at idx*device.FrameWords and are
-	// what a device freshly configured with the golden image reads back
-	// after AppSteps clock edges — configuration bits plus every used
+	// table, in the big-endian form frames travel and are MAC'd in:
+	// frame idx's bytes start at idx*device.FrameBytes and are what a
+	// device freshly configured with the golden image reads back after
+	// AppSteps clock edges — configuration bits plus every used
 	// flip-flop's state in its capture bit. A nonce frame's entry is
 	// zero; its prediction is in step. The verdict compares under mask
 	// (Msk), which is nil in CAPTURE mode (raw compare); the delta scan
 	// always compares raw.
-	expected []uint32
+	expected []byte
 	mask     *fabric.Image
 
 	// tmpl locates the nonce register; step is this plan's nonce step.
@@ -196,6 +204,11 @@ func NewPlan(spec Spec) (*Plan, error) {
 	if spec.Golden.NumFrames() != n {
 		return nil, fmt.Errorf("attestation: golden image has %d frames, geometry %s has %d",
 			spec.Golden.NumFrames(), spec.Geo.Name, n)
+	}
+	if spec.GoldenDigest != ([32]byte{}) {
+		if d, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits); err != nil || d != spec.GoldenDigest {
+			return nil, fmt.Errorf("attestation: spec rejected: GoldenDigest does not match the golden image")
+		}
 	}
 	if len(spec.DynFrames) == 0 {
 		return nil, fmt.Errorf("attestation: no dynamic frames to configure")
@@ -292,11 +305,13 @@ func NewPlan(spec Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.expected = make([]uint32, n*device.FrameWords)
+	p.expected = make([]byte, 0, n*device.FrameBytes)
+	words := make([]uint32, device.FrameWords)
 	for idx := 0; idx < n; idx++ {
-		if err := pred.ReadbackFrameInto(idx, p.baseFrame(idx)); err != nil {
+		if err := pred.ReadbackFrameInto(idx, words); err != nil {
 			return nil, err
 		}
+		p.expected = protocol.AppendWords(p.expected, words)
 	}
 	if spec.AppSteps == 0 {
 		p.mask = fabric.GenerateMask(spec.Geo)
@@ -311,7 +326,7 @@ func NewPlan(spec Spec) (*Plan, error) {
 		return nil, err
 	}
 	for j, f := range p.tmpl.frames {
-		if !slices.Equal(p.step.expected[j], p.baseFrame(f)) {
+		if !bytes.Equal(p.step.expected[j], p.baseFrame(f)) {
 			return nil, fmt.Errorf("attestation: spec rejected: expected frame %d re-derives differently — nonce partition is not a held nonce register", f)
 		}
 		clear(p.baseFrame(f))
@@ -319,11 +334,18 @@ func NewPlan(spec Spec) (*Plan, error) {
 	return p, nil
 }
 
+// maxPlanWire is the largest command a plan may pre-encode: one
+// Ethernet payload less the sequence envelope a reliable session wraps
+// it in. Only the configuration packets can come near it; every other
+// pre-encoded command has a small fixed size.
+const maxPlanWire = protocol.MaxWire - protocol.SeqHeader
+
 // encodeSteps pre-encodes frames, in order, as configuration packets of
 // at most size frames each, with words(i) supplying the words of
 // frames[i]. Plain packets use ICAP_config (single frame) or
 // ICAP_config_batch; compressed packets concatenate the words behind
-// one compress stream (ICAP_config_batch_c). Every packet's wire is a
+// one compress stream (ICAP_config_batch_c), and fail once a batch's
+// words do not compress into maxPlanWire. Every packet's wire is a
 // slice of one buffer: presized for plain packets, whose size the frame
 // count fixes, and copied to its final length once for compressed ones.
 func encodeSteps(frames []int, words func(i int) []uint32, size int, compressed bool) ([]configStep, error) {
@@ -363,6 +385,10 @@ func encodeSteps(frames []int, words func(i int) []uint32, size int, compressed 
 		var err error
 		if buf, err = m.AppendEncode(buf); err != nil {
 			return nil, err
+		}
+		if n := len(buf) - from; n > maxPlanWire {
+			return nil, fmt.Errorf("attestation: spec rejected: the %v packet from frame %d is %d bytes, over the %d-byte Ethernet payload bound",
+				m.Type, frames[start], n, maxPlanWire)
 		}
 		steps = append(steps, configStep{wire: buf[from:], first: frames[start], count: end - start})
 	}

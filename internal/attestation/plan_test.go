@@ -207,3 +207,28 @@ func TestWithNonceCountsOnlyRealPatches(t *testing.T) {
 		t.Fatalf("real patch: patches %d→%d, timed %d→%d, want +1 each", patches, got, timed, gotTimed)
 	}
 }
+
+// TestNewPlanRefusesOversizedWire: every pre-encoded packet must fit one
+// Ethernet payload in its sequence envelope. Sixteen incompressible
+// frames do not, so a dense golden image is refused under Compress,
+// while its plain packets (at most MaxConfigBatch raw frames) fit.
+func TestNewPlanRefusesOversizedWire(t *testing.T) {
+	geo := device.TinyLX()
+	golden := RandomGolden(t, geo, rand.New(rand.NewSource(1500)))
+	spec := Spec{Geo: geo, Golden: golden, DynFrames: fabric.DynRegion(geo).Frames(), ConfigBatch: MaxConfigBatch}
+	p, err := NewPlan(spec)
+	if err != nil {
+		t.Fatalf("plain plan of a dense image: %v", err)
+	}
+	for _, list := range [][]configStep{p.configs, p.step.configs} {
+		for _, cs := range list {
+			if len(cs.wire) > maxPlanWire {
+				t.Fatalf("plain packet of %d bytes exceeds %d", len(cs.wire), maxPlanWire)
+			}
+		}
+	}
+	spec.Compress = true
+	if _, err := NewPlan(spec); err == nil || !strings.Contains(err.Error(), "Ethernet payload bound") {
+		t.Fatalf("compressed plan of a dense image: err = %v, want the Ethernet payload refusal", err)
+	}
+}

@@ -1,8 +1,9 @@
 package attestation
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -194,18 +195,17 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 		rep.FramesConfigured += cs.count
 	}
 	absorbFrame := func(idx int, resp *protocol.Message) error {
-		words, err := scratch.frameWords(idx, resp)
+		frame, err := scratch.frameBytes(idx, resp)
 		if err != nil {
 			return err
 		}
 		if resp.Type == protocol.MsgFrameDataC {
-			rawB += device.FrameWords * 4
+			rawB += device.FrameBytes
 			wireB += len(resp.Comp)
 		}
-		scratch.bytes = protocol.AppendWords(scratch.bytes[:0], words)
-		mac.Update(scratch.bytes)
+		mac.Update(frame)
 		if p.signatureMode { // only Sig_checksum reads the transcript
-			transcript.Absorb(scratch.bytes)
+			transcript.Absorb(frame)
 		}
 		rep.FramesRead++
 		if sp != nil {
@@ -213,7 +213,7 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 				p.model.ActionTime(timing.A3)+p.model.ActionTime(timing.A4)+p.model.ActionTime(timing.A6), "")
 			sp.Event(StepFrameData, idx, p.model.ActionTime(timing.A8), "frame sendback")
 		}
-		if !p.frameMatches(idx, words) {
+		if !p.frameMatches(idx, frame) {
 			rep.Mismatches = append(rep.Mismatches, idx)
 		}
 		return nil
@@ -466,7 +466,9 @@ func (p *Plan) Run(ep channel.Endpoint, opts RunOpts) (_ *Report, err error) {
 // against the plan's predicted post-configuration readback. Frames that
 // differ land in rep.Delta.Unexpected — the caller falls back to the
 // full overwrite when that list is non-empty. Nonce frames are rewritten
-// either way, so their content is not compared.
+// either way, so their content is not compared. A probe answered with
+// the empty overflow stream proves none of its frames clean, so each of
+// them counts as differing.
 func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB, wireB *int) error {
 	return sess.exchange(len(p.scanSteps), func(k int) ([]byte, opLabel) {
 		return p.scanSteps[k].wire, opLabel{"Scan(%d..)", p.scanSteps[k].frames[0]}
@@ -478,24 +480,29 @@ func (p *Plan) deltaScan(sess *session, rep *Report, scratch *frameScratch, rawB
 		if len(resp.Frames) != len(ss.frames) {
 			return fmt.Errorf("verifier: scan answered for %d frames, asked %d", len(resp.Frames), len(ss.frames))
 		}
+		overflow := len(resp.Comp) == 0
 		want := len(ss.frames) * device.FrameWords
-		words, err := compress.AppendDecode(scratch.words[:0], resp.Comp, want)
-		if err != nil {
-			return fmt.Errorf("verifier: scan data: %w", err)
+		if !overflow {
+			b, err := compress.AppendDecodeBytes(scratch.bytes[:0], resp.Comp, want)
+			if err != nil {
+				return fmt.Errorf("verifier: scan data: %w", err)
+			}
+			scratch.bytes = b
+			if len(b) != 4*want {
+				return fmt.Errorf("verifier: scan data carries %d words, want %d", len(b)/4, want)
+			}
+			*rawB += 4 * want
+			*wireB += len(resp.Comp)
 		}
-		scratch.words = words
-		if len(words) != want {
-			return fmt.Errorf("verifier: scan data carries %d words, want %d", len(words), want)
-		}
-		*rawB += want * 4
-		*wireB += len(resp.Comp)
 		for j, f := range ss.frames {
 			if resp.Frames[j] != uint32(f) {
 				return fmt.Errorf("verifier: scan answered frame %d at position %d, asked %d", resp.Frames[j], j, f)
 			}
 			rep.Delta.FramesScanned++
-			got := words[j*device.FrameWords : (j+1)*device.FrameWords]
-			if p.tmpl.slot[f] < 0 && !slices.Equal(got, p.expectedFrame(f)) {
+			if p.tmpl.slot[f] >= 0 {
+				continue
+			}
+			if overflow || !bytes.Equal(scratch.bytes[j*device.FrameBytes:(j+1)*device.FrameBytes], p.expectedFrame(f)) {
 				rep.Delta.Unexpected = append(rep.Delta.Unexpected, f)
 			}
 		}
@@ -531,44 +538,43 @@ func recordRun(rep *Report) {
 
 // frameScratch is the per-Run working set of the read-back path: the
 // encoded ICAP_readback command being sent (the engine copies it into
-// its envelope, and an endpoint does not retain what it sends), the
-// frame's big-endian bytes that the MAC and the transcript absorb, and
-// the decoded words of a compressed sendback or scan packet.
+// its envelope, and an endpoint does not retain what it sends), and the
+// big-endian bytes a compressed sendback or scan packet decodes into.
 type frameScratch struct {
 	cmd   []byte
 	bytes []byte
-	words []uint32
 }
 
-// frameWords checks one ICAP_readback answer for frame idx and returns
-// its FrameWords words. A compressed sendback is decoded into s.words
-// with a decoder bound of exactly one frame, so a hostile stream cannot
-// claim more buffer than the frame it answers for.
-func (s *frameScratch) frameWords(idx int, resp *protocol.Message) ([]uint32, error) {
-	words := resp.Words
+// frameBytes checks one ICAP_readback answer for frame idx and returns
+// its big-endian bytes, the form the MAC and the transcript absorb: a
+// plain sendback's payload as received, or a compressed one decoded into
+// s.bytes with a decoder bound of exactly one frame, so a hostile stream
+// cannot claim more buffer than the frame it answers for.
+func (s *frameScratch) frameBytes(idx int, resp *protocol.Message) ([]byte, error) {
+	frame := resp.Data
 	switch resp.Type {
 	case protocol.MsgFrameDataC:
 		var err error
-		if s.words, err = compress.AppendDecode(s.words[:0], resp.Comp, device.FrameWords); err != nil {
+		if s.bytes, err = compress.AppendDecodeBytes(s.bytes[:0], resp.Comp, device.FrameWords); err != nil {
 			return nil, fmt.Errorf("verifier: compressed readback of frame %d: %w", idx, err)
 		}
-		words = s.words
+		frame = s.bytes
 	case protocol.MsgFrameData:
 	default:
 		return nil, fmt.Errorf("verifier: readback of frame %d answered with %v (%s)", idx, resp.Type, resp.Err)
 	}
-	if len(words) != device.FrameWords {
-		return nil, fmt.Errorf("verifier: readback of frame %d carries %d words, want %d", idx, len(words), device.FrameWords)
+	if len(frame) != device.FrameBytes {
+		return nil, fmt.Errorf("verifier: readback of frame %d carries %d bytes, want %d", idx, len(frame), device.FrameBytes)
 	}
 	if resp.FrameIndex != uint32(idx) {
 		return nil, fmt.Errorf("verifier: asked for frame %d, got %d", idx, resp.FrameIndex)
 	}
-	return words, nil
+	return frame, nil
 }
 
-// expectedFrame returns frame idx's predicted readback: the nonce
-// step's frame for a nonce frame, the base's for every other.
-func (p *Plan) expectedFrame(idx int) []uint32 {
+// expectedFrame returns frame idx's predicted readback, big-endian: the
+// nonce step's frame for a nonce frame, the base's for every other.
+func (p *Plan) expectedFrame(idx int) []byte {
 	if s := p.tmpl.slot[idx]; s >= 0 {
 		return p.step.expected[s]
 	}
@@ -576,24 +582,28 @@ func (p *Plan) expectedFrame(idx int) []uint32 {
 }
 
 // baseFrame returns frame idx's entry in the flat base table.
-func (p *Plan) baseFrame(idx int) []uint32 {
-	off := idx * device.FrameWords
-	return p.expected[off : off+device.FrameWords : off+device.FrameWords]
+func (p *Plan) baseFrame(idx int) []byte {
+	off := idx * device.FrameBytes
+	return p.expected[off : off+device.FrameBytes : off+device.FrameBytes]
 }
 
-// frameMatches reports whether read-back frame idx matches its predicted
-// readback: in every bit Msk compares, or in every bit when the plan has
-// no mask (CAPTURE mode).
-func (p *Plan) frameMatches(idx int, words []uint32) bool {
+// frameMatches reports whether read-back frame idx, as its big-endian
+// bytes, matches its predicted readback: in every bit Msk compares, or
+// in every bit when the plan has no mask (CAPTURE mode). An honest
+// frame nearly always equals its prediction outright, so the byte
+// comparison decides most frames; only a differing frame is compared
+// word by word under Msk, folding the differences without a branch.
+func (p *Plan) frameMatches(idx int, frame []byte) bool {
 	want := p.expectedFrame(idx)
-	if p.mask == nil {
-		return slices.Equal(words, want)
+	if bytes.Equal(frame, want) {
+		return true
 	}
-	mask := p.mask.Frame(idx)
-	for w, v := range words {
-		if (v^want[w])&mask[w] != 0 {
-			return false
-		}
+	if p.mask == nil || len(frame) != len(want) {
+		return false
 	}
-	return true
+	var diff uint32
+	for w, m := range p.mask.Frame(idx) {
+		diff |= (binary.BigEndian.Uint32(frame[4*w:]) ^ binary.BigEndian.Uint32(want[4*w:])) & m
+	}
+	return diff == 0
 }

@@ -24,16 +24,29 @@ import (
 // Size is the MAC length in bytes (full-width AES-CMAC tag).
 const Size = 16
 
-// MAC is a streaming AES-CMAC computation.
+// MAC is a streaming AES-CMAC computation. The CBC chain runs through
+// one cipher.BlockMode, so an Update absorbs every whole block it can in
+// one CryptBlocks call instead of one Block.Encrypt per block.
 type MAC struct {
-	block  cipher.Block
+	cbc    cipher.BlockMode // CBC encrypter; its IV is the running state X
 	k1, k2 [16]byte
-	x      [16]byte // running CBC state
-	buf    [16]byte // pending partial block
+	buf    [16]byte // pending final-candidate block
 	bufLen int
+	// chain stages the pending block and the whole blocks behind it for
+	// one in-place CryptBlocks call.
+	chain  [chainBlocks * 16]byte
 	blocks int64 // AES invocations so far (for the cycle model)
 	done   bool
 }
+
+// chainBlocks is how many blocks one CryptBlocks call absorbs at most:
+// the held block plus the up to 20 whole blocks a 324-byte frame adds
+// behind it, so each read-back frame takes one call.
+const chainBlocks = 21
+
+// ivSetter is implemented by the standard library's CBC encrypters; it
+// rewinds the chain to a zero IV on Reset without a new allocation.
+type ivSetter interface{ SetIV([]byte) }
 
 // New returns a MAC keyed with the 16-byte key.
 func New(key []byte) (*MAC, error) {
@@ -50,15 +63,17 @@ func New(key []byte) (*MAC, error) {
 // newWithBlock returns a MAC over an already keyed AES-128 block cipher;
 // tests use it to run the MAC on the aescore reference model.
 func newWithBlock(block cipher.Block) *MAC {
-	m := &MAC{block: block}
+	m := &MAC{}
 	// Subkey generation (RFC 4493 §2.3): L = AES-128(K, 0^128),
-	// K1 = L<<1 (xor Rb on carry), K2 = K1<<1 (xor Rb on carry).
-	// X is still zero, so it serves as the scratch for L.
-	block.Encrypt(m.x[:], m.x[:])
+	// K1 = L<<1 (xor Rb on carry), K2 = K1<<1 (xor Rb on carry). The
+	// pending block is still zero, so it serves as the scratch for L and
+	// then, zeroed again, as the chain's initial IV.
+	block.Encrypt(m.buf[:], m.buf[:])
 	m.blocks++
-	shiftLeft(&m.k1, &m.x)
+	shiftLeft(&m.k1, &m.buf)
 	shiftLeft(&m.k2, &m.k1)
-	m.x = [16]byte{}
+	m.buf = [16]byte{}
+	m.cbc = cipher.NewCBCEncrypter(block, m.buf[:])
 	return m
 }
 
@@ -80,40 +95,40 @@ func shiftLeft(dst, src *[16]byte) {
 
 // Reset restarts the computation under the same key (new Init step).
 func (m *MAC) Reset() {
-	m.x = [16]byte{}
-	m.buf = [16]byte{}
+	var zero [16]byte
+	m.cbc.(ivSetter).SetIV(zero[:])
 	m.bufLen = 0
 	m.done = false
 }
 
 // Update absorbs data. It may be called any number of times before Sum.
+// The last block seen is always held back in buf, so that Sum can treat
+// it specially; everything before it goes through the CBC chain.
 func (m *MAC) Update(data []byte) {
 	if m.done {
 		panic("cmac: Update after Sum; call Reset first")
 	}
+	n := copy(m.buf[m.bufLen:], data)
+	m.bufLen += n
+	data = data[n:]
 	for len(data) > 0 {
-		// Keep at least one byte pending so the final block can be
-		// treated specially in Sum.
-		if m.bufLen == 16 {
-			m.cipherBlock(m.buf[:])
-			m.bufLen = 0
-		}
-		// Whole blocks go straight from data to the cipher.
-		for m.bufLen == 0 && len(data) > 16 {
-			m.cipherBlock(data[:16])
-			data = data[16:]
-		}
-		n := copy(m.buf[m.bufLen:], data)
-		m.bufLen += n
-		data = data[n:]
+		// More data follows a full pending block, so that block is not
+		// the last: chain it with the whole blocks of data, keeping at
+		// least one byte back.
+		k := min((len(data)-1)/16*16, len(m.chain)-16)
+		copy(m.chain[:16], m.buf[:])
+		copy(m.chain[16:], data[:k])
+		data = data[k:]
+		m.absorb(m.chain[:16+k])
+		m.bufLen = copy(m.buf[:], data)
+		data = data[m.bufLen:]
 	}
 }
 
-// cipherBlock runs X = AES(K, X xor block).
-func (m *MAC) cipherBlock(block []byte) {
-	subtle.XORBytes(m.x[:], m.x[:], block)
-	m.block.Encrypt(m.x[:], m.x[:])
-	m.blocks++
+// absorb runs X = AES(K, X xor block) over each block of b in place.
+func (m *MAC) absorb(b []byte) {
+	m.cbc.CryptBlocks(b, b)
+	m.blocks += int64(len(b) / 16)
 }
 
 // Sum finalizes the MAC and returns the 16-byte tag. The computation must
@@ -132,8 +147,8 @@ func (m *MAC) Sum() [Size]byte {
 		key = &m.k2
 	}
 	subtle.XORBytes(m.buf[:], m.buf[:], key[:])
-	m.cipherBlock(m.buf[:])
-	return m.x
+	m.absorb(m.buf[:])
+	return m.buf
 }
 
 // Blocks returns the number of AES block operations performed, including

@@ -17,6 +17,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -28,13 +29,6 @@ const (
 // bounded on hostile input).
 const maxCount = 1 << 24
 
-// appendUvarint encodes v as a varint.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	return append(dst, buf[:n]...)
-}
-
 // Encode compresses a word stream into a fresh buffer.
 func Encode(words []uint32) []byte {
 	return AppendEncode(make([]byte, 0, len(words)/4+16), words)
@@ -42,39 +36,53 @@ func Encode(words []uint32) []byte {
 
 // AppendEncode appends the compressed form of words to dst and returns
 // the extended slice, for callers that encode into one reused buffer.
+//
+// One pass walks the stream a word at a time and measures each maximal
+// run of equal words once. A run of three or more words becomes run
+// tokens of at most maxCount words each; a shorter run, and the one or
+// two words a capped run leaves over, join the pending literal, which is
+// flushed before the next run token, at the end, or when it already
+// holds maxCount words as the next short run arrives.
 func AppendEncode(dst []byte, words []uint32) []byte {
 	out := dst
-	i := 0
-	for i < len(words) {
-		// Measure the run starting at i.
-		run := 1
-		for i+run < len(words) && words[i+run] == words[i] && run < maxCount {
-			run++
+	lit := 0 // start of the pending literal run
+	for i := 0; i < len(words); {
+		w := words[i]
+		j := i + 1
+		for j < len(words) && words[j] == w {
+			j++
 		}
-		if run >= 3 {
-			out = append(out, tokenRun)
-			out = appendUvarint(out, uint64(run))
-			out = binary.BigEndian.AppendUint32(out, words[i])
-			i += run
+		if j-i < 3 {
+			if i-lit >= maxCount {
+				out = appendLiteral(out, words[lit:i])
+				lit = i
+			}
+			i = j
 			continue
 		}
-		// Collect a literal run up to the next ≥3 repeat.
-		start := i
-		for i < len(words) && i-start < maxCount {
-			run = 1
-			for i+run < len(words) && words[i+run] == words[i] {
-				run++
-			}
-			if run >= 3 {
-				break
-			}
-			i += run
-		}
-		out = append(out, tokenLiteral)
-		out = appendUvarint(out, uint64(i-start))
-		for _, w := range words[start:i] {
+		out = appendLiteral(out, words[lit:i])
+		n := j - i
+		for ; n >= 3; n -= min(n, maxCount) {
+			out = append(out, tokenRun)
+			out = binary.AppendUvarint(out, uint64(min(n, maxCount)))
 			out = binary.BigEndian.AppendUint32(out, w)
 		}
+		lit, i = j-n, j
+	}
+	return appendLiteral(out, words[lit:])
+}
+
+// appendLiteral appends a literal token for words, or nothing when
+// words is empty.
+func appendLiteral(out []byte, words []uint32) []byte {
+	if len(words) == 0 {
+		return out
+	}
+	out = append(out, tokenLiteral)
+	out = binary.AppendUvarint(out, uint64(len(words)))
+	out = slices.Grow(out, 4*len(words))
+	for _, w := range words {
+		out = binary.BigEndian.AppendUint32(out, w)
 	}
 	return out
 }
@@ -108,25 +116,73 @@ func AppendDecode(dst []uint32, data []byte, maxWords int) ([]uint32, error) {
 		out = make([]uint32, len(dst), len(dst)+total)
 		copy(out, dst)
 	}
+	pos := len(out)
+	out = out[:pos+total]
 	for len(data) > 0 {
-		token := data[0]
-		count, n := binary.Uvarint(data[1:])
-		data = data[1+n:]
+		token, count, body := nextToken(data)
+		fill := out[pos : pos+count]
 		switch token {
 		case tokenRun:
-			w := binary.BigEndian.Uint32(data)
-			data = data[4:]
-			for i := uint64(0); i < count; i++ {
-				out = append(out, w)
+			w := binary.BigEndian.Uint32(body)
+			for k := range fill {
+				fill[k] = w
 			}
+			data = body[4:]
 		case tokenLiteral:
-			for i := uint64(0); i < count; i++ {
-				out = append(out, binary.BigEndian.Uint32(data[4*i:]))
+			for k := range fill {
+				fill[k] = binary.BigEndian.Uint32(body[4*k:])
 			}
-			data = data[4*count:]
+			data = body[4*count:]
 		}
+		pos += count
 	}
 	return out, nil
+}
+
+// AppendDecodeBytes is AppendDecode with the words appended to dst as
+// their big-endian bytes, the form in which frames travel and are
+// MAC'd: a literal run is one copy, a zero run a clear. It validates,
+// bounds (in words) and fails exactly as AppendDecode does.
+func AppendDecodeBytes(dst, data []byte, maxWords int) ([]byte, error) {
+	total, err := scanTokens(data, maxWords)
+	if err != nil {
+		return nil, err
+	}
+	out := dst
+	if cap(out)-len(out) < 4*total {
+		out = make([]byte, len(dst), len(dst)+4*total)
+		copy(out, dst)
+	}
+	pos := len(out)
+	out = out[:pos+4*total]
+	for len(data) > 0 {
+		token, count, body := nextToken(data)
+		fill := out[pos : pos+4*count]
+		switch token {
+		case tokenRun:
+			if w := binary.BigEndian.Uint32(body); w == 0 {
+				clear(fill)
+			} else {
+				copy(fill, body[:4])
+				for k := 4; k < len(fill); k *= 2 {
+					copy(fill[k:], fill[:k])
+				}
+			}
+			data = body[4:]
+		case tokenLiteral:
+			copy(fill, body)
+			data = body[4*count:]
+		}
+		pos += 4 * count
+	}
+	return out, nil
+}
+
+// nextToken splits the first token off a stream scanTokens accepted:
+// its type, its word count and the bytes after its count.
+func nextToken(data []byte) (token byte, count int, body []byte) {
+	c, n := binary.Uvarint(data[1:])
+	return data[0], int(c), data[1+n:]
 }
 
 // scanTokens validates the token structure of data and returns the

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"sacha/internal/device"
 	"sacha/internal/fabric"
 	"sacha/internal/netlist"
+	"sacha/internal/protocol"
 )
 
 func roundTrip(t *testing.T, words []uint32) {
@@ -229,6 +231,14 @@ func TestAppendDecodeReusesBuffer(t *testing.T) {
 	if _, err := AppendDecode(buf[:0], enc, len(words)-1); err == nil {
 		t.Fatal("AppendDecode ignored the bound")
 	}
+	raw := make([]byte, 0, 4*len(words))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := AppendDecodeBytes(raw, enc, len(words)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendDecodeBytes into a large enough buffer allocates %.0f times", allocs)
+	}
 }
 
 // TestAppendEncodeReusesBuffer: encoding onto a prefix appends exactly
@@ -296,4 +306,108 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceEncode is the encoder AppendEncode replaced, kept verbatim as
+// the reference its output must equal byte for byte: it measures the run
+// at every literal boundary afresh, so a run that ends a literal is
+// measured twice.
+func referenceEncode(dst []byte, words []uint32) []byte {
+	out := dst
+	i := 0
+	for i < len(words) {
+		// Measure the run starting at i.
+		run := 1
+		for i+run < len(words) && words[i+run] == words[i] && run < maxCount {
+			run++
+		}
+		if run >= 3 {
+			out = append(out, tokenRun)
+			out = binary.AppendUvarint(out, uint64(run))
+			out = binary.BigEndian.AppendUint32(out, words[i])
+			i += run
+			continue
+		}
+		// Collect a literal run up to the next ≥3 repeat.
+		start := i
+		for i < len(words) && i-start < maxCount {
+			run = 1
+			for i+run < len(words) && words[i+run] == words[i] {
+				run++
+			}
+			if run >= 3 {
+				break
+			}
+			i += run
+		}
+		out = append(out, tokenLiteral)
+		out = binary.AppendUvarint(out, uint64(i-start))
+		for _, w := range words[start:i] {
+			out = binary.BigEndian.AppendUint32(out, w)
+		}
+	}
+	return out
+}
+
+// FuzzCompressMatchesReference is the differential of the codec's
+// kernels. Treating the input as word streams (its big-endian words, and
+// a two-bit alphabet that is mostly runs), AppendEncode equals
+// referenceEncode byte for byte. Treating it as a hostile compressed
+// stream, and the encoded streams as valid ones, AppendDecodeBytes
+// equals the big-endian bytes of AppendDecode under every bound, and
+// the two fail on exactly the same inputs.
+func FuzzCompressMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0x00, 0x05, 1, 2, 3, 4})
+	f.Add([]byte{0x01, 0x02, 0, 0, 0, 1, 0, 0, 0, 2})
+	f.Add([]byte{1, 1, 2, 2, 2, 3, 3, 0, 0, 0, 0, 1, 2, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		words := make([]uint32, len(data)/4)
+		for i := range words {
+			words[i] = binary.BigEndian.Uint32(data[4*i:])
+		}
+		runs := make([]uint32, len(data))
+		for i, b := range data {
+			runs[i] = uint32(b & 3)
+		}
+		var streams [][]byte
+		for _, ws := range [][]uint32{words, runs} {
+			got, want := AppendEncode([]byte{0xCA}, ws), referenceEncode([]byte{0xCA}, ws)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AppendEncode(%v)\n= %x\nreference %x", ws, got, want)
+			}
+			streams = append(streams, got[1:])
+		}
+		streams = append(streams, data)
+		for _, s := range streams {
+			for _, bound := range []int{-1, 0, 1, 81, len(runs)} {
+				w, werr := AppendDecode([]uint32{7}, s, bound)
+				b, berr := AppendDecodeBytes([]byte{0xFE}, s, bound)
+				if (werr == nil) != (berr == nil) {
+					t.Fatalf("bound %d on %x: word decoder err %v, byte decoder err %v", bound, s, werr, berr)
+				}
+				if werr != nil {
+					continue
+				}
+				if want := protocol.AppendWords([]byte{0xFE}, w[1:]); !bytes.Equal(b, want) {
+					t.Fatalf("bound %d on %x: byte decoder %x, words %x", bound, s, b, want)
+				}
+			}
+		}
+	})
+}
+
+// TestEncodeRunCapMatchesReference covers what the fuzzer cannot reach:
+// runs longer than one token may count split into maxCount-word tokens,
+// leaving zero to three words over, exactly as the reference splits them.
+func TestEncodeRunCapMatchesReference(t *testing.T) {
+	words := make([]uint32, maxCount+4)
+	words[len(words)-1] = 9
+	for off := 0; off <= 3; off++ {
+		got, want := AppendEncode(nil, words[off:]), referenceEncode(nil, words[off:])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run of %d words: %x, reference %x", maxCount+3-off, got, want)
+		}
+	}
 }

@@ -108,6 +108,7 @@ type System struct {
 	circuitID   uint64        // current DynPUF circuit (0 = StatPart PUF / register)
 	helper      []byte        // current PUF helper data (nil in KeyRegister mode)
 	golden0     *fabric.Image // memoized nonce-0 golden (classGolden); nil until first use, cleared by RotateKey
+	digest0     [32]byte      // fabric.NonceFreeDigest of golden0, valid while golden0 is set
 
 	// AppPlacement maps the application's pins for examples/tests; it is
 	// identical across attestations (deterministic placement).
@@ -360,11 +361,10 @@ func (s *System) RestoreEnrollment(e Enrollment) error {
 // golden is memoized (shared with PatchableSpec) and cleared by
 // RotateKey, so the digest always tracks the current generation.
 func (s *System) GoldenDigest() ([32]byte, error) {
-	golden, err := s.classGolden()
-	if err != nil {
+	if _, err := s.classGolden(); err != nil {
 		return [32]byte{}, err
 	}
-	return fabric.NonceFreeDigest(golden, fabric.NonceBits)
+	return s.digest0, nil
 }
 
 // KeyMode returns the system's key provisioning mode.
@@ -419,6 +419,7 @@ func (s *System) PatchableSpec(opts verifier.Options) (attestation.Spec, error) 
 	return attestation.Spec{
 		Geo:           s.Geo,
 		Golden:        golden,
+		GoldenDigest:  s.digest0,
 		DynFrames:     s.DynFrames(),
 		Offset:        opts.Offset,
 		Permutation:   opts.Permutation,
@@ -431,11 +432,16 @@ func (s *System) PatchableSpec(opts verifier.Options) (attestation.Spec, error) 
 }
 
 // classGolden returns the memoized nonce-0 golden image of the current
-// key generation, shared by PatchableSpec and GoldenDigest.
+// key generation, shared by PatchableSpec and GoldenDigest, and
+// memoizes its nonce-free digest in digest0 alongside: the plan cache's
+// key, hashed once per generation instead of on every cache lookup.
 func (s *System) classGolden() (*fabric.Image, error) {
 	if s.golden0 == nil {
 		golden, err := s.Golden(0)
 		if err != nil {
+			return nil, err
+		}
+		if s.digest0, err = fabric.NonceFreeDigest(golden, fabric.NonceBits); err != nil {
 			return nil, err
 		}
 		s.golden0 = golden
@@ -506,9 +512,8 @@ func (s *System) handler(opts AttestOptions) channel.Handler {
 		if len(m) > 0 && m[0] == byte(protocol.MsgICAPReadback) {
 			return true
 		}
-		const envHdr = 9 // MsgSeqReq type byte + uint32 seq + uint32 crc
-		return len(m) > envHdr && m[0] == byte(protocol.MsgSeqReq) &&
-			m[envHdr] == byte(protocol.MsgICAPReadback)
+		return len(m) > protocol.SeqHeader && m[0] == byte(protocol.MsgSeqReq) &&
+			m[protocol.SeqHeader] == byte(protocol.MsgICAPReadback)
 	}
 	armed := false
 	return func(req []byte) ([][]byte, error) {

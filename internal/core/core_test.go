@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -103,9 +104,22 @@ func TestKeyRotation(t *testing.T) {
 	}
 	oldKey := sys.Key
 	g1, _ := sys.Golden(5)
+	d1, err := sys.GoldenDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if err := sys.RotateKey(); err != nil {
 		t.Fatal(err)
+	}
+	// The memoized class digest is dropped with the class golden: the
+	// plan-cache key follows the new generation.
+	spec, err := sys.PatchableSpec(verifier.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2, err := fabric.NonceFreeDigest(spec.Golden, fabric.NonceBits); err != nil || d2 == d1 || spec.GoldenDigest != d2 {
+		t.Fatalf("after rotation: spec digest %x, image digest %x (%v), before %x", spec.GoldenDigest, d2, err, d1)
 	}
 	if sys.DB.Len() != 2 {
 		t.Fatalf("enrollment DB has %d circuits, want 2", sys.DB.Len())
@@ -566,7 +580,10 @@ func TestTamperWindowKeepsConfiguredFFState(t *testing.T) {
 				OnRecv: func(b []byte) []byte {
 					m, err := protocol.Decode(b)
 					if err == nil && m.Type == protocol.MsgFrameData && int(m.FrameIndex) == ref.CapFrame {
-						captured = slices.Clone(m.Words)
+						captured = captured[:0]
+						for w := 0; w+4 <= len(m.Data); w += 4 {
+							captured = append(captured, binary.BigEndian.Uint32(m.Data[w:]))
+						}
 					}
 					return b
 				},

@@ -73,8 +73,13 @@ type Port struct {
 	fab   *fabric.Fabric
 	clock *sim.Clock
 
-	synced  bool
-	far     uint32
+	synced bool
+	far    uint32
+	// farIdx is the linear frame the FAR addresses, resolved from far on
+	// first use after a FAR write, or -1 until then. The auto-increment
+	// after each frame steps farIdx alone: far is only ever read to
+	// resolve farIdx, and a FAR write replaces both.
+	farIdx  int
 	cmd     uint32
 	crc     uint32
 	pending []uint32 // FDRI data buffer (one frame pipeline)
@@ -88,7 +93,7 @@ type Port struct {
 // once per transferred word; pass a fresh 100 MHz clock for the paper's
 // timing.
 func New(fab *fabric.Fabric, clock *sim.Clock) *Port {
-	return &Port{fab: fab, clock: clock}
+	return &Port{fab: fab, clock: clock, farIdx: -1}
 }
 
 // FramesWritten returns the number of configuration frames committed.
@@ -184,7 +189,7 @@ func (p *Port) writeReg(reg int, data []uint32) error {
 		if len(data) != 1 {
 			return fmt.Errorf("icap: FAR write with %d words", len(data))
 		}
-		p.far = data[0]
+		p.far, p.farIdx = data[0], -1
 	case RegCMD:
 		if len(data) != 1 {
 			return fmt.Errorf("icap: CMD write with %d words", len(data))
@@ -240,24 +245,26 @@ func (p *Port) flushFrames() error {
 	return nil
 }
 
+// frameIndex returns the frame the FAR addresses.
 func (p *Port) frameIndex() (int, error) {
+	if p.farIdx >= 0 {
+		return p.farIdx, nil
+	}
 	idx, err := p.fab.Geo.FrameForFAR(device.DecodeFAR(p.far))
 	if err != nil {
 		return 0, fmt.Errorf("icap: FAR %#08x: %w", p.far, err)
 	}
+	p.farIdx = idx
 	return idx, nil
 }
 
+// advanceFAR is the FAR auto-increment after frame current, wrapping
+// after the device's last frame.
 func (p *Port) advanceFAR(current int) {
-	next := current + 1
-	if next >= p.fab.Geo.NumFrames() {
-		next = 0
+	p.farIdx = current + 1
+	if p.farIdx >= p.fab.Geo.NumFrames() {
+		p.farIdx = 0
 	}
-	far, err := p.fab.Geo.FARForFrame(next)
-	if err != nil {
-		panic(err)
-	}
-	p.far = far.Encode()
 }
 
 // startReadback queues count words of FDRO data: one pad frame first,
@@ -333,18 +340,29 @@ func (p *Port) ReadInto(dst []uint32) error {
 }
 
 // crcStep mixes one (register, word) pair into the running CRC, a simple
-// model of the configuration logic's CRC accumulator.
+// model of the configuration logic's CRC accumulator: four steps of a
+// reflected CRC-32 shift register. The four steps are linear, so they
+// equal one nibble-table lookup on the low four bits plus a shift.
 func crcStep(crc, word uint32, reg int) uint32 {
 	x := crc ^ word ^ uint32(reg)<<26
-	for i := 0; i < 4; i++ {
-		if x&1 != 0 {
-			x = x>>1 ^ 0xEDB88320
-		} else {
-			x >>= 1
-		}
-	}
-	return x
+	return x>>4 ^ crcNibble[x&0xF]
 }
+
+// crcNibble[n] is four shift-register steps applied to n.
+var crcNibble = func() (t [16]uint32) {
+	for n := range t {
+		x := uint32(n)
+		for i := 0; i < 4; i++ {
+			if x&1 != 0 {
+				x = x>>1 ^ 0xEDB88320
+			} else {
+				x >>= 1
+			}
+		}
+		t[n] = x
+	}
+	return t
+}()
 
 // --- High-level helpers used by the SACHa static partition ---
 

@@ -303,3 +303,32 @@ func TestHeaderCodec(t *testing.T) {
 		t.Fatalf("type-2 header fields wrong: %#08x", h2)
 	}
 }
+
+// crcStepBitwise is the shift-register loop crcStep's nibble table
+// replaced, kept as its reference.
+func crcStepBitwise(crc, word uint32, reg int) uint32 {
+	x := crc ^ word ^ uint32(reg)<<26
+	for i := 0; i < 4; i++ {
+		if x&1 != 0 {
+			x = x>>1 ^ 0xEDB88320
+		} else {
+			x >>= 1
+		}
+	}
+	return x
+}
+
+// TestCRCStepMatchesBitwise: the table form equals the bitwise loop
+// over random (crc, word, register) triples and every low nibble.
+func TestCRCStepMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 1<<16; i++ {
+		crc, word, reg := rng.Uint32(), rng.Uint32(), rng.Intn(32)
+		if i < 16 {
+			crc, word = 0, uint32(i)
+		}
+		if got, want := crcStep(crc, word, reg), crcStepBitwise(crc, word, reg); got != want {
+			t.Fatalf("crcStep(%#x, %#x, %d) = %#x, bitwise %#x", crc, word, reg, got, want)
+		}
+	}
+}

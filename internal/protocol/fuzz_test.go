@@ -119,7 +119,7 @@ func FuzzProtocolDecode(f *testing.F) {
 func sameMessage(a, b *Message) bool {
 	if a.Type != b.Type || a.FrameIndex != b.FrameIndex || a.Steps != b.Steps || a.Arg != b.Arg ||
 		a.MAC != b.MAC || a.Err != b.Err || a.Seq != b.Seq || a.Caps != b.Caps ||
-		!slices.Equal(a.Words, b.Words) || !bytes.Equal(a.Sig, b.Sig) || !bytes.Equal(a.Inner, b.Inner) ||
+		!slices.Equal(a.Words, b.Words) || !bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Sig, b.Sig) || !bytes.Equal(a.Inner, b.Inner) ||
 		!slices.Equal(a.Frames, b.Frames) || !bytes.Equal(a.Comp, b.Comp) || len(a.Batch) != len(b.Batch) {
 		return false
 	}

@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"sacha/internal/device"
+	"sacha/internal/ethsim"
 )
 
 // MsgType identifies a protocol message.
@@ -44,7 +45,9 @@ const (
 	// transcript instead of a MAC (extension).
 	MsgSigChecksum
 
-	// MsgFrameData is the prover's frame sendback: index + 81 words.
+	// MsgFrameData is the prover's frame sendback: index + 81 words. It
+	// decodes into Message.Data, the words' big-endian bytes as they
+	// travel, which is also the form both ends' MAC absorbs.
 	MsgFrameData
 	// MsgMACValue is the prover's 16-byte AES-CMAC tag.
 	MsgMACValue
@@ -98,6 +101,9 @@ const (
 	MsgScan
 	// MsgScanData is the prover's scan answer: the echoed count and
 	// indices plus one compressed stream of the concatenated frame words.
+	// The stream is at most MaxScanComp bytes; frames that do not
+	// compress that far are answered with an empty stream (an overflow),
+	// which proves none of them clean.
 	MsgScanData
 )
 
@@ -116,6 +122,20 @@ const (
 // (prover.FrameBufferFrames): a scan response must never require more
 // device memory than a configuration batch.
 const MaxScanFrames = 16
+
+// MaxWire bounds every encoded message the protocol ships, sequence
+// envelope included: one message travels in one Ethernet frame, whose
+// payload is at most ethsim.MaxPayload bytes.
+const MaxWire = ethsim.MaxPayload
+
+// SeqHeader is the sequence envelope's length before the embedded
+// message: the type byte, the sequence number and the CRC.
+const SeqHeader = 1 + 4 + 4
+
+// MaxScanComp bounds a ScanData answer's compressed stream, so that the
+// answer fits MaxWire in its envelope whatever the probed frames hold:
+// a reply's size must never depend on (possibly hostile) frame content.
+const MaxScanComp = MaxWire - SeqHeader - 2 - 4*MaxScanFrames
 
 func (t MsgType) String() string {
 	switch t {
@@ -165,7 +185,8 @@ func (t MsgType) String() string {
 type Message struct {
 	Type       MsgType
 	FrameIndex uint32        // ICAPConfig, ICAPReadback, FrameData
-	Words      []uint32      // ICAPConfig, FrameData: 81 frame words
+	Words      []uint32      // ICAPConfig, FrameData (encode): 81 frame words
+	Data       []byte        // FrameData: the frame's 4·81 big-endian bytes (decode; encode without Words)
 	Steps      uint32        // AppStep
 	Arg        uint32        // MACChecksum/SigChecksum reserved arg; MACValue sequence
 	MAC        [16]byte      // MACValue
@@ -217,15 +238,23 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 		out = AppendWords(out, m.Words)
 	case MsgFrameData:
 		// The frame sendback packs the index into 24 bits, giving the
-		// 328-byte payload behind the paper's A8 timing.
-		if len(m.Words) != device.FrameWords {
+		// 328-byte payload behind the paper's A8 timing. The frame comes
+		// from Words when set, else from the already serialised Data.
+		if len(m.Words) > 0 && len(m.Words) != device.FrameWords {
 			return dst, fmt.Errorf("protocol: %v with %d words", m.Type, len(m.Words))
+		}
+		if len(m.Words) == 0 && len(m.Data) != device.FrameBytes {
+			return dst, fmt.Errorf("protocol: %v with %d data bytes", m.Type, len(m.Data))
 		}
 		if m.FrameIndex >= 1<<24 {
 			return dst, fmt.Errorf("protocol: frame index %d exceeds 24 bits", m.FrameIndex)
 		}
 		out = append(out, byte(m.FrameIndex>>16), byte(m.FrameIndex>>8), byte(m.FrameIndex))
-		out = AppendWords(out, m.Words)
+		if len(m.Words) > 0 {
+			out = AppendWords(out, m.Words)
+		} else {
+			out = append(out, m.Data...)
+		}
 	case MsgICAPConfigBatch:
 		if len(m.Batch) == 0 || len(m.Batch) > 255 {
 			return dst, fmt.Errorf("protocol: batch of %d frames", len(m.Batch))
@@ -271,7 +300,7 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 		if len(m.Frames) == 0 || len(m.Frames) > MaxScanFrames {
 			return dst, fmt.Errorf("protocol: %v with %d frames", m.Type, len(m.Frames))
 		}
-		if len(m.Comp) == 0 {
+		if len(m.Comp) == 0 && m.Type == MsgICAPConfigBatchC {
 			return dst, fmt.Errorf("protocol: %v without payload", m.Type)
 		}
 		out = append(out, byte(len(m.Frames)))
@@ -331,10 +360,10 @@ func Decode(data []byte) (*Message, error) {
 // DecodeInto parses a message into m, for receivers that decode every
 // message of a session into one reused Message. Every field of m is
 // reset, and bytes are copied out of data, so m never aliases the input.
-// The backing arrays of Words, Frames, Comp, Inner, Sig and Batch are
-// reused: a field the decoded type does not carry is left empty with its
-// capacity kept for a later message. On error the content of m is
-// unspecified.
+// The backing arrays of Words, Data, Frames, Comp, Inner, Sig and Batch
+// are reused: a field the decoded type does not carry is left empty with
+// its capacity kept for a later message. A FrameData's frame lands in
+// Data, not Words. On error the content of m is unspecified.
 func DecodeInto(m *Message, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("protocol: empty message")
@@ -342,6 +371,7 @@ func DecodeInto(m *Message, data []byte) error {
 	*m = Message{
 		Type:   MsgType(data[0]),
 		Words:  m.Words[:0],
+		Data:   m.Data[:0],
 		Frames: m.Frames[:0],
 		Comp:   m.Comp[:0],
 		Inner:  m.Inner[:0],
@@ -367,7 +397,7 @@ func DecodeInto(m *Message, data []byte) error {
 			return err
 		}
 		m.FrameIndex = uint32(body[0])<<16 | uint32(body[1])<<8 | uint32(body[2])
-		m.Words = decodeWords(m.Words, body[3:], device.FrameWords)
+		m.Data = append(m.Data, body[3:]...)
 	case MsgICAPConfigBatch:
 		if len(body) < 1 {
 			return fmt.Errorf("protocol: empty batch")
@@ -456,7 +486,8 @@ func DecodeInto(m *Message, data []byte) error {
 		if count == 0 || count > MaxScanFrames {
 			return fmt.Errorf("protocol: %v with %d frames", m.Type, count)
 		}
-		if len(body) < 1+4*count+1 {
+		// Only a scan answer may carry an empty (overflow) stream.
+		if len(body) < 1+4*count || len(body) == 1+4*count && m.Type == MsgICAPConfigBatchC {
 			return fmt.Errorf("protocol: short %v", m.Type)
 		}
 		m.Frames = decodeWords(m.Frames, body[1:], count)

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,6 +87,17 @@ func TestFrameDataRoundTripAndSize(t *testing.T) {
 	back, err := Decode(data)
 	if err != nil || back.FrameIndex != 28487 {
 		t.Fatalf("decode: %v index %d", err, back.FrameIndex)
+	}
+	// The frame decodes as its big-endian bytes, and those bytes encode
+	// back to the same wire form.
+	if !bytes.Equal(back.Data, AppendWords(nil, words)) || len(back.Words) != 0 {
+		t.Fatalf("decoded Data %x, Words %v", back.Data, back.Words)
+	}
+	if again, err := back.Encode(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-encode from Data: %x, %v", again, err)
+	}
+	if _, err := (&Message{Type: MsgFrameData, Data: back.Data[1:]}).Encode(); err == nil {
+		t.Fatal("short Data accepted")
 	}
 	// 24-bit overflow must be rejected.
 	m.FrameIndex = 1 << 24
@@ -206,5 +219,23 @@ func TestQuickConfigRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanOverflowRoundTrip: a scan answer may carry the empty overflow
+// stream; a compressed configuration batch may not.
+func TestScanOverflowRoundTrip(t *testing.T) {
+	back := roundTrip(t, &Message{Type: MsgScanData, Frames: []uint32{4, 5}})
+	if len(back.Comp) != 0 || !slices.Equal(back.Frames, []uint32{4, 5}) {
+		t.Fatalf("overflow answer decoded as frames %v, %d payload bytes", back.Frames, len(back.Comp))
+	}
+	if _, err := (&Message{Type: MsgICAPConfigBatchC, Frames: []uint32{4}}).Encode(); err == nil {
+		t.Fatal("compressed batch without payload encoded")
+	}
+	if _, err := Decode([]byte{byte(MsgICAPConfigBatchC), 1, 0, 0, 0, 4}); err == nil {
+		t.Fatal("compressed batch without payload decoded")
+	}
+	if MaxScanComp+2+4*MaxScanFrames+SeqHeader != MaxWire {
+		t.Fatalf("MaxScanComp %d does not fill MaxWire %d", MaxScanComp, MaxWire)
 	}
 }

@@ -62,23 +62,28 @@ func TestReadFrameRawNoAlloc(t *testing.T) {
 	}
 }
 
-// TestReadbackResponseOwnsWords: readFrameRaw reuses device buffers, so
-// a FrameData response must carry its own copy — an earlier response
-// keeps its words when later frames are read back.
+// TestReadbackResponseOwnsWords: handleReadback serialises each frame
+// into a reused device buffer, so a FrameData response must carry its
+// own copy — an earlier response keeps its frame bytes, the fabric's
+// readback of that frame, when later frames are read back.
 func TestReadbackResponseOwnsWords(t *testing.T) {
 	d := newDevice(t)
 	first, err := d.Handle(protocol.Readback(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := slices.Clone(first.Words)
+	frame, err := d.Fabric.ReadbackFrame(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := protocol.AppendWords(nil, frame)
 	for idx := 2; idx < 40; idx++ {
 		if _, err := d.Handle(protocol.Readback(idx)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !slices.Equal(first.Words, want) {
-		t.Fatal("a later readback overwrote an earlier response's words")
+	if !slices.Equal(first.Data, want) {
+		t.Fatal("a later readback overwrote an earlier response's frame, or it never held frame 1")
 	}
 }
 

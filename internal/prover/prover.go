@@ -117,9 +117,9 @@ type Device struct {
 	seqOrder []uint32
 	seqPend  map[uint32][]byte
 
-	// frameScratch is the reused serialisation buffer of handleReadback;
-	// MAC and transcript copy what they absorb, so one buffer serves every
-	// frame of a session.
+	// frameScratch is handleReadback's reused serialisation buffer: the
+	// one big-endian form of the frame, which the MAC and the transcript
+	// absorb (both copy) and a plain FrameData reply carries.
 	frameScratch []byte
 
 	// rbCmd, rbRaw and rbFrame are readFrameRaw's reused buffers: the
@@ -144,8 +144,8 @@ type Device struct {
 	// decoded request (innerMsg for the command inside a sequence
 	// envelope), the response, its compressed payload, its encoding and
 	// the list of wire responses a request releases. A plain FrameData
-	// response aliases rbFrame. The exported Handle* entry points clone
-	// whatever they return.
+	// response aliases frameScratch. The exported Handle* entry points
+	// clone whatever they return.
 	reqMsg, innerMsg, respMsg protocol.Message
 	compBuf, outBuf           []byte
 	outs                      [][]byte
@@ -266,6 +266,7 @@ func (d *Device) Handle(m *protocol.Message) (*protocol.Message, error) {
 	}
 	own := *resp
 	own.Words = slices.Clone(resp.Words)
+	own.Data = slices.Clone(resp.Data)
 	own.Sig = slices.Clone(resp.Sig)
 	own.Frames = slices.Clone(resp.Frames)
 	own.Comp = slices.Clone(resp.Comp)
@@ -422,6 +423,8 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 		return nil, err
 	}
 
+	// The frame is serialised once: the MAC absorbs these bytes and a
+	// plain reply carries them.
 	d.frameScratch = protocol.AppendWords(d.frameScratch[:0], frame)
 	d.mac.Update(d.frameScratch)
 	if d.transcript != nil {
@@ -433,7 +436,7 @@ func (d *Device) handleReadback(m *protocol.Message) (*protocol.Message, error) 
 		d.compBuf = compress.AppendEncode(d.compBuf[:0], frame)
 		return d.reply(protocol.Message{Type: protocol.MsgFrameDataC, FrameIndex: m.FrameIndex, Comp: d.compBuf}), nil
 	}
-	return d.reply(protocol.Message{Type: protocol.MsgFrameData, FrameIndex: m.FrameIndex, Words: frame}), nil
+	return d.reply(protocol.Message{Type: protocol.MsgFrameData, FrameIndex: m.FrameIndex, Data: d.frameScratch}), nil
 }
 
 // readFrameRaw runs one ICAP readback — command stream in, pad frame
@@ -462,7 +465,9 @@ func (d *Device) readFrameRaw(frameIndex int) ([]uint32, error) {
 // but are never absorbed into the MAC or transcript — a scan cannot
 // perturb H_Prv, so probing before Phase 1 is always safe. The response
 // is compressed; its decompressed size is bounded by the frame count,
-// which the protocol caps at MaxScanFrames.
+// which the protocol caps at MaxScanFrames, and its wire size by
+// MaxScanComp: frames that do not compress that far get the empty
+// overflow answer, which the verifier counts as drift.
 func (d *Device) handleScan(m *protocol.Message) (*protocol.Message, error) {
 	if d.caps&protocol.CapScan == 0 {
 		return nil, fmt.Errorf("prover: scan without negotiated capability")
@@ -480,6 +485,9 @@ func (d *Device) handleScan(m *protocol.Message) (*protocol.Message, error) {
 	}
 	d.scanWords = words
 	d.compBuf = compress.AppendEncode(d.compBuf[:0], words)
+	if len(d.compBuf) > protocol.MaxScanComp {
+		d.compBuf = d.compBuf[:0]
+	}
 	return d.reply(protocol.Message{Type: protocol.MsgScanData, Frames: m.Frames, Comp: d.compBuf}), nil
 }
 

@@ -306,3 +306,53 @@ func TestAppStepWithoutAppIsHarmless(t *testing.T) {
 		t.Fatalf("got %v", resp.Type)
 	}
 }
+
+// TestScanReplyBoundedWhateverTheFrames: a scan answer's size must not
+// depend on the probed frames' content. Sixteen incompressible frames
+// get the empty overflow answer, which fits one Ethernet payload in its
+// sequence envelope; sixteen sparse ones get their compressed words.
+func TestScanReplyBoundedWhateverTheFrames(t *testing.T) {
+	d := newDevice(t)
+	hello, err := protocol.Hello(protocol.CapScan).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.serveBytes(hello); err != nil {
+		t.Fatal(err)
+	}
+	dyn := fabric.DynRegion(d.Geo).Frames()[:protocol.MaxScanFrames]
+	frames := make([]uint32, len(dyn))
+	for i, f := range dyn {
+		frames[i] = uint32(f)
+	}
+	scan := func() *protocol.Message {
+		req, err := protocol.Scan(frames).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps, err := d.serveBytes(req)
+		if err != nil || len(resps) != 1 {
+			t.Fatalf("scan: %d responses, %v", len(resps), err)
+		}
+		if n := len(resps[0]) + protocol.SeqHeader; n > protocol.MaxWire {
+			t.Fatalf("enveloped scan answer of %d bytes exceeds the %d-byte bound", n, protocol.MaxWire)
+		}
+		m, err := protocol.Decode(resps[0])
+		if err != nil || m.Type != protocol.MsgScanData {
+			t.Fatalf("scan answered %v, %v", m, err)
+		}
+		return m
+	}
+	if m := scan(); len(m.Comp) == 0 {
+		t.Fatal("sparse frames answered with the overflow stream")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range dyn {
+		for w := range d.Fabric.Mem.Frame(f) {
+			d.Fabric.Mem.Frame(f)[w] = rng.Uint32()
+		}
+	}
+	if m := scan(); len(m.Comp) != 0 || len(m.Frames) != len(frames) {
+		t.Fatalf("dense frames answered with %d compressed bytes for %d frames, want the empty overflow stream", len(m.Comp), len(m.Frames))
+	}
+}
