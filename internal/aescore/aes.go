@@ -9,10 +9,12 @@
 // cycles.
 //
 // aescore is the reference model and the timing source, not the bytes
-// path: package cmac computes its MACs with crypto/aes and tests hold
-// that bit-identical to a CMAC over this core, while the timing model
-// charges CyclesPerBlock per AES block the MAC reports. Core satisfies
-// crypto/cipher.Block so the two can be swapped in those tests.
+// path: package cmac computes its MACs with an AES-NI kernel (or, where
+// that cannot run, a portable chain over crypto/aes) and tests hold both
+// bit-identical to a CMAC over this core, while the timing model charges
+// CyclesPerBlock per AES block the MAC reports. Core satisfies
+// crypto/cipher.Block so the portable chain can run over it in those
+// tests.
 package aescore
 
 import "fmt"

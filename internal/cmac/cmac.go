@@ -6,12 +6,17 @@
 // mirrors that structure and additionally tracks the AES block count so
 // the timing model can charge MAC cycles.
 //
-// The MAC bytes are computed with crypto/aes (constant-time, and
-// hardware-accelerated where the CPU has AES instructions). The modelled
-// hardware cost is separate: the timing model charges
-// aescore.CyclesPerBlock cycles for each of the Blocks() AES invocations
-// of the core that package aescore models, and tests hold this package
-// bit-identical to a CMAC over that reference model.
+// On amd64 CPUs with AES-NI, New runs an assembly CBC-MAC kernel
+// (cmac_amd64.s): it expands the key schedule once with AESKEYGENASSIST,
+// and each Update absorbs the held block and every whole block of the
+// caller's bytes behind it in one call, with the 11 round keys in
+// registers and no copy of the input. Elsewhere (other GOARCHes, CPUs
+// without AES-NI, the purego build tag) the same chain runs one
+// crypto/aes Block.Encrypt per block; tests also run it over the
+// aescore model. The modelled hardware cost is separate: the timing
+// model charges aescore.CyclesPerBlock cycles for each of the Blocks()
+// AES invocations of the core that package aescore models, and tests
+// hold both paths bit-identical to a CMAC over that reference model.
 package cmac
 
 import (
@@ -24,57 +29,56 @@ import (
 // Size is the MAC length in bytes (full-width AES-CMAC tag).
 const Size = 16
 
-// MAC is a streaming AES-CMAC computation. The CBC chain runs through
-// one cipher.BlockMode, so an Update absorbs every whole block it can in
-// one CryptBlocks call instead of one Block.Encrypt per block.
+// MAC is a streaming AES-CMAC computation.
 type MAC struct {
-	cbc    cipher.BlockMode // CBC encrypter; its IV is the running state X
+	// block is the cipher of the portable chain; nil when the kernel
+	// runs over the round keys rk.
+	block  cipher.Block
+	rk     [176]byte // AES-128 key schedule, 11 round keys
+	x      [16]byte  // running CBC state
 	k1, k2 [16]byte
 	buf    [16]byte // pending final-candidate block
 	bufLen int
-	// chain stages the pending block and the whole blocks behind it for
-	// one in-place CryptBlocks call.
-	chain  [chainBlocks * 16]byte
 	blocks int64 // AES invocations so far (for the cycle model)
 	done   bool
 }
-
-// chainBlocks is how many blocks one CryptBlocks call absorbs at most:
-// the held block plus the up to 20 whole blocks a 324-byte frame adds
-// behind it, so each read-back frame takes one call.
-const chainBlocks = 21
-
-// ivSetter is implemented by the standard library's CBC encrypters; it
-// rewinds the chain to a zero IV on Reset without a new allocation.
-type ivSetter interface{ SetIV([]byte) }
 
 // New returns a MAC keyed with the 16-byte key.
 func New(key []byte) (*MAC, error) {
 	if len(key) != 16 {
 		return nil, fmt.Errorf("cmac: key must be 16 bytes, got %d", len(key))
 	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("cmac: %w", err)
+	if !haveKernel {
+		block, err := aes.NewCipher(key)
+		if err != nil {
+			return nil, fmt.Errorf("cmac: %w", err)
+		}
+		return newWithBlock(block), nil
 	}
-	return newWithBlock(block), nil
+	m := &MAC{}
+	expandKey((*[16]byte)(key), &m.rk)
+	m.subkeys()
+	return m, nil
 }
 
-// newWithBlock returns a MAC over an already keyed AES-128 block cipher;
-// tests use it to run the MAC on the aescore reference model.
+// newWithBlock returns a MAC that runs the portable chain over an
+// already keyed AES-128 block cipher; tests use it to run the MAC on the
+// aescore reference model and on crypto/aes.
 func newWithBlock(block cipher.Block) *MAC {
-	m := &MAC{}
-	// Subkey generation (RFC 4493 §2.3): L = AES-128(K, 0^128),
-	// K1 = L<<1 (xor Rb on carry), K2 = K1<<1 (xor Rb on carry). The
-	// pending block is still zero, so it serves as the scratch for L and
-	// then, zeroed again, as the chain's initial IV.
-	block.Encrypt(m.buf[:], m.buf[:])
-	m.blocks++
-	shiftLeft(&m.k1, &m.buf)
-	shiftLeft(&m.k2, &m.k1)
-	m.buf = [16]byte{}
-	m.cbc = cipher.NewCBCEncrypter(block, m.buf[:])
+	m := &MAC{block: block}
+	m.subkeys()
 	return m
+}
+
+// subkeys runs the subkey generation of RFC 4493 §2.3 on a fresh MAC:
+// L = AES-128(K, 0^128), K1 = L<<1 (xor Rb on carry), K2 = K1<<1 (xor
+// Rb on carry). L is the chain's first block, absorbed from the still
+// zero state and pending block; the state is then zeroed again.
+func (m *MAC) subkeys() {
+	m.absorb(nil)
+	shiftLeft(&m.k1, &m.x)
+	shiftLeft(&m.k2, &m.k1)
+	m.x = [16]byte{}
 }
 
 const rb = 0x87
@@ -95,8 +99,7 @@ func shiftLeft(dst, src *[16]byte) {
 
 // Reset restarts the computation under the same key (new Init step).
 func (m *MAC) Reset() {
-	var zero [16]byte
-	m.cbc.(ivSetter).SetIV(zero[:])
+	m.x = [16]byte{}
 	m.bufLen = 0
 	m.done = false
 }
@@ -111,24 +114,31 @@ func (m *MAC) Update(data []byte) {
 	n := copy(m.buf[m.bufLen:], data)
 	m.bufLen += n
 	data = data[n:]
-	for len(data) > 0 {
-		// More data follows a full pending block, so that block is not
-		// the last: chain it with the whole blocks of data, keeping at
-		// least one byte back.
-		k := min((len(data)-1)/16*16, len(m.chain)-16)
-		copy(m.chain[:16], m.buf[:])
-		copy(m.chain[16:], data[:k])
-		data = data[k:]
-		m.absorb(m.chain[:16+k])
-		m.bufLen = copy(m.buf[:], data)
-		data = data[m.bufLen:]
+	if len(data) == 0 {
+		return
 	}
+	// More data follows a full pending block, so that block is not the
+	// last: chain it and the whole blocks of data behind it, keeping at
+	// least one byte back.
+	k := (len(data) - 1) / 16 * 16
+	m.absorb(data[:k])
+	m.bufLen = copy(m.buf[:], data[k:])
 }
 
-// absorb runs X = AES(K, X xor block) over each block of b in place.
-func (m *MAC) absorb(b []byte) {
-	m.cbc.CryptBlocks(b, b)
-	m.blocks += int64(len(b) / 16)
+// absorb runs X = AES(K, X xor block) over the pending block, then over
+// each whole block of src, read in place.
+func (m *MAC) absorb(src []byte) {
+	m.blocks += 1 + int64(len(src)/16)
+	if m.block == nil {
+		cbcMAC(&m.rk, &m.x, &m.buf, src)
+		return
+	}
+	subtle.XORBytes(m.x[:], m.x[:], m.buf[:])
+	m.block.Encrypt(m.x[:], m.x[:])
+	for ; len(src) >= 16; src = src[16:] {
+		subtle.XORBytes(m.x[:], m.x[:], src[:16])
+		m.block.Encrypt(m.x[:], m.x[:])
+	}
 }
 
 // Sum finalizes the MAC and returns the 16-byte tag. The computation must
@@ -147,8 +157,8 @@ func (m *MAC) Sum() [Size]byte {
 		key = &m.k2
 	}
 	subtle.XORBytes(m.buf[:], m.buf[:], key[:])
-	m.absorb(m.buf[:])
-	return m.buf
+	m.absorb(nil)
+	return m.x
 }
 
 // Blocks returns the number of AES block operations performed, including

@@ -11,8 +11,9 @@ import (
 
 var _ cipher.Block = (*aescore.Core)(nil)
 
-// newModel returns a MAC over the aescore hardware model instead of
-// crypto/aes: the reference the production MAC must match bit for bit.
+// newModel returns a MAC whose portable chain runs over the aescore
+// hardware model: the reference the production MAC must match bit for
+// bit.
 func newModel(t testing.TB, key []byte) *MAC {
 	t.Helper()
 	core, err := aescore.New(key)
@@ -25,8 +26,8 @@ func newModel(t testing.TB, key []byte) *MAC {
 // updateSplit feeds data to m in chunks whose boundaries come from rng,
 // then returns the tag. Most chunks are 0..40 bytes, so empty updates
 // and block-straddling cuts both occur; one in four is up to three
-// 324-byte frames plus a partial block, long enough to fill the MAC's
-// chain buffer more than once in one Update.
+// 324-byte frames plus a partial block, so one Update chains many whole
+// blocks at once.
 func updateSplit(m *MAC, data []byte, rng *rand.Rand) [Size]byte {
 	for len(data) > 0 {
 		n := rng.Intn(41)
@@ -75,7 +76,8 @@ func refCMAC(t testing.TB, key, data []byte) [Size]byte {
 }
 
 // TestMatchesModel is the differential: for a fresh random key at every
-// message length from 0 to 4096 bytes, the crypto/aes MAC and the
+// message length from 0 to 4096 bytes, the MAC New returns (the AES-NI
+// kernel where it runs, else the portable chain over crypto/aes) and the
 // aescore-model MAC produce the same tag and the same block count, each
 // fed under its own random Update split.
 func TestMatchesModel(t *testing.T) {
@@ -92,7 +94,7 @@ func TestMatchesModel(t *testing.T) {
 		model := newModel(t, key)
 		got, want := updateSplit(fast, data[:n], rng), updateSplit(model, data[:n], rng)
 		if got != want {
-			t.Fatalf("len %d key %x: crypto/aes MAC %x, model %x", n, key, got, want)
+			t.Fatalf("len %d key %x: MAC %x, model %x", n, key, got, want)
 		}
 		if ref := refCMAC(t, key, data[:n]); got != ref {
 			t.Fatalf("len %d key %x: MAC %x, block-by-block reference %x", n, key, got, ref)
@@ -119,7 +121,7 @@ func FuzzCMACMatchesModel(f *testing.F) {
 		got := updateSplit(fast, data, rand.New(rand.NewSource(split)))
 		want := updateSplit(model, data, rand.New(rand.NewSource(^split)))
 		if got != want || fast.Blocks() != model.Blocks() {
-			t.Fatalf("crypto/aes MAC %x (%d blocks), model %x (%d blocks)", got, fast.Blocks(), want, model.Blocks())
+			t.Fatalf("MAC %x (%d blocks), model %x (%d blocks)", got, fast.Blocks(), want, model.Blocks())
 		}
 		if ref := refCMAC(t, key, data); got != ref {
 			t.Fatalf("MAC %x, block-by-block reference %x", got, ref)

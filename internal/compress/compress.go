@@ -41,8 +41,8 @@ func Encode(words []uint32) []byte {
 // run of equal words once. A run of three or more words becomes run
 // tokens of at most maxCount words each; a shorter run, and the one or
 // two words a capped run leaves over, join the pending literal, which is
-// flushed before the next run token, at the end, or when it already
-// holds maxCount words as the next short run arrives.
+// flushed before the next run token, at the end, or before a short run
+// that would take it past maxCount words.
 func AppendEncode(dst []byte, words []uint32) []byte {
 	out := dst
 	lit := 0 // start of the pending literal run
@@ -53,7 +53,7 @@ func AppendEncode(dst []byte, words []uint32) []byte {
 			j++
 		}
 		if j-i < 3 {
-			if i-lit >= maxCount {
+			if j-lit > maxCount {
 				out = appendLiteral(out, words[lit:i])
 				lit = i
 			}

@@ -308,10 +308,11 @@ func FuzzCompressRoundTrip(f *testing.F) {
 	})
 }
 
-// referenceEncode is the encoder AppendEncode replaced, kept verbatim as
-// the reference its output must equal byte for byte: it measures the run
-// at every literal boundary afresh, so a run that ends a literal is
-// measured twice.
+// referenceEncode is the encoder AppendEncode replaced, kept as the
+// reference its output must equal byte for byte: it measures the run at
+// every literal boundary afresh, so a run that ends a literal is
+// measured twice. It ends a literal before a short run that would take
+// it past maxCount words, as AppendEncode does.
 func referenceEncode(dst []byte, words []uint32) []byte {
 	out := dst
 	i := 0
@@ -330,12 +331,12 @@ func referenceEncode(dst []byte, words []uint32) []byte {
 		}
 		// Collect a literal run up to the next ≥3 repeat.
 		start := i
-		for i < len(words) && i-start < maxCount {
+		for i < len(words) {
 			run = 1
 			for i+run < len(words) && words[i+run] == words[i] {
 				run++
 			}
-			if run >= 3 {
+			if run >= 3 || i+run-start > maxCount {
 				break
 			}
 			i += run
@@ -408,6 +409,36 @@ func TestEncodeRunCapMatchesReference(t *testing.T) {
 		got, want := AppendEncode(nil, words[off:]), referenceEncode(nil, words[off:])
 		if !bytes.Equal(got, want) {
 			t.Fatalf("run of %d words: %x, reference %x", maxCount+3-off, got, want)
+		}
+	}
+}
+
+// TestEncodeLiteralCap is the regression for a literal one word over
+// the cap: one odd word, then equal pairs, 1 + maxCount + 2 words in
+// all. A literal that absorbed the last pair at maxCount-1 words would
+// declare maxCount+1, a count every decoder rejects. The stream decodes
+// in place over the input words, which are then checked against the
+// pattern that made them.
+func TestEncodeLiteralCap(t *testing.T) {
+	word := func(i int) uint32 { return uint32((i + 1) / 2) }
+	words := make([]uint32, 1+maxCount+2)
+	for i := range words {
+		words[i] = word(i)
+	}
+	enc := Encode(words)
+	if !bytes.Equal(enc, referenceEncode(make([]byte, 0, len(enc)), words)) {
+		t.Fatal("AppendEncode differs from the reference encoder")
+	}
+	got, err := AppendDecode(words[:0], enc, -1)
+	if err != nil {
+		t.Fatalf("decode of the encoded stream: %v", err)
+	}
+	if len(got) != len(words) {
+		t.Fatalf("decoded %d words, want %d", len(got), len(words))
+	}
+	for i, w := range got {
+		if w != word(i) {
+			t.Fatalf("word %d decoded as %#x, want %#x", i, w, word(i))
 		}
 	}
 }
