@@ -48,7 +48,11 @@ func main() {
 		wrote = true
 	}
 	if *maskPath != "" {
-		fatal(writeFile(*maskPath, bitstream.FullImage(fabric.GenerateMask(geo))))
+		msk, im := fabric.GenerateMask(geo), fabric.NewImage(geo)
+		for i := 0; i < im.NumFrames(); i++ {
+			im.SetFrame(i, msk.Frame(i))
+		}
+		fatal(writeFile(*maskPath, bitstream.FullImage(im)))
 		fmt.Printf("register mask:     %s\n", *maskPath)
 		wrote = true
 	}
@@ -69,11 +73,11 @@ func writeFile(path string, p *bitstream.Partial) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := p.WriteTo(f); err != nil {
-		return err
+	_, err = p.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 func fatal(err error) {

@@ -169,7 +169,7 @@ type Plan struct {
 	// (Msk), which is nil in CAPTURE mode (raw compare); the delta scan
 	// always compares raw.
 	expected []byte
-	mask     *fabric.Image
+	mask     *fabric.Mask
 
 	// tmpl locates the nonce register; step is this plan's nonce step.
 	tmpl *nonceTemplate

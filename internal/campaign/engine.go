@@ -72,12 +72,9 @@ type Engine struct {
 	// reopened journal.
 	spentSweepNonces []uint64
 	advByKey         map[string]func(*core.System) attack.Result
-	// Per-geometry artifacts, keyed by geometry name.
-	tamperTargets map[string]tamperTarget
-	masks         map[string]*fabric.Image
-	baseline      metricBaseline
-	spans         *span.Collector
-	ran           bool
+	baseline         metricBaseline
+	spans            *span.Collector
+	ran              bool
 }
 
 // AttachFlight arms the campaign with causal tracing and a flight
@@ -149,14 +146,12 @@ func New(sc Scenario) (*Engine, error) {
 		adv[a.Key] = a.Fn
 	}
 	e := &Engine{
-		sc:            sc,
-		disp:          dispatch.New(dispatch.Config{Shards: 1, PlanCacheSize: sc.PlanCacheSize}),
-		sched:         NewScheduler(sc),
-		led:           newLedger(),
-		factory:       factory,
-		advByKey:      adv,
-		tamperTargets: make(map[string]tamperTarget),
-		masks:         make(map[string]*fabric.Image),
+		sc:       sc,
+		disp:     dispatch.New(dispatch.Config{Shards: 1, PlanCacheSize: sc.PlanCacheSize}),
+		sched:    NewScheduler(sc),
+		led:      newLedger(),
+		factory:  factory,
+		advByKey: adv,
 	}
 	if sc.Weights.Crash > 0 {
 		dir, err := os.MkdirTemp("", "sacha-campaign-state-*")
@@ -184,19 +179,19 @@ func New(sc Scenario) (*Engine, error) {
 		}
 		e.reg = reg
 	}
-	// Precompute the per-geometry mask and tamper target for every
-	// geometry in the fleet: the tamper hook reads them from concurrent
-	// sweep workers, so the maps must be frozen before the first event.
+	// Refuse a fleet geometry the tamper hook could not tamper with
+	// before the first event, not in the middle of a sweep.
+	checked := make(map[string]bool)
 	for id := uint64(1); id <= uint64(sc.Fleet); id++ {
 		sys, ok := e.reg.System(id)
 		if !ok {
 			return nil, fmt.Errorf("campaign: fleet has no device %d", id)
 		}
-		if _, ok := e.masks[sys.Geo.Name]; ok {
+		if checked[sys.Geo.Name] {
 			continue
 		}
-		e.masks[sys.Geo.Name] = fabric.GenerateMask(sys.Geo)
-		if _, err := e.findTamperTarget(sys); err != nil {
+		checked[sys.Geo.Name] = true
+		if _, err := tamperTargetOf(sys.Geo); err != nil {
 			return nil, err
 		}
 	}
@@ -378,7 +373,7 @@ func (e *Engine) runSweep(ctx context.Context, ev Event) error {
 		}
 		if tampered[id] {
 			sys, _ := e.reg.System(id)
-			tgt, err := e.tamperTargetFor(sys)
+			tgt, err := tamperTargetOf(sys.Geo)
 			if err == nil {
 				o.TamperDevice = func(d *prover.Device) {
 					d.Fabric.Mem.Frame(tgt.frame)[tgt.word] ^= 1 << uint(tgt.bit)
@@ -517,8 +512,7 @@ func (e *Engine) runSEU(ev Event) error {
 	// Normalize first: the device still holds its last sweep's nonce
 	// column (and capture bits), so the injected-flip accounting below
 	// starts from a known masked-equal state.
-	norm := scrub.New(sys.Device.Fabric, golden)
-	if _, err := norm.ScrubOnce(); err != nil {
+	if _, err := scrub.New(sys.Device.Fabric, golden).ScrubOnce(); err != nil {
 		return fmt.Errorf("normalizing device %d: %w", ev.Device, err)
 	}
 
@@ -528,19 +522,18 @@ func (e *Engine) runSEU(ev Event) error {
 	// An injected flip is detectable iff its bit survives with odd
 	// parity (a position hit twice reverts) and is not a masked capture
 	// bit (a real particle does not care, the scrubber cannot see it).
-	mask := e.maskFor(sys.Geo)
+	scr := scrub.New(sys.Device.Fabric, golden)
 	parity := make(map[scrub.Flip]bool, len(flips))
 	for _, f := range flips {
 		parity[f] = !parity[f]
 	}
 	expected := make(map[scrub.Flip]bool)
 	for f, odd := range parity {
-		if odd && mask.Frame(f.Frame)[f.Word]&(1<<uint(f.Bit)) != 0 {
+		if odd && scr.Msk.Frame(f.Frame)[f.Word]&(1<<uint(f.Bit)) != 0 {
 			expected[f] = true
 		}
 	}
 
-	scr := scrub.New(sys.Device.Fabric, golden)
 	found, err := scr.Scan()
 	if err != nil {
 		return fmt.Errorf("scanning device %d: %w", ev.Device, err)
@@ -656,46 +649,20 @@ func (e *Engine) repairDevice(sys *core.System) error {
 	return err
 }
 
-// findTamperTarget locates (once per geometry, during New) the first
-// unmasked configuration bit in the device's static region — see
-// tamperTarget for why the flip must not land in the dynamic partition.
-func (e *Engine) findTamperTarget(sys *core.System) (tamperTarget, error) {
-	if t, ok := e.tamperTargets[sys.Geo.Name]; ok {
-		return t, nil
-	}
-	mask := e.maskFor(sys.Geo)
-	for _, f := range fabric.StatRegion(sys.Geo).Frames() {
+// tamperTargetOf locates the first unmasked configuration bit in a
+// geometry's static region — see tamperTarget for why the flip must not
+// land in the dynamic partition.
+func tamperTargetOf(geo *device.Geometry) (tamperTarget, error) {
+	mask := fabric.GenerateMask(geo)
+	for _, f := range fabric.StatRegion(geo).Frames() {
 		mw := mask.Frame(f)
 		for w := 0; w < device.FrameWords; w++ {
 			if mw[w] != 0 {
-				t := tamperTarget{frame: f, word: w, bit: bits.TrailingZeros32(mw[w])}
-				e.tamperTargets[sys.Geo.Name] = t
-				return t, nil
+				return tamperTarget{frame: f, word: w, bit: bits.TrailingZeros32(mw[w])}, nil
 			}
 		}
 	}
-	return tamperTarget{}, fmt.Errorf("campaign: geometry %s has no unmasked static bit", sys.Geo.Name)
-}
-
-// tamperTargetFor is the read-only lookup the concurrent tamper hooks
-// use; every geometry's target was precomputed in New, so this never
-// mutates the engine.
-func (e *Engine) tamperTargetFor(sys *core.System) (tamperTarget, error) {
-	if t, ok := e.tamperTargets[sys.Geo.Name]; ok {
-		return t, nil
-	}
-	return tamperTarget{}, fmt.Errorf("campaign: no tamper target for geometry %s", sys.Geo.Name)
-}
-
-// maskFor returns the precomputed readback mask of a geometry. Only New
-// may call it for a geometry not yet in the map.
-func (e *Engine) maskFor(geo *device.Geometry) *fabric.Image {
-	if m, ok := e.masks[geo.Name]; ok {
-		return m
-	}
-	m := fabric.GenerateMask(geo)
-	e.masks[geo.Name] = m
-	return m
+	return tamperTarget{}, fmt.Errorf("campaign: geometry %s has no unmasked static bit", geo.Name)
 }
 
 // sampleHeap enforces the bounded-memory invariant between events.

@@ -86,18 +86,28 @@ func New(geo *device.Geometry) *Fabric {
 		}
 		f.colBase[col] = int32(base)
 	}
-	// A flip-flop whose bits do not fit the column (no modelled device
-	// has one) keeps state 0 and never shows in readback.
-	for i := 0; i < f.colFFs; i++ {
-		base := i/FFSlotsPerCLB*CLBBits + ffBase + i%FFSlotsPerCLB*ffSlotBits
-		if base+ffCaptureOff >= frames*device.FrameBits {
-			break
-		}
-		s := ffSlot{used: locate(base + ffUsedOff), init: locate(base + ffInitOff), capt: locate(base + ffCaptureOff)}
-		f.slots = append(f.slots, s)
+	f.slots = ffSlots(geo)
+	for i, s := range f.slots {
 		f.capture[s.capt.frame] = append(f.capture[s.capt.frame], uint16(i))
 	}
 	return f
+}
+
+// ffSlots lists every CLB column's flip-flop slots by FF ordinal. A
+// flip-flop whose bits do not fit the column (no modelled device has
+// one) is left out: it keeps state 0 and never shows in readback.
+func ffSlots(geo *device.Geometry) []ffSlot {
+	colBits := geo.FramesPerColumn(device.ColCLB) * device.FrameBits
+	colFFs := geo.SitesPerColumn(device.ColCLB) * FFSlotsPerCLB
+	slots := make([]ffSlot, 0, colFFs)
+	for i := 0; i < colFFs; i++ {
+		base := i/FFSlotsPerCLB*CLBBits + ffBase + i%FFSlotsPerCLB*ffSlotBits
+		if base+ffCaptureOff >= colBits {
+			break
+		}
+		slots = append(slots, ffSlot{used: locate(base + ffUsedOff), init: locate(base + ffInitOff), capt: locate(base + ffCaptureOff)})
+	}
+	return slots
 }
 
 // WriteFrame stores one configuration frame, as the ICAP does during
@@ -200,33 +210,40 @@ func (f *Fabric) SetPin(pin int, v uint8) error {
 	return nil
 }
 
-// GenerateMask builds the Msk image for a geometry: every configuration
-// bit is 1 (compare) except the flip-flop capture positions of all CLB
-// columns, which are 0 (mask out). This is the mask the Xilinx tools emit
-// alongside a bitstream, applied by the verifier in §6.1 of the paper.
-func GenerateMask(geo *device.Geometry) *Image {
-	m := NewImage(geo)
-	for i := 0; i < m.NumFrames(); i++ {
-		f := m.Frame(i)
-		for w := range f {
-			f[w] = 0xFFFFFFFF
-		}
+// Mask is the Msk of a geometry, the mask the Xilinx tools emit
+// alongside a bitstream and the verifier applies in §6.1 of the paper:
+// every bit is 1 (compare) except the flip-flop capture bits of all CLB
+// columns, which are 0 (mask out). All CLB columns share one frame
+// layout, so it holds one frame per CLB minor and one all-ones frame
+// for every other frame. A Mask is read-only.
+type Mask struct {
+	geo   *device.Geometry
+	words []uint32 // CLB minor m's frame at m*FrameWords, then the all-ones frame
+}
+
+// GenerateMask builds the Msk of a geometry from its flip-flop slots.
+func GenerateMask(geo *device.Geometry) *Mask {
+	m := &Mask{geo: geo, words: make([]uint32, (geo.FramesPerColumn(device.ColCLB)+1)*device.FrameWords)}
+	for i := range m.words {
+		m.words[i] = 0xFFFFFFFF
 	}
-	sites := geo.SitesPerColumn(device.ColCLB)
-	for row := 0; row < geo.Rows; row++ {
-		for col := 0; col < geo.ColumnsOf(device.ColCLB); col++ {
-			cv, err := m.columnView(row, device.ColCLB, col)
-			if err != nil {
-				panic(err)
-			}
-			for clb := 0; clb < sites; clb++ {
-				for slot := 0; slot < FFSlotsPerCLB; slot++ {
-					cv.setBit(clb*CLBBits+ffBase+slot*ffSlotBits+ffCaptureOff, 0)
-				}
-			}
-		}
+	for _, s := range ffSlots(geo) {
+		m.words[int(s.capt.frame)*device.FrameWords+int(s.capt.word)] &^= 1 << s.capt.shift
 	}
 	return m
+}
+
+// Frame returns frame idx's mask words without allocating. The slice is
+// shared by every frame of the same layout and must not be written.
+func (m *Mask) Frame(idx int) []uint32 {
+	kind, _, _, minor, err := m.geo.ColumnOfFrame(idx)
+	if err != nil {
+		panic(err)
+	}
+	if kind != device.ColCLB {
+		minor = len(m.words)/device.FrameWords - 1
+	}
+	return m.words[minor*device.FrameWords : (minor+1)*device.FrameWords]
 }
 
 // ApplyMask ands the mask into a copy of the frame data.

@@ -31,7 +31,7 @@ type Flip struct {
 type Scrubber struct {
 	Fab    *fabric.Fabric
 	Golden *fabric.Image
-	Msk    *fabric.Image
+	Msk    *fabric.Mask
 
 	// Scans, FlipsFound and FramesRepaired count scrubber activity.
 	Scans          int

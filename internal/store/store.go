@@ -184,6 +184,10 @@ type log struct {
 	f        *os.File
 	appended int // records since the last compaction
 	closed   bool
+	// failed is the first journal write, fsync or rewrite error; every
+	// later Append, Flush and compaction returns it, since a torn frame
+	// would make replay drop whatever was appended behind it.
+	failed error
 }
 
 // openLog opens name's snapshot+journal pair under dir and returns the
@@ -222,7 +226,7 @@ func openLog(dir, name string, kind byte, o Options) (*log, [][]byte, error) {
 		// Fresh (or torn-before-header) journal: write the header anew.
 		if err := lg.writeHeader(); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 		return lg, records, nil
 	}
@@ -254,15 +258,13 @@ func (lg *log) snapPath() string    { return lg.path + ".snap" }
 
 func (lg *log) writeHeader() error {
 	if err := lg.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
 	if _, err := lg.f.WriteAt(header(lg.kind), 0); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	if _, err := lg.f.Seek(int64(headerSize), 0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	_, err := lg.f.Seek(int64(headerSize), 0)
+	return err
 }
 
 // Append frames and writes one record, fsyncing under SyncAlways. The
@@ -277,16 +279,24 @@ func (lg *log) Append(payload []byte) error {
 	if lg.closed {
 		return fmt.Errorf("store: closed")
 	}
-	if _, err := lg.f.Write(frameRecord(payload)); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if lg.failed != nil {
+		return lg.failed
 	}
-	if lg.pol == SyncAlways {
-		if err := lg.f.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+	_, err := lg.f.Write(frameRecord(payload))
+	if err == nil && lg.pol == SyncAlways {
+		err = lg.f.Sync()
+	}
+	if err != nil {
+		return lg.fail(err)
 	}
 	lg.appended++
 	return nil
+}
+
+// fail records the journal's first failure and returns it.
+func (lg *log) fail(err error) error {
+	lg.failed = fmt.Errorf("store: journal %s failed: %w", lg.journalPath(), err)
+	return lg.failed
 }
 
 // MaybeCompact folds the current state (rendered by the owner as a
@@ -297,6 +307,9 @@ func (lg *log) Append(payload []byte) error {
 func (lg *log) MaybeCompact(state func() [][]byte) error {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
+	if lg.failed != nil {
+		return lg.failed
+	}
 	if lg.closed || lg.appended < lg.every {
 		return nil
 	}
@@ -329,10 +342,10 @@ func (lg *log) compactLocked(state [][]byte) error {
 	}
 	syncDir(filepath.Dir(lg.path))
 	if err := lg.writeHeader(); err != nil {
-		return err
+		return lg.fail(err)
 	}
 	if err := lg.f.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return lg.fail(err)
 	}
 	lg.appended = 0
 	return nil
@@ -345,8 +358,11 @@ func (lg *log) Flush() error {
 	if lg.closed {
 		return nil
 	}
+	if lg.failed != nil {
+		return lg.failed
+	}
 	if err := lg.f.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return lg.fail(err)
 	}
 	return nil
 }

@@ -305,3 +305,45 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatal("put after Close succeeded")
 	}
 }
+
+// A journal write that fails can leave a torn frame behind, and replay
+// stops at it: every record appended after it would be acknowledged and
+// then lost on reopen. The journal must fail closed — once one append
+// fails, every later one fails too, even when the file works again.
+func TestFailedAppendFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{})
+	defer st.Close()
+	if err := st.Nonces().Spend(1); err != nil {
+		t.Fatalf("spend 1: %v", err)
+	}
+	lg := st.Nonces().lg
+	ro, err := os.Open(lg.journalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := lg.f
+	lg.f = ro
+	if err := st.Nonces().Spend(2); err == nil {
+		t.Fatal("spend 2 succeeded on a read-only journal")
+	}
+	lg.f = rw
+	ro.Close()
+	if err := st.Nonces().Spend(3); err == nil {
+		t.Fatal("spend 3 acknowledged after a failed journal write")
+	}
+	if st.Nonces().Spent(3) {
+		t.Fatal("refused spend 3 still marked the nonce spent")
+	}
+	if err := st.Flush(); err == nil {
+		t.Fatal("flush succeeded after a failed journal write")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close after a failed journal write: %v", err)
+	}
+	re := mustOpen(t, dir, Options{})
+	defer re.Close()
+	if !re.Nonces().Spent(1) {
+		t.Fatal("nonce spent before the failure lost on reopen")
+	}
+}
